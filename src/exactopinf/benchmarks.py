@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fom import InputSignal, PolynomialFOM
 
@@ -169,7 +170,8 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     Spatial derivatives are central differences at cell centers with
     homogeneous-Neumann ghost values.  The degree-8 multilinear map
     symmetrizes over which three of the eight arguments take the derivative
-    role; the degree-3 map over which one of three does.
+    role; the degree-3 map over which one of three does.  The state
+    Jacobian is tridiagonal and returned as a ``scipy.sparse`` array.
 
     Returns ``(fom, x0)``.
     """
@@ -185,24 +187,27 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
         out[-1] = (v[-1] - v[-2]) / (2.0 * dxi)
         return out
 
-    D = np.zeros((N, N))
-    rows = np.arange(1, N - 1)
-    D[rows, rows + 1] = 1.0 / (2.0 * dxi)
-    D[rows, rows - 1] = -1.0 / (2.0 * dxi)
-    D[0, 1] = 1.0 / (2.0 * dxi)
-    D[0, 0] = -1.0 / (2.0 * dxi)
-    D[N - 1, N - 1] = 1.0 / (2.0 * dxi)
-    D[N - 1, N - 2] = -1.0 / (2.0 * dxi)
+    # dx as a matrix has off-diagonals -off (below) and +off (above); its
+    # diagonal is zero except at the two Neumann ghost rows
+    off = 1.0 / (2.0 * dxi)
+    dx_diag = np.zeros(N)
+    dx_diag[0] = -off
+    dx_diag[-1] = off
 
     def rhs(x, u):
         g = dx(x)
         return c1 * x**2 * g + c2 * x**5 * g**3
 
     def jacobian(x, u):
+        # diag(a) + diag(b) @ dx, assembled from its three diagonals
         g = dx(x)
-        return np.diag(2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3) + (
-            c1 * x**2 + 3.0 * c2 * x**5 * g**2
-        )[:, None] * D
+        a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
+        b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
+        return sp.diags_array(
+            [-off * b[1:], a + b * dx_diag, off * b[:-1]],
+            offsets=(-1, 0, 1),
+            shape=(N, N),
+        )
 
     def h3(a, b, c):
         return (c1 / 3.0) * (a * b * dx(c) + a * dx(b) * c + dx(a) * b * c)

@@ -9,10 +9,11 @@ pod          Compute an orthonormal basis from a snapshot CSV.
 diagnose     Structure and accuracy metrics of an operator CSV.
 
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
-machine-readable JSON failure list on stdout), 2 file schema violation,
-3 rank deficiency / singular system.  Thread count for ensemble generation
-comes from --threads, then the EXACTOPINF_THREADS environment variable,
-then the available core count; results are independent of it.
+machine-readable JSON failure list on stdout), 2 file schema violation or
+invalid setting (config file, thread count), 3 rank deficiency / singular
+system.  Thread count for ensemble generation comes from --threads, then the
+EXACTOPINF_THREADS environment variable, then the available core count; it
+must be a positive integer, and results are independent of it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .diagnostics import (
     block_errors,
     build_report,
     diffusion_spectrum,
-    energy_violation,
     relative_operator_error,
+    scaled_energy_violation,
     symmetry_violation,
 )
 from .exact_opinf import (
@@ -74,12 +75,24 @@ EXIT_RANK = 3
 
 
 def _resolve_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("EXACTOPINF_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    """Ensemble threads: --threads, then EXACTOPINF_THREADS, then the cores.
+
+    Raises ValueError naming the source when the value is not a positive
+    integer.
+    """
+    source = "--threads"
+    if value is None:
+        value = os.environ.get("EXACTOPINF_THREADS")
+        source = "EXACTOPINF_THREADS"
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
 def _write_table(path, kind, header, rows):
@@ -135,7 +148,6 @@ def cmd_experiment(args) -> int:
             file=sys.stderr,
         )
         return EXIT_THRESHOLD
-    threads = _resolve_threads(args.threads)
     out = Path(args.out if args.out else Path("results") / name)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -164,9 +176,9 @@ def cmd_experiment(args) -> int:
         ref = intrusive_reduce(fom, pod, n)
         if ensemble is None:
             pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt_used, threads=threads)
+            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt_used, threads=args.threads)
         else:
-            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n), threads=threads)
+            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n), threads=args.threads)
         try:
             result = infer(ensemble)
         except SingularDataMatrixError as exc:
@@ -296,7 +308,6 @@ def _check_thresholds(name, reports, quad_fraction=()):
 
 
 def cmd_infer(args) -> int:
-    threads = _resolve_threads(args.threads)
     try:
         if args.ensemble:
             ensemble = read_ensemble(args.ensemble)
@@ -320,7 +331,7 @@ def cmd_infer(args) -> int:
             )
             n_u = args.n_u if args.n_u is not None else spec.n_u
             pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, V, pairs, args.dt, threads=threads)
+            ensemble = generate_ensemble(fom, V, pairs, args.dt, threads=args.threads)
         result = infer(ensemble)
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
@@ -374,10 +385,7 @@ def cmd_diagnose(args) -> int:
         report["symmetry_violation"] = symmetry_violation(A1)
         report["diffusion_spectrum"] = [float(v) for v in diffusion_spectrum(A1)]
     if 2 in op.basis.degree_set:
-        A2 = op.degree_block(2)
-        norm = float(np.linalg.norm(A2))
-        raw = energy_violation(A2, op.basis.n)
-        report["energy_violation_scaled"] = raw / norm if norm > 0 else 0.0
+        report["energy_violation_scaled"] = scaled_energy_violation(op)
     if reference is not None:
         report["relative_operator_error"] = relative_operator_error(op, reference)
         report["block_errors"] = {
@@ -449,6 +457,12 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "infer" and args.benchmark is not None:
         if args.basis is None or args.dt is None:
             parser.error("--benchmark requires --basis and --dt")
+    if hasattr(args, "threads"):
+        try:
+            args.threads = _resolve_threads(args.threads)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_SCHEMA
     return args.func(args)
 
 

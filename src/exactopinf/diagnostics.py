@@ -98,6 +98,21 @@ def energy_violation(A2: np.ndarray, n: int) -> float:
     return float(np.sum(np.abs(total)))
 
 
+def scaled_energy_violation(operator: AggregatedOperator) -> float:
+    """:func:`energy_violation` of the quadratic block over the block's norm.
+
+    A numerically vanishing quadratic block (at most 1e-12 of the whole
+    operator) would make the block-relative scaling 0/0, so it is measured
+    against the whole-operator norm instead.
+    """
+    A2 = operator.degree_block(2)
+    norm = np.linalg.norm(A2)
+    total_norm = np.linalg.norm(operator.matrix)
+    if norm <= 1e-12 * total_norm:
+        norm = total_norm
+    return float(energy_violation(A2, operator.basis.n) / norm) if norm > 0 else 0.0
+
+
 def symmetry_violation(A1: np.ndarray) -> float:
     """Relative Frobenius asymmetry ``|A - A^T| / |A|`` of a square block."""
     A1 = np.asarray(A1, dtype=float)
@@ -146,14 +161,7 @@ def build_report(
     symmetry = None
     spectrum = None
     if 2 in basis.degree_set:
-        A2 = inferred.degree_block(2)
-        norm = np.linalg.norm(A2)
-        total_norm = np.linalg.norm(inferred.matrix)
-        # a numerically vanishing quadratic block would make the usual
-        # block-relative scaling 0/0; fall back to the whole-operator norm
-        if norm <= 1e-12 * total_norm:
-            norm = total_norm
-        energy = energy_violation(A2, n) / norm if norm > 0 else 0.0
+        energy = scaled_energy_violation(inferred)
     if 1 in basis.degree_set:
         symmetry = symmetry_violation(inferred.degree_block(1))
         spectrum = diffusion_spectrum(inferred.degree_block(1))

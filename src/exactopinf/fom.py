@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .tensor_poly import _monomial_index_array, compress_state
 
@@ -43,8 +44,9 @@ class PolynomialFOM:
     degree ``i`` to a symmetric i-linear function of ``i`` vectors whose
     diagonal reproduces the degree-``i`` part of ``rhs``; ``input_map``
     optionally evaluates ``u -> B u``; ``jacobian(x, u)`` optionally returns
-    the state Jacobian of the rhs (implicit stepping falls back to finite
-    differences without it).  Evaluators must be pure and reentrant.
+    the state Jacobian of the rhs as a dense or a ``scipy.sparse`` array
+    (implicit stepping falls back to finite differences without it).
+    Evaluators must be pure and reentrant.
     """
 
     dimension: int
@@ -147,6 +149,18 @@ def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> np.ndarray:
     return J
 
 
+def _solve_shifted(Jf, dt: float, r: np.ndarray) -> np.ndarray:
+    """Solve ``(I - dt * Jf) d = r``: sparse LU for a ``scipy.sparse`` ``Jf``."""
+    if sp.issparse(Jf):
+        # imported here so that `import exactopinf` does not load it
+        from scipy.sparse.linalg import spsolve
+
+        M = sp.eye_array(Jf.shape[0], format="csc") - dt * sp.csc_array(Jf, dtype=float)
+        return spsolve(M, r)
+    Jf = np.asarray(Jf, dtype=float)
+    return np.linalg.solve(np.eye(Jf.shape[0]) - dt * Jf, r)
+
+
 def implicit_euler_step(
     fom: PolynomialFOM,
     x,
@@ -157,9 +171,12 @@ def implicit_euler_step(
 ) -> np.ndarray:
     """One implicit Euler step: solve ``y = x + dt * f(y, u)`` by Newton.
 
-    The Jacobian is approximated by forward finite differences.  Raises
-    :class:`NewtonError` when the residual norm does not drop below
-    ``newton_tol * (1 + ||x||)`` within ``newton_max_iter`` iterations.
+    Each Newton iteration solves ``(I - dt * J) d = r`` with ``J`` from
+    ``fom.jacobian`` when the model has one, and from forward finite
+    differences (dense) otherwise.  A ``scipy.sparse`` ``J`` is solved with a
+    sparse LU, a dense one with a dense LU.  Raises :class:`NewtonError` when
+    the residual norm does not drop below ``newton_tol * (1 + ||x||)`` within
+    ``newton_max_iter`` iterations.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -173,11 +190,10 @@ def implicit_euler_step(
         if res_norm < tol:
             return y
         if fom.jacobian is not None:
-            Jf = np.asarray(fom.jacobian(y, u), dtype=float)
+            Jf = fom.jacobian(y, u)
         else:
             Jf = _fd_jacobian(fom, y, u, f)
-        J = np.eye(fom.dimension) - dt * Jf
-        y = y - np.linalg.solve(J, residual)
+        y = y - _solve_shifted(Jf, dt, residual)
     raise NewtonError(
         f"Newton did not converge in {newton_max_iter} iterations "
         f"(last residual {res_norm:.3e})",

@@ -123,7 +123,7 @@ class TestShallowIce:
         spec = apply_overrides(SHALLOW_ICE, {"N": 24})
         fom, _ = build_shallow_ice(spec)
         x = 1.0 + 0.2 * rng.standard_normal(24)
-        J = fom.jacobian(x, None)
+        J = fom.jacobian(x, None).toarray()
         eps = 1e-6
         J_fd = np.empty_like(J)
         for j in range(24):

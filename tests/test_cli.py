@@ -7,7 +7,7 @@ import pytest
 
 from exactopinf.benchmarks import BURGERS, build_burgers
 from exactopinf.cli import main
-from exactopinf.diagnostics import relative_operator_error
+from exactopinf.diagnostics import build_report, relative_operator_error
 from exactopinf.exact_opinf import (
     estimate_dt,
     exact_opinf,
@@ -173,6 +173,33 @@ class TestDiagnoseCommand:
         assert report["symmetry_violation"] < 1e-11
         assert min(report["diffusion_spectrum"]) > -1e-10
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_inferred_zero_quadratic_block_matches_build_report(
+        self, chafee_data, n, tmp_path, capsys
+    ):
+        # Chafee-Infante has no quadratic term: inference fills the block
+        # with rounding, so the energy violation must be scaled by the whole
+        # operator, as build_report does
+        spec = chafee_data["spec"]
+        pod = chafee_data["pod"]
+        dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
+        result = exact_opinf(
+            chafee_data["fom"], pod.matrix(n), spec.degree_set, spec.n_u, dt,
+            scale=spec.state_scale,
+        )
+        ref = intrusive_reduce(chafee_data["fom"], pod, n)
+        expected = build_report(
+            "chafee_infante", n, result.operator, ref, result.cond_P, n
+        ).energy_violation
+        from exactopinf.serialize import write_operator
+
+        opath = tmp_path / "op.csv"
+        write_operator(result.operator, opath)
+        assert main(["diagnose", str(opath)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["energy_violation_scaled"] == expected
+        assert expected < 1e-12
+
     def test_missing_sidecar_exit_code(self, tmp_path, capsys):
         bogus = tmp_path / "op.csv"
         bogus.write_text("# exactopinf-csv v1 operator\ncol_1\n0\n")
@@ -248,3 +275,36 @@ class TestExperimentCommand:
         assert code == 0
         lines = (out / "baseline_errors.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_flag_rejected(self, value, tmp_path, capsys):
+        code = main(
+            ["infer", "--ensemble", str(tmp_path / "ens.csv"),
+             "--threads", value, "--out", str(tmp_path / "op.csv")]
+        )
+        assert code == 2
+        assert "--threads must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+    def test_invalid_environment_rejected(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EXACTOPINF_THREADS", value)
+        code = main(
+            ["infer", "--ensemble", str(tmp_path / "ens.csv"),
+             "--out", str(tmp_path / "op.csv")]
+        )
+        assert code == 2
+        assert "EXACTOPINF_THREADS must be a positive integer" in capsys.readouterr().err
+        code = main(["experiment", "burgers", "--n-max", "2", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "EXACTOPINF_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EXACTOPINF_THREADS", "abc")
+        out = tmp_path / "r"
+        code = main(
+            ["experiment", "burgers", "--n-max", "2", "--out", str(out), "--threads", "2"]
+        )
+        assert code == 0

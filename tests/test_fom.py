@@ -1,10 +1,13 @@
 """Full-order models: evaluation, integration, and black-box structure probes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from exactopinf.benchmarks import SHALLOW_ICE, apply_overrides, build_shallow_ice
 from exactopinf.fom import (
     InputSignal,
     NewtonError,
@@ -125,6 +128,47 @@ class TestImplicitEuler:
         expected = np.linalg.solve(np.eye(N) - dt * A1, x + dt * (B @ u))
         y = implicit_euler_step(fom, x, u, dt)
         np.testing.assert_allclose(y, expected, rtol=1e-7)
+
+    def test_linear_direct_solve_oracle_sparse_jacobian(self, rng):
+        N = 4
+        A1 = rng.standard_normal((N, N))
+        A1 = A1 - 5.0 * np.eye(N)  # stable
+        B = rng.standard_normal((N, 1))
+        fom = dataclasses.replace(
+            from_dense_operators({1: A1}, B), jacobian=lambda x, u: sp.csr_array(A1)
+        )
+        x = rng.standard_normal(N)
+        u = rng.standard_normal(1)
+        dt = 0.1
+        expected = np.linalg.solve(np.eye(N) - dt * A1, x + dt * (B @ u))
+        y = implicit_euler_step(fom, x, u, dt)
+        np.testing.assert_allclose(y, expected, rtol=1e-7)
+
+    def test_sparse_jacobian_matches_dense_twin(self):
+        # the shallow-ice Jacobian is tridiagonal and sparse; stepping with
+        # its dense copy must give the same states and Newton iterations
+        fom, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": 24}))
+        J0 = fom.jacobian(x0, None)
+        assert sp.issparse(J0) and J0.count_nonzero() <= 3 * 24 - 2
+
+        def counted(as_dense, calls):
+            def jac(x, u):
+                calls.append(1)
+                J = fom.jacobian(x, u)
+                return J.toarray() if as_dense else J
+
+            return dataclasses.replace(fom, jacobian=jac)
+
+        sparse_calls, dense_calls = [], []
+        sparse_fom = counted(False, sparse_calls)
+        dense_fom = counted(True, dense_calls)
+        xs = xd = x0
+        for _ in range(4):
+            xs = implicit_euler_step(sparse_fom, xs, None, SHALLOW_ICE.dt_pod)
+            xd = implicit_euler_step(dense_fom, xd, None, SHALLOW_ICE.dt_pod)
+            assert np.linalg.norm(xs - xd) <= 1e-14 * np.linalg.norm(xd)
+        assert len(sparse_calls) == len(dense_calls) > 0
+        assert np.linalg.norm(xs - x0) > 0
 
     def test_analytic_jacobian_used(self, rng):
         N = 3
