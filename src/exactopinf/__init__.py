@@ -30,7 +30,6 @@ from .exact_opinf import (
     generate_ensemble,
     infer,
     rank_ensuring_pairs,
-    rank_ensuring_states,
     standard_opinf,
 )
 from .fom import (
@@ -50,20 +49,16 @@ from .gappy_interp import (
     GappyProblem,
     gappy_interpolate,
     interpolation_matrix,
-    lattice_nodes,
     univariate_specific,
 )
 from .pod import PodBasis, pod_basis
 from .tensor_poly import (
     MonomialBasis,
-    SelectionMaps,
     compress_state,
     enumerate_monomials,
     feature_matrix,
     feature_vector,
-    kron_expand,
     monomial_count,
-    selection_maps,
 )
 
 __version__ = "0.1.0"

@@ -10,10 +10,8 @@ diagnose     Structure and accuracy metrics of an operator CSV.
 
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
 machine-readable JSON failure list on stdout), 2 file schema violation or
-invalid setting (config file, thread count), 3 rank deficiency / singular
-system.  Thread count for ensemble generation comes from --threads, then the
-EXACTOPINF_THREADS environment variable, then the available core count; it
-must be a positive integer, and results are independent of it.
+invalid setting (config file, non-positive --dt, --n or --n-max), 3 rank
+deficiency / singular system.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -46,6 +43,7 @@ from .diagnostics import (
 )
 from .exact_opinf import (
     SingularDataMatrixError,
+    estimate_dt,
     extend_ensemble,
     generate_ensemble,
     infer,
@@ -66,7 +64,6 @@ from .serialize import (
     _read_plain_matrix,
 )
 from .tensor_poly import MonomialBasis
-from .exact_opinf import estimate_dt
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -74,25 +71,17 @@ EXIT_SCHEMA = 2
 EXIT_RANK = 3
 
 
-def _resolve_threads(value):
-    """Ensemble threads: --threads, then EXACTOPINF_THREADS, then the cores.
+def _positive(kind):
+    """Argparse type: ``kind(text)``, rejected unless finite and positive."""
 
-    Raises ValueError naming the source when the value is not a positive
-    integer.
-    """
-    source = "--threads"
-    if value is None:
-        value = os.environ.get("EXACTOPINF_THREADS")
-        source = "EXACTOPINF_THREADS"
-        if not value:
-            return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return threads
+    def convert(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
 def _write_table(path, kind, header, rows):
@@ -176,9 +165,9 @@ def cmd_experiment(args) -> int:
         ref = intrusive_reduce(fom, pod, n)
         if ensemble is None:
             pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt_used, threads=args.threads)
+            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt_used)
         else:
-            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n), threads=args.threads)
+            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
         try:
             result = infer(ensemble)
         except SingularDataMatrixError as exc:
@@ -308,12 +297,16 @@ def _check_thresholds(name, reports, quad_fraction=()):
 
 
 def cmd_infer(args) -> int:
+    if args.benchmark is not None:
+        try:
+            spec = SPECS[_canonical_benchmark(args.benchmark)]
+        except KeyError:
+            print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
+            return EXIT_THRESHOLD
     try:
         if args.ensemble:
             ensemble = read_ensemble(args.ensemble)
         else:
-            name = _canonical_benchmark(args.benchmark)
-            spec = SPECS[name]
             fom, _, _ = _build_benchmark(spec)
             V = _read_plain_matrix(args.basis, "basis")
             if args.n is not None:
@@ -331,7 +324,7 @@ def cmd_infer(args) -> int:
             )
             n_u = args.n_u if args.n_u is not None else spec.n_u
             pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, V, pairs, args.dt, threads=args.threads)
+            ensemble = generate_ensemble(fom, V, pairs, args.dt)
         result = infer(ensemble)
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
@@ -339,9 +332,6 @@ def cmd_infer(args) -> int:
     except SingularDataMatrixError as exc:
         print(json.dumps({"error": "singular-data-matrix", "detail": str(exc)}))
         return EXIT_RANK
-    except KeyError:
-        print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
-        return EXIT_THRESHOLD
     write_operator(result.operator, args.out)
     print(json.dumps({"out": str(args.out), "cond_P": result.cond_P, "residual": result.residual}))
     return EXIT_OK
@@ -408,11 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a bundled benchmark and export CSV metrics")
     exp.add_argument("benchmark", help="chafee-infante | burgers | shallow-ice")
-    exp.add_argument("--n-max", type=int, default=None, help="largest reduced dimension")
+    exp.add_argument("--n-max", type=_positive(int), default=None, help="largest reduced dimension")
     exp.add_argument("--out", default=None, help="output directory (default results/<name>)")
-    exp.add_argument("--dt", type=float, default=None, help="single-step size (default: estimated)")
+    exp.add_argument("--dt", type=_positive(float), default=None, help="single-step size (default: estimated)")
     exp.add_argument("--config", default=None, help="key=value override file (N, dt, T, c1, c2)")
-    exp.add_argument("--threads", type=int, default=None, help="ensemble parallelism")
     exp.add_argument("--force", action="store_true", help="allow n beyond the documented range")
     exp.add_argument("--baseline", action="store_true", help="also fit the trajectory-data baseline")
     exp.add_argument("--regularization", type=float, default=0.0, help="baseline Tikhonov weight")
@@ -428,11 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--ensemble", default=None, help="single-step data CSV (with JSON sidecar)")
     src.add_argument("--benchmark", default=None, help="builtin system to step directly")
     inf.add_argument("--basis", default=None, help="basis CSV (required with --benchmark)")
-    inf.add_argument("--n", type=int, default=None, help="truncate the basis to n columns")
+    inf.add_argument("--n", type=_positive(int), default=None, help="truncate the basis to n columns")
     inf.add_argument("--degrees", default=None, help="comma-separated degree set override")
     inf.add_argument("--n-u", type=int, default=None, help="input dimension override")
-    inf.add_argument("--dt", type=float, default=None, help="single-step size (required with --benchmark)")
-    inf.add_argument("--threads", type=int, default=None)
+    inf.add_argument("--dt", type=_positive(float), default=None, help="single-step size (required with --benchmark)")
     inf.add_argument("--out", required=True, help="operator CSV to write")
     inf.set_defaults(func=cmd_infer)
 
@@ -457,12 +445,6 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "infer" and args.benchmark is not None:
         if args.basis is None or args.dt is None:
             parser.error("--benchmark requires --basis and --dt")
-    if hasattr(args, "threads"):
-        try:
-            args.threads = _resolve_threads(args.threads)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_SCHEMA
     return args.func(args)
 
 

@@ -10,7 +10,6 @@ reduced operator to floating-point accuracy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,34 +56,20 @@ class RankEnsuringPair:
         object.__setattr__(self, "inp", np.asarray(self.inp, dtype=float))
 
 
-def rank_ensuring_states(n: int, degree_set) -> list[np.ndarray]:
-    """All sums of ``i`` unit vectors in R^n, per degree ``i``, ascending.
-
-    The k-th state of the degree-``i`` block is the sum of unit vectors
-    named by the k-th canonical monomial tuple, so states and feature-vector
-    entries line up one-to-one.  Degree 0 contributes the zero state.
-    """
-    basis = MonomialBasis(n=n, degree_set=tuple(degree_set))
-    states = []
-    for i in basis.degree_set:
-        for tup in enumerate_monomials(n, i):
-            x = np.zeros(n)
-            for j in tup:
-                x[j - 1] += 1.0
-            states.append(x)
-    return states
-
-
 def rank_ensuring_pairs(
     n: int, degree_set, n_u: int = 0, scale: float = 1.0
 ) -> list[RankEnsuringPair]:
     """State pairs (canonical order) followed by one unit-input pair per input.
 
-    Every state is multiplied by ``scale``; the default 1.0 gives the unit
-    states.  Scaling by ``c`` turns the data matrix into ``diag(c^i) P``, so
-    it stays invertible; it moves the degree-``i`` part of the stepped data
-    by ``c^i`` and so sets which degree dominates it.  A power of two keeps
-    states and features exact.  Inputs stay unit vectors.
+    The state of the k-th pair of the degree-``i`` block is the sum of the
+    unit vectors named by the k-th canonical monomial tuple, so states and
+    feature-vector entries line up one-to-one; degree 0 contributes the zero
+    state.  Every state is multiplied by ``scale``; the default 1.0 gives
+    the unit states.  Scaling by ``c`` turns the data matrix into
+    ``diag(c^i) P``, so it stays invertible; it moves the degree-``i`` part
+    of the stepped data by ``c^i`` and so sets which degree dominates it.
+    A power of two keeps states and features exact.  Inputs stay unit
+    vectors.
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
@@ -146,7 +131,8 @@ class SnapshotEnsemble:
 
     @property
     def scale(self) -> float:
-        """State amplitude of the pairs; :func:`extend_ensemble` keeps it."""
+        """State amplitude of the pairs; :func:`extend_ensemble` keeps it,
+        and the ensemble file's sidecar records it."""
         return self.pairs[0].scale
 
 
@@ -199,14 +185,9 @@ def _lift(pair: RankEnsuringPair, V: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step_pairs(fom, V, pairs, dt, indices, quotients, threads) -> None:
-    """Step each pair named by ``indices`` once, into ``quotients[:, s]``.
-
-    Steps are independent; with ``threads > 1`` they run concurrently, each
-    writing its own column.
-    """
-
-    def run(s):
+def _step_pairs(fom, V, pairs, dt, indices, quotients) -> None:
+    """Step each pair named by ``indices`` once, into ``quotients[:, s]``."""
+    for s in indices:
         pair = pairs[s]
         x0 = _lift(pair, V)
         try:
@@ -215,27 +196,12 @@ def _step_pairs(fom, V, pairs, dt, indices, quotients, threads) -> None:
             raise RuntimeError(f"single step failed for pair {pair.provenance}: {exc}") from exc
         quotients[:, s] = (x1 - x0) / dt
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, indices))
-    else:
-        for s in indices:
-            run(s)
 
-
-def generate_ensemble(
-    fom: PolynomialFOM,
-    V,
-    pairs,
-    dt: float,
-    threads: int | None = None,
-) -> SnapshotEnsemble:
+def generate_ensemble(fom: PolynomialFOM, V, pairs, dt: float) -> SnapshotEnsemble:
     """Run one explicit Euler step per pair and collect the inference data.
 
     Each pair is lifted to the full order with the basis (see :func:`_lift`),
-    stepped once, and the difference quotient projected back.  Steps are
-    independent; with ``threads > 1`` they run concurrently, results are
-    ordered by pair index either way.
+    stepped once, and the difference quotient projected back.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -245,7 +211,7 @@ def generate_ensemble(
     basis = MonomialBasis(n=n, degree_set=degrees, n_u=fom.n_u)
     pairs = tuple(pairs)
     quotients = np.empty((fom.dimension, len(pairs)))
-    _step_pairs(fom, V, pairs, dt, range(len(pairs)), quotients, threads)
+    _step_pairs(fom, V, pairs, dt, range(len(pairs)), quotients)
 
     return SnapshotEnsemble(
         basis=basis,
@@ -302,7 +268,6 @@ def exact_opinf(
     degree_set,
     n_u: int,
     dt: float,
-    threads: int | None = None,
     scale: float = 1.0,
 ) -> InferenceResult:
     """Generate the minimal single-step ensemble and solve for the operator.
@@ -311,16 +276,11 @@ def exact_opinf(
     """
     V = _basis_matrix(V)
     pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, scale)
-    ensemble = generate_ensemble(fom, V, pairs, dt, threads=threads)
+    ensemble = generate_ensemble(fom, V, pairs, dt)
     return infer(ensemble)
 
 
-def extend_ensemble(
-    old: SnapshotEnsemble,
-    fom: PolynomialFOM,
-    V_plus,
-    threads: int | None = None,
-) -> SnapshotEnsemble:
+def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> SnapshotEnsemble:
     """Grow an ensemble to a larger reduced dimension, reusing old steps.
 
     Every pair of the smaller dimension also occurs at the larger one, at
@@ -356,7 +316,7 @@ def extend_ensemble(
             quotients[:, s] = old.fom_quotients[:, old_column[key]]
         else:
             new_indices.append(s)
-    _step_pairs(fom, V_plus, pairs, old.dt, new_indices, quotients, threads)
+    _step_pairs(fom, V_plus, pairs, old.dt, new_indices, quotients)
 
     basis = MonomialBasis(n=n_plus, degree_set=old.basis.degree_set, n_u=old.basis.n_u)
     return SnapshotEnsemble(

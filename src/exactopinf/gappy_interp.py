@@ -4,9 +4,8 @@ The generated inference states double as interpolation nodes: for every
 state dimension and degree set, the square matrix pairing nodes with the
 monomials of those degrees is invertible, which is exactly why the
 single-step data matrix has full rank.  This module exposes that matrix,
-the interpolation solve, the simplex lattice underlying the no-gap case,
-and the univariate "hit one degree, miss the rest" polynomials used to
-stitch degree blocks together.
+the interpolation solve, and the univariate "hit one degree, miss the rest"
+polynomials used to stitch degree blocks together.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .exact_opinf import rank_ensuring_states
+from .exact_opinf import rank_ensuring_pairs
 from .tensor_poly import MonomialBasis, feature_matrix
 
 
@@ -46,7 +45,7 @@ class GappyProblem:
 
     @property
     def nodes(self) -> list[np.ndarray]:
-        return rank_ensuring_states(self.n, self.degree_set)
+        return [p.state for p in rank_ensuring_pairs(self.n, self.degree_set)]
 
 
 def interpolation_matrix(n: int, degree_set) -> np.ndarray:
@@ -55,8 +54,8 @@ def interpolation_matrix(n: int, degree_set) -> np.ndarray:
     Identical to the state block of the single-step data matrix.
     """
     basis = MonomialBasis(n=n, degree_set=tuple(degree_set))
-    nodes = np.stack(rank_ensuring_states(n, basis.degree_set), axis=1)
-    return feature_matrix(basis, nodes)
+    pairs = rank_ensuring_pairs(n, basis.degree_set)
+    return feature_matrix(basis, np.stack([p.state for p in pairs], axis=1))
 
 
 def gappy_interpolate(problem: GappyProblem) -> np.ndarray:
@@ -79,39 +78,6 @@ def gappy_interpolate(problem: GappyProblem) -> np.ndarray:
             f"interpolation residual {residual:.3e} exceeds {bound:.3e}"
         )
     return coeffs
-
-
-def lattice_nodes(l: int, m: int, vertices) -> list[np.ndarray]:
-    """All integer barycentric combinations of simplex vertices summing to ``l``.
-
-    ``vertices`` are the ``m + 1`` corners of a non-degenerate simplex in
-    R^m; the result has C(m + l, m) points, ordered lexicographically by
-    the weight vector.
-    """
-    vertices = [np.asarray(v, dtype=float) for v in vertices]
-    if len(vertices) != m + 1:
-        raise ValueError(f"expected {m + 1} vertices, got {len(vertices)}")
-    if m > 0:
-        edges = np.stack([v - vertices[0] for v in vertices[1:]], axis=1)
-        if np.linalg.matrix_rank(edges) < m:
-            raise ValueError("vertices form a degenerate simplex")
-    points = []
-    for weights in _compositions(l, m + 1):
-        point = np.zeros(m) if m > 0 else np.zeros(0)
-        for w, v in zip(weights, vertices):
-            point = point + w * v
-        points.append(point)
-    return points
-
-
-def _compositions(total: int, parts: int):
-    """Non-negative integer tuples of given length and sum, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def univariate_specific(degree_set, i_star: int) -> np.ndarray:

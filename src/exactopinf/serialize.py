@@ -145,6 +145,45 @@ def _sidecar_path(path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
+def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
+    """Feature layout of an operator or ensemble file, from its JSON sidecar.
+
+    ``numbers`` names further numeric keys with their defaults (``None``
+    for a required key); their values come back in a dict.  A missing
+    sidecar, malformed JSON and a missing or ill-typed key raise
+    :class:`SchemaError`.
+    """
+    sidecar_file = _sidecar_path(path)
+    if not sidecar_file.exists():
+        raise SchemaError(f"{path}: missing sidecar {sidecar_file}")
+    try:
+        sidecar = json.loads(sidecar_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{sidecar_file}: malformed JSON: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(sidecar, dict):
+        raise SchemaError(f"{sidecar_file}: expected a JSON object")
+
+    def field(key, kinds, default=None):
+        value = sidecar.get(key, default)
+        if value is None:
+            raise SchemaError(f"{sidecar_file}: missing key {key!r}")
+        if type(value) not in kinds:  # also rejects true/false for a number
+            raise SchemaError(f"{sidecar_file}: key {key!r} has ill-typed value {value!r}")
+        return value
+
+    degree_set = field("degree_set", (list,))
+    if any(type(i) is not int for i in degree_set):
+        raise SchemaError(f"{sidecar_file}: key 'degree_set' must list integers")
+    try:
+        basis = MonomialBasis(
+            n=field("n", (int,)), degree_set=tuple(degree_set), n_u=field("n_u", (int,))
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{sidecar_file}: {exc}") from None
+    values = {key: float(field(key, (int, float), default)) for key, default in numbers.items()}
+    return basis, values
+
+
 def write_operator(op: AggregatedOperator, path):
     with open(path, "w", newline="") as fh:
         fh.write(_header_line("operator") + "\n")
@@ -162,15 +201,7 @@ def write_operator(op: AggregatedOperator, path):
 
 
 def read_operator(path) -> AggregatedOperator:
-    sidecar_file = _sidecar_path(path)
-    if not sidecar_file.exists():
-        raise SchemaError(f"{path}: missing sidecar {sidecar_file}")
-    sidecar = json.loads(sidecar_file.read_text())
-    basis = MonomialBasis(
-        n=int(sidecar["n"]),
-        degree_set=tuple(sidecar["degree_set"]),
-        n_u=int(sidecar["n_u"]),
-    )
+    basis, _ = _read_sidecar(path)
     matrix = _read_plain_matrix(path, "operator")
     if matrix.shape != (basis.n, basis.n_f):
         raise SchemaError(
@@ -207,20 +238,13 @@ def write_ensemble(ensemble: SnapshotEnsemble, path):
         "degree_set": list(basis.degree_set),
         "n_u": basis.n_u,
         "dt": ensemble.dt,
+        "scale": ensemble.scale,
     }
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def read_ensemble(path) -> SnapshotEnsemble:
-    sidecar_file = _sidecar_path(path)
-    if not sidecar_file.exists():
-        raise SchemaError(f"{path}: missing sidecar {sidecar_file}")
-    sidecar = json.loads(sidecar_file.read_text())
-    basis = MonomialBasis(
-        n=int(sidecar["n"]),
-        degree_set=tuple(sidecar["degree_set"]),
-        n_u=int(sidecar["n_u"]),
-    )
+    basis, sidecar = _read_sidecar(path, dt=None, scale=1.0)
     pairs = []
     derivatives = []
     with open(path, newline="") as fh:
@@ -258,7 +282,11 @@ def read_ensemble(path) -> SnapshotEnsemble:
             state = np.array(values[: basis.n])
             inp = np.array(values[basis.n : basis.n + basis.n_u])
             xdot = np.array(values[basis.n + basis.n_u :])
-            pairs.append(RankEnsuringPair(state=state, inp=inp, provenance=provenance))
+            pairs.append(
+                RankEnsuringPair(
+                    state=state, inp=inp, provenance=provenance, scale=sidecar["scale"]
+                )
+            )
             derivatives.append(xdot)
     if not pairs:
         raise SchemaError(f"{path}: no data rows", line=3)
@@ -266,7 +294,7 @@ def read_ensemble(path) -> SnapshotEnsemble:
     return SnapshotEnsemble(
         basis=basis,
         pairs=pairs,
-        dt=float(sidecar["dt"]),
+        dt=sidecar["dt"],
         P=pair_feature_matrix(pairs, basis),
         derivatives=np.stack(derivatives, axis=1),
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -68,27 +67,6 @@ def _monomial_index_array(n: int, i: int) -> np.ndarray:
     return arr - 1
 
 
-@lru_cache(maxsize=None)
-def _kron_slot_map(n: int, i: int) -> np.ndarray:
-    """Map each of the n^i ordered (row-major) Kronecker slots to its monomial."""
-    position = {t: k for k, t in enumerate(enumerate_monomials(n, i))}
-    out = np.empty(n**i, dtype=np.int64)
-    for slot, tup in enumerate(itertools.product(range(1, n + 1), repeat=i)):
-        out[slot] = position[tuple(sorted(tup))]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _kept_slots(n: int, i: int) -> np.ndarray:
-    """Kronecker slots whose index tuple is already non-decreasing."""
-    keep = [
-        slot
-        for slot, tup in enumerate(itertools.product(range(1, n + 1), repeat=i))
-        if all(a <= b for a, b in zip(tup, tup[1:]))
-    ]
-    return np.array(keep, dtype=np.int64)
-
-
 def compress_state(x, i: int) -> np.ndarray:
     """Compressed degree-``i`` power of ``x``: one entry per distinct monomial.
 
@@ -109,50 +87,6 @@ def compress_states(X, i: int) -> np.ndarray:
         return np.ones((1, K))
     idx = _monomial_index_array(n, i)
     return np.prod(X[idx, :], axis=1)
-
-
-def kron_expand(compressed, n: int, i: int) -> np.ndarray:
-    """Expand a compressed degree-``i`` vector to the full Kronecker power.
-
-    Every ordered Kronecker slot receives the value stored for its sorted
-    index tuple, so ``kron_expand(compress_state(x, i), n, i)`` reproduces
-    the i-fold Kronecker product of ``x`` with itself.
-    """
-    if i < 1:
-        raise ValueError("Kronecker expansion requires degree >= 1")
-    compressed = np.asarray(compressed, dtype=float)
-    return compressed[_kron_slot_map(n, i)]
-
-
-@dataclass(frozen=True)
-class SelectionMaps:
-    """Sparse 0/1 maps between the Kronecker power and the compressed vector.
-
-    ``compress`` (n_i x n^i) keeps, for each monomial, the Kronecker row
-    whose index tuple is non-decreasing; ``expand`` (n^i x n_i) copies each
-    compressed entry into all of its ordered slots.  ``compress @ expand``
-    is the identity.
-    """
-
-    compress: sp.csr_matrix
-    expand: sp.csr_matrix
-
-
-def selection_maps(n: int, i: int) -> SelectionMaps:
-    """Build the compression/expansion selection matrices for (n, i)."""
-    n_i = monomial_count(n, i)
-    kept = _kept_slots(n, i)
-    slot_map = _kron_slot_map(n, i)
-    rows = np.arange(n_i)
-    compress = sp.csr_matrix(
-        (np.ones(n_i), (rows, kept)), shape=(n_i, n**i), dtype=np.int64
-    )
-    expand = sp.csr_matrix(
-        (np.ones(n**i), (np.arange(n**i), slot_map)),
-        shape=(n**i, n_i),
-        dtype=np.int64,
-    )
-    return SelectionMaps(compress=compress, expand=expand)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,46 @@ class TestInferCommand:
             main(["infer", "--benchmark", "burgers", "--out", "x.csv"])
         assert excinfo.value.code == 2
 
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", "--ensemble", str(tmp_path / "ens.csv"),
+                  "--threads", "2", "--out", str(tmp_path / "op.csv")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_sidecar_without_dt_exit_code(self, rng, tmp_path, capsys):
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        ens = generate_ensemble(fom, np.eye(4)[:, :2], rank_ensuring_pairs(2, (1,)), 0.01)
+        epath = tmp_path / "ens.csv"
+        write_ensemble(ens, epath)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["dt"]
+        sidecar.write_text(json.dumps(meta))
+        code = main(["infer", "--ensemble", str(epath), "--out", str(tmp_path / "op.csv")])
+        assert code == 2
+        assert "missing key 'dt'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--ensemble", "ens.csv", "--dt", "0"],
+        ["infer", "--benchmark", "burgers", "--basis", "V.csv", "--dt=-1e-3"],
+        ["infer", "--benchmark", "burgers", "--basis", "V.csv", "--dt", "1e-3", "--n", "0"],
+        ["experiment", "burgers", "--dt", "-1"],
+        ["experiment", "burgers", "--n-max", "0"],
+    ],
+    ids=["infer-dt-zero", "infer-dt-negative", "infer-n-zero", "experiment-dt", "experiment-n-max"],
+)
+def test_non_positive_value_rejected_at_parse_time(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestDiagnoseCommand:
     def test_report_fields(self, rng, tmp_path, capsys):
@@ -204,6 +244,13 @@ class TestDiagnoseCommand:
         bogus = tmp_path / "op.csv"
         bogus.write_text("# exactopinf-csv v1 operator\ncol_1\n0\n")
         assert main(["diagnose", str(bogus)]) == 2
+
+    def test_malformed_sidecar_exit_code(self, tmp_path, capsys):
+        bogus = tmp_path / "op.csv"
+        bogus.write_text("# exactopinf-csv v1 operator\ncol_1\n0\n")
+        (tmp_path / "op.csv.json").write_text('{"n": 1, "degree_set": [1]')
+        assert main(["diagnose", str(bogus)]) == 2
+        assert "op.csv.json" in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -275,36 +322,3 @@ class TestExperimentCommand:
         assert code == 0
         lines = (out / "baseline_errors.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
-
-
-class TestThreadCount:
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_flag_rejected(self, value, tmp_path, capsys):
-        code = main(
-            ["infer", "--ensemble", str(tmp_path / "ens.csv"),
-             "--threads", value, "--out", str(tmp_path / "op.csv")]
-        )
-        assert code == 2
-        assert "--threads must be a positive integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
-    def test_invalid_environment_rejected(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EXACTOPINF_THREADS", value)
-        code = main(
-            ["infer", "--ensemble", str(tmp_path / "ens.csv"),
-             "--out", str(tmp_path / "op.csv")]
-        )
-        assert code == 2
-        assert "EXACTOPINF_THREADS must be a positive integer" in capsys.readouterr().err
-        code = main(["experiment", "burgers", "--n-max", "2", "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "EXACTOPINF_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
-    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXACTOPINF_THREADS", "abc")
-        out = tmp_path / "r"
-        code = main(
-            ["experiment", "burgers", "--n-max", "2", "--out", str(out), "--threads", "2"]
-        )
-        assert code == 0

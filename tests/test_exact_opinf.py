@@ -15,7 +15,6 @@ from exactopinf.exact_opinf import (
     infer,
     pair_feature_matrix,
     rank_ensuring_pairs,
-    rank_ensuring_states,
     standard_opinf,
 )
 from exactopinf.fom import (
@@ -53,28 +52,6 @@ def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
     return from_dense_operators(matrices, B)
 
 
-class TestRankEnsuringStates:
-    def test_two_vars_degrees_one_two(self):
-        states = rank_ensuring_states(2, (1, 2))
-        expected = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        assert [tuple(s) for s in states] == expected
-
-    def test_degree_zero_is_origin(self):
-        states = rank_ensuring_states(3, (0,))
-        assert len(states) == 1
-        np.testing.assert_array_equal(states[0], np.zeros(3))
-
-    def test_degree_two_in_three_vars(self):
-        states = rank_ensuring_states(3, (2,))
-        assert len(states) == 6
-        seen = {tuple(s) for s in states}
-        assert len(seen) == 6
-        for s in states:
-            assert s.sum() == 2
-            assert np.all(s >= 0)
-            assert np.all(s == np.round(s))
-
-
 class TestRankEnsuringPairs:
     def test_worked_example_pairs(self):
         pairs = rank_ensuring_pairs(2, (1, 2), 2)
@@ -99,6 +76,22 @@ class TestRankEnsuringPairs:
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
         P = pair_feature_matrix(rank_ensuring_pairs(2, (1, 2), 2), basis)
         np.testing.assert_array_equal(P, WORKED_EXAMPLE_P)
+
+    def test_degree_zero_is_origin(self):
+        pairs = rank_ensuring_pairs(3, (0,))
+        assert len(pairs) == 1
+        assert pairs[0].provenance == ("state", 0, ())
+        np.testing.assert_array_equal(pairs[0].state, np.zeros(3))
+
+    def test_degree_two_in_three_vars(self):
+        states = [p.state for p in rank_ensuring_pairs(3, (2,))]
+        assert len(states) == 6
+        seen = {tuple(s) for s in states}
+        assert len(seen) == 6
+        for s in states:
+            assert s.sum() == 2
+            assert np.all(s >= 0)
+            assert np.all(s == np.round(s))
 
     def test_column_order_matches_feature_layout(self):
         # provenance of the s-th state pair is the s-th monomial tuple
@@ -229,15 +222,6 @@ class TestGenerateEnsemble:
         )
         assert ens.size == ens_basis.n_f
         assert ens.P.shape == (ens_basis.n_f, ens_basis.n_f)
-
-    def test_thread_count_does_not_change_result(self, rng):
-        fom = random_dense_fom(rng, 5, (1, 2), n_u=1)
-        V = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-        pairs = rank_ensuring_pairs(3, (1, 2), 1)
-        a = generate_ensemble(fom, V, pairs, 0.01, threads=1)
-        b = generate_ensemble(fom, V, pairs, 0.01, threads=4)
-        np.testing.assert_array_equal(a.derivatives, b.derivatives)
-        np.testing.assert_array_equal(a.P, b.P)
 
 
 class TestInfer:
@@ -440,9 +424,8 @@ class TestExtendEnsemble:
         b = infer(fresh).operator.matrix
         assert np.max(np.abs(a - b)) < 1e-12
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("scale", [1.0, 8.0])
-    def test_reused_steps_are_bitwise_fresh_steps(self, scale, threads):
+    def test_reused_steps_are_bitwise_fresh_steps(self, scale):
         # a reused quotient must be the very step a fresh ensemble takes; a
         # lift by V @ state rounds differently once V has more columns, for
         # states with three or more nonzero entries
@@ -450,10 +433,8 @@ class TestExtendEnsemble:
         N, degrees = 10, (1, 2, 3)
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
-        small = generate_ensemble(
-            fom, V[:, :3], rank_ensuring_pairs(3, degrees, 1, scale), 0.01, threads=threads
-        )
-        grown = extend_ensemble(small, fom, V, threads=threads)
+        small = generate_ensemble(fom, V[:, :3], rank_ensuring_pairs(3, degrees, 1, scale), 0.01)
+        grown = extend_ensemble(small, fom, V)
         fresh = generate_ensemble(fom, V, rank_ensuring_pairs(5, degrees, 1, scale), 0.01)
         assert grown.scale == scale
         assert np.array_equal(grown.fom_quotients, fresh.fom_quotients)

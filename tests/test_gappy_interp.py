@@ -5,12 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from exactopinf.exact_opinf import rank_ensuring_pairs, rank_ensuring_states
+from exactopinf.exact_opinf import rank_ensuring_pairs
 from exactopinf.gappy_interp import (
     GappyProblem,
     gappy_interpolate,
     interpolation_matrix,
-    lattice_nodes,
     univariate_specific,
 )
 from exactopinf.tensor_poly import MonomialBasis, compress_state
@@ -91,49 +90,6 @@ class TestGappyInterpolate:
     def test_value_count_validated(self):
         with pytest.raises(ValueError):
             GappyProblem(n=2, degree_set=(1, 2), values=[1.0, 2.0])
-
-
-class TestLatticeNodes:
-    def test_degree_one_returns_vertices(self):
-        verts = [np.array([0.0, 0.0]), np.array([2.0, 0.0]), np.array([1.0, 3.0])]
-        nodes = lattice_nodes(1, 2, verts)
-        assert len(nodes) == 3
-        got = {tuple(p) for p in nodes}
-        assert got == {tuple(v) for v in verts}
-
-    def test_degree_zero_single_point(self):
-        verts = [np.array([1.0]), np.array([4.0])]
-        nodes = lattice_nodes(0, 1, verts)
-        assert len(nodes) == 1
-
-    def test_degree_two_count(self):
-        verts = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        nodes = lattice_nodes(2, 2, verts)
-        assert len(nodes) == 6
-        got = {tuple(p) for p in nodes}
-        expected = {(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)}
-        assert got == {tuple(np.asarray(e, dtype=float)) for e in expected}
-
-    def test_degenerate_simplex_rejected(self):
-        verts = [np.zeros(2), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
-        with pytest.raises(ValueError):
-            lattice_nodes(1, 2, verts)
-
-    def test_wrong_vertex_count_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_nodes(1, 2, [np.zeros(2), np.ones(2)])
-
-    def test_unisolvent_on_full_degree_polynomials(self, rng):
-        # a non-axis-aligned simplex: lattice points of level l support
-        # unique interpolation by all monomials up to total degree l
-        verts = [rng.standard_normal(2) for _ in range(3)]
-        l = 2
-        nodes = lattice_nodes(l, 2, verts)
-        monos = [(a, b) for a in range(l + 1) for b in range(l + 1 - a)]
-        M = np.array([[p[0] ** a * p[1] ** b for (a, b) in monos] for p in nodes])
-        assert M.shape == (6, 6)
-        svals = np.linalg.svd(M, compute_uv=False)
-        assert svals[-1] > 1e-10 * svals[0]
 
 
 class TestUnivariateSpecific:

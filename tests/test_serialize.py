@@ -1,5 +1,7 @@
 """Bit-exact CSV round-trips and schema validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,35 @@ class TestOperator:
         with pytest.raises(SchemaError, match="sidecar"):
             read_operator(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[1, 2]",
+            '{"degree_set": [1], "n_u": 0}',
+            '{"n": 2.0, "degree_set": [1], "n_u": 0}',
+            '{"n": 2, "degree_set": ["1"], "n_u": 0}',
+            '{"n": 2, "degree_set": [1], "n_u": true}',
+            '{"n": 0, "degree_set": [1], "n_u": 0}',
+        ],
+        ids=[
+            "malformed",
+            "not-an-object",
+            "missing-n",
+            "float-n",
+            "string-degree",
+            "bool-n_u",
+            "zero-n",
+        ],
+    )
+    def test_bad_sidecar_rejected(self, text, rng, tmp_path):
+        basis = MonomialBasis(n=2, degree_set=(1,))
+        path = tmp_path / "op.csv"
+        write_operator(AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 2))), path)
+        (tmp_path / "op.csv.json").write_text(text)
+        with pytest.raises(SchemaError, match="op.csv.json"):
+            read_operator(path)
+
     def test_shape_sidecar_mismatch(self, rng, tmp_path):
         basis = MonomialBasis(n=2, degree_set=(1,))
         op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 2)))
@@ -145,7 +176,7 @@ class TestOperator:
 
 
 class TestEnsemble:
-    def _make_ensemble(self, rng):
+    def _make_ensemble(self, rng, scale=1.0):
         N, n = 6, 2
         from exactopinf.tensor_poly import monomial_count
 
@@ -157,7 +188,7 @@ class TestEnsemble:
             rng.standard_normal((N, 1)),
         )
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
-        return generate_ensemble(fom, V, rank_ensuring_pairs(n, (1, 2), 1), 0.01)
+        return generate_ensemble(fom, V, rank_ensuring_pairs(n, (1, 2), 1, scale), 0.01)
 
     def test_round_trip_bit_exact(self, rng, tmp_path):
         ens = self._make_ensemble(rng)
@@ -172,6 +203,40 @@ class TestEnsemble:
             assert a.provenance == b.provenance
             np.testing.assert_array_equal(a.state, b.state)
             np.testing.assert_array_equal(a.inp, b.inp)
+
+    def test_scale_round_trip(self, rng, tmp_path):
+        ens = self._make_ensemble(rng, scale=8.0)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        back = read_ensemble(path)
+        assert back.scale == 8.0
+        assert all(pair.scale == 8.0 for pair in back.pairs)
+        np.testing.assert_array_equal(back.P, ens.P)
+
+    def test_sidecar_without_scale_reads_as_unit(self, rng, tmp_path):
+        ens = self._make_ensemble(rng, scale=8.0)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta.pop("scale", None)
+        sidecar.write_text(json.dumps(meta))
+        assert read_ensemble(path).scale == 1.0
+
+    @pytest.mark.parametrize("key,value", [("dt", None), ("dt", "0.01"), ("scale", [8])])
+    def test_bad_ensemble_field_rejected(self, key, value, rng, tmp_path):
+        ens = self._make_ensemble(rng)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match=repr(key)):
+            read_ensemble(path)
 
     def test_round_trip_inference_identical(self, rng, tmp_path):
         ens = self._make_ensemble(rng)

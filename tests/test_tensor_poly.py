@@ -1,4 +1,4 @@
-"""Monomial indexing, compressed powers, selection maps and feature layout."""
+"""Monomial indexing, compressed powers and feature layout."""
 
 import itertools
 import math
@@ -15,10 +15,8 @@ from exactopinf.tensor_poly import (
     enumerate_monomials,
     feature_matrix,
     feature_vector,
-    kron_expand,
     monomial_count,
     multiplicity,
-    selection_maps,
 )
 
 
@@ -111,42 +109,23 @@ class TestCompressState:
         assert np.array_equal(compress_state(x, 1), x)
 
     def test_matches_kronecker_dedup(self, rng):
-        x = rng.standard_normal(3)
+        # oracle: the Kronecker cube at the slots whose index tuple is
+        # non-decreasing, which np.kron orders lexicographically
+        n = 3
+        x = rng.standard_normal(n)
         kron = np.kron(np.kron(x, x), x)
-        compressed = compress_state(x, 3)
-        expanded = kron_expand(compressed, 3, 3)
-        np.testing.assert_allclose(expanded, kron, rtol=1e-14)
+        slots = [
+            k
+            for k, t in enumerate(itertools.product(range(n), repeat=3))
+            if t[0] <= t[1] <= t[2]
+        ]
+        np.testing.assert_allclose(compress_state(x, 3), kron[slots], rtol=1e-14)
 
     def test_compress_states_columnwise(self, rng):
         X = rng.standard_normal((4, 6))
         stacked = compress_states(X, 2)
         for k in range(6):
             np.testing.assert_array_equal(stacked[:, k], compress_state(X[:, k], 2))
-
-
-class TestSelectionMaps:
-    @pytest.mark.parametrize("n,i", [(2, 2), (3, 2), (2, 3), (4, 1)])
-    def test_compress_expand_identity(self, n, i):
-        maps = selection_maps(n, i)
-        eye = (maps.compress @ maps.expand).toarray()
-        np.testing.assert_array_equal(eye, np.eye(monomial_count(n, i)))
-
-    @pytest.mark.parametrize("n,i", [(2, 2), (3, 2), (2, 3)])
-    def test_expand_rows_one_hot(self, n, i):
-        maps = selection_maps(n, i)
-        dense = maps.expand.toarray()
-        assert dense.shape == (n**i, monomial_count(n, i))
-        np.testing.assert_array_equal(dense.sum(axis=1), np.ones(n**i))
-
-    def test_roundtrip_kronecker(self, rng):
-        n, i = 3, 2
-        maps = selection_maps(n, i)
-        x = rng.standard_normal(n)
-        kron = np.kron(x, x)
-        np.testing.assert_allclose(maps.compress @ kron, compress_state(x, i), rtol=1e-14)
-        np.testing.assert_allclose(
-            maps.expand @ compress_state(x, i), kron, rtol=1e-14
-        )
 
 
 class TestMonomialBasis:
