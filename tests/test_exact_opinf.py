@@ -52,6 +52,30 @@ def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
     return from_dense_operators(matrices, B)
 
 
+class TestRankEnsuringStates:
+    # the states of the rank-ensuring pairs, read through rank_ensuring_pairs
+    def test_two_vars_degrees_one_two(self):
+        states = [p.state for p in rank_ensuring_pairs(2, (1, 2))]
+        expected = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        assert [tuple(s) for s in states] == expected
+
+    def test_degree_zero_is_origin(self):
+        pairs = rank_ensuring_pairs(3, (0,))
+        assert len(pairs) == 1
+        assert pairs[0].provenance == ("state", 0, ())
+        np.testing.assert_array_equal(pairs[0].state, np.zeros(3))
+
+    def test_degree_two_in_three_vars(self):
+        states = [p.state for p in rank_ensuring_pairs(3, (2,))]
+        assert len(states) == 6
+        seen = {tuple(s) for s in states}
+        assert len(seen) == 6
+        for s in states:
+            assert s.sum() == 2
+            assert np.all(s >= 0)
+            assert np.all(s == np.round(s))
+
+
 class TestRankEnsuringPairs:
     def test_worked_example_pairs(self):
         pairs = rank_ensuring_pairs(2, (1, 2), 2)
@@ -76,22 +100,6 @@ class TestRankEnsuringPairs:
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
         P = pair_feature_matrix(rank_ensuring_pairs(2, (1, 2), 2), basis)
         np.testing.assert_array_equal(P, WORKED_EXAMPLE_P)
-
-    def test_degree_zero_is_origin(self):
-        pairs = rank_ensuring_pairs(3, (0,))
-        assert len(pairs) == 1
-        assert pairs[0].provenance == ("state", 0, ())
-        np.testing.assert_array_equal(pairs[0].state, np.zeros(3))
-
-    def test_degree_two_in_three_vars(self):
-        states = [p.state for p in rank_ensuring_pairs(3, (2,))]
-        assert len(states) == 6
-        seen = {tuple(s) for s in states}
-        assert len(seen) == 6
-        for s in states:
-            assert s.sum() == 2
-            assert np.all(s >= 0)
-            assert np.all(s == np.round(s))
 
     def test_column_order_matches_feature_layout(self):
         # provenance of the s-th state pair is the s-th monomial tuple
@@ -424,16 +432,19 @@ class TestExtendEnsemble:
         b = infer(fresh).operator.matrix
         assert np.max(np.abs(a - b)) < 1e-12
 
+    @pytest.mark.parametrize("grow", [1, 2])
     @pytest.mark.parametrize("scale", [1.0, 8.0])
-    def test_reused_steps_are_bitwise_fresh_steps(self, scale):
-        # a reused quotient must be the very step a fresh ensemble takes; a
+    def test_reused_steps_are_bitwise_fresh_steps(self, scale, grow):
+        # a reused quotient must be the very step a fresh ensemble takes, when
+        # the basis grows by one column (n 4 -> 5) or by two (n 3 -> 5); a
         # lift by V @ state rounds differently once V has more columns, for
         # states with three or more nonzero entries
         rng = np.random.default_rng(7)
         N, degrees = 10, (1, 2, 3)
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
-        small = generate_ensemble(fom, V[:, :3], rank_ensuring_pairs(3, degrees, 1, scale), 0.01)
+        n = 5 - grow
+        small = generate_ensemble(fom, V[:, :n], rank_ensuring_pairs(n, degrees, 1, scale), 0.01)
         grown = extend_ensemble(small, fom, V)
         fresh = generate_ensemble(fom, V, rank_ensuring_pairs(5, degrees, 1, scale), 0.01)
         assert grown.scale == scale
