@@ -31,7 +31,7 @@ from exactopinf.diagnostics import (
 
 def main():
     spec = BURGERS
-    fom, x0 = build_burgers(spec)
+    fom, _, x0 = build_burgers(spec)
     print(f"simulating {spec.K_pod} steps of the N = {spec.N} model ...")
     snaps = simulate(fom, x0, None, spec.dt_pod, spec.K_pod)
     pod = pod_basis(snaps, 6)

@@ -1,9 +1,11 @@
 """The three bundled PDE test systems with their published setups.
 
-Each builder returns a :class:`~exactopinf.fom.PolynomialFOM` with both
-black-box and structured (multilinear) access, plus initial condition and,
-where present, the input signal.  Parameters can be overridden through a
-plain key-value config file for sensitivity studies.
+Each builder takes its spec and returns ``(fom, signal, x0)``: a
+:class:`~exactopinf.fom.PolynomialFOM` with both black-box and structured
+(multilinear) access, the input signal (``None`` without inputs) and the
+initial condition.  Each spec also declares the bounds ``exactopinf
+experiment`` checks.  Parameters can be overridden through a plain key-value
+config file for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -19,8 +21,24 @@ from .fom import InputSignal, PolynomialFOM
 
 
 @dataclass(frozen=True)
+class Threshold:
+    """A bound on one per-``n`` metric of a sweep (see ``DiagnosticsReport.metrics``).
+
+    An upper bound holds when ``value < bound``, a lower bound when
+    ``value >= bound``; NaN holds neither.
+    """
+
+    metric: str
+    bound: float
+    upper: bool = True
+
+    def holds(self, value: float) -> bool:
+        return value < self.bound if self.upper else value >= self.bound
+
+
+@dataclass(frozen=True)
 class BenchmarkSpec:
-    """Grid, horizon and sweep settings of one bundled test system."""
+    """Grid, horizon, sweep settings and pass/fail bounds of one test system."""
 
     name: str
     N: int
@@ -34,6 +52,7 @@ class BenchmarkSpec:
     c2: float | None = None
     # amplitude of the rank-ensuring states (see ``rank_ensuring_pairs``)
     state_scale: float = 1.0
+    thresholds: tuple[Threshold, ...] = ()
 
     @property
     def K_pod(self) -> int:
@@ -48,6 +67,11 @@ CHAFEE_INFANTE = BenchmarkSpec(
     degree_set=(1, 2, 3),
     n_u=1,
     n_sweep=tuple(range(1, 15)),
+    thresholds=(
+        Threshold("relative_operator_error", 1e-9),
+        # this discretization has no genuine quadratic term
+        Threshold("quadratic_block_fraction", 1e-9),
+    ),
 )
 
 SHALLOW_ICE = BenchmarkSpec(
@@ -61,6 +85,7 @@ SHALLOW_ICE = BenchmarkSpec(
     scheme="implicit_euler",
     c1=8.9e-13,
     c2=2.8e7,
+    thresholds=(Threshold("relative_operator_error", 1e-6),),
 )
 
 BURGERS = BenchmarkSpec(
@@ -77,6 +102,12 @@ BURGERS = BenchmarkSpec(
     # quadratic part of the data eightfold against the linear part, and a
     # power of two keeps the scaled states and features exact
     state_scale=8.0,
+    thresholds=(
+        Threshold("relative_operator_error", 1e-9),
+        Threshold("energy_violation", 1e-11),
+        Threshold("symmetry_violation", 1e-12),
+        Threshold("diffusion_spectrum_min", -1e-10, upper=False),
+    ),
 )
 
 SPECS = {spec.name: spec for spec in (CHAFEE_INFANTE, SHALLOW_ICE, BURGERS)}
@@ -109,17 +140,18 @@ def apply_overrides(spec: BenchmarkSpec, overrides: dict) -> BenchmarkSpec:
     return replace(spec, **fields)
 
 
-def build_chafee_infante(
-    spec: BenchmarkSpec = CHAFEE_INFANTE,
-    freeze_right: bool = False,
-):
+def build(spec: BenchmarkSpec):
+    """``(fom, signal, x0)`` of the system ``spec`` names, from ``build_<name>``."""
+    return globals()["build_" + spec.name](spec)
+
+
+def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
     """Reaction-diffusion system with cubic decay on (0, 1).
 
     Unknowns sit at cell centers; the left boundary value enters the first
     node's second-difference stencil through the input, the right boundary
-    is homogeneous Neumann by default.  ``freeze_right`` instead pins the
-    last node (zero right-hand side there), for sensitivity checks.
-    Degree 2 is carried in the degree set with a zero operator.
+    is homogeneous Neumann.  Degree 2 is carried in the degree set with a
+    zero operator.
 
     Returns ``(fom, signal, x0)``.
     """
@@ -138,17 +170,13 @@ def build_chafee_infante(
     B = np.zeros((N, 1))
     B[0, 0] = inv2
 
-    mask = np.ones(N)
-    if freeze_right:
-        mask[N - 1] = 0.0
-
     def rhs(x, u):
-        return mask * (A1 @ x - x**3 + B @ u)
+        return A1 @ x - x**3 + B @ u
 
     multilinear = {
-        1: lambda a: mask * (A1 @ a),
+        1: lambda a: A1 @ a,
         2: lambda a, b: np.zeros(N),
-        3: lambda a, b, c: mask * (-(a * b * c)),
+        3: lambda a, b, c: -(a * b * c),
     }
 
     fom = PolynomialFOM(
@@ -157,7 +185,7 @@ def build_chafee_infante(
         n_u=spec.n_u,
         rhs=rhs,
         multilinear=multilinear,
-        input_map=lambda u: mask * (B @ u),
+        input_map=lambda u: B @ u,
     )
     signal = InputSignal(evaluate=lambda t: np.array([10.0 * (math.sin(math.pi * t) + 1.0)]), n_u=1)
     x0 = np.zeros(N)
@@ -173,7 +201,7 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     role; the degree-3 map over which one of three does.  The state
     Jacobian is tridiagonal and returned as a ``scipy.sparse`` array.
 
-    Returns ``(fom, x0)``.
+    Returns ``(fom, None, x0)``.
     """
     N = spec.N
     dxi = 1000.0 / N
@@ -237,7 +265,7 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     xi = (np.arange(N) + 0.5) * dxi
     s = xi / 2000.0
     x0 = 1e-2 + 630.0 * (s + 0.25) ** 4 * (s - 0.75) ** 4
-    return fom, x0
+    return fom, None, x0
 
 
 def build_burgers(spec: BenchmarkSpec = BURGERS):
@@ -249,7 +277,7 @@ def build_burgers(spec: BenchmarkSpec = BURGERS):
     first difference ``D``, which annihilates the state exactly:
     ``x . C(x) = 0`` for every ``x``.
 
-    Returns ``(fom, x0)``.
+    Returns ``(fom, None, x0)``.
     """
     N = spec.N
     dxi = 2.0 / N
@@ -276,4 +304,4 @@ def build_burgers(spec: BenchmarkSpec = BURGERS):
     )
     xi = -1.0 + dxi * np.arange(N)
     x0 = -np.sin(0.5 * np.pi * xi)
-    return fom, x0
+    return fom, None, x0

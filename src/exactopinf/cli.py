@@ -9,30 +9,21 @@ pod          Compute an orthonormal basis from a snapshot CSV.
 diagnose     Structure and accuracy metrics of an operator CSV.
 
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
-machine-readable JSON failure list on stdout), 2 file schema violation or
-invalid setting (config file, non-positive --dt, --n or --n-max), 3 rank
-deficiency / singular system.
+machine-readable JSON failure list on stdout), 2 invalid input (a missing
+or unreadable input file, a file schema violation, a config file, a
+non-positive --dt, --n or --n-max, a negative --regularization, or an
+--n beyond the basis), 3 rank deficiency / singular system.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .benchmarks import (
-    SPECS,
-    apply_overrides,
-    build_burgers,
-    build_chafee_infante,
-    build_shallow_ice,
-    parse_config,
-)
+from .benchmarks import SPECS, apply_overrides, build, parse_config
 from .diagnostics import (
     block_errors,
     build_report,
@@ -55,13 +46,13 @@ from .galerkin import intrusive_reduce
 from .pod import RankDeficiencyError, pod_basis
 from .serialize import (
     SchemaError,
-    _fmt,
-    _header_line,
     read_ensemble,
+    read_matrix,
+    read_operator,
     read_snapshots,
     write_basis,
     write_operator,
-    _read_plain_matrix,
+    write_table,
 )
 from .tensor_poly import MonomialBasis
 
@@ -70,30 +61,27 @@ EXIT_THRESHOLD = 1
 EXIT_SCHEMA = 2
 EXIT_RANK = 3
 
+# file, CSV kind and column of the per-n table of a structure metric,
+# written when the benchmark's spec bounds that metric
+STRUCTURE_TABLES = {
+    "energy_violation": ("energy_violation.csv", "energy-violation", "energy_violation_scaled"),
+    "symmetry_violation": ("symmetry_violation.csv", "symmetry-violation", "symmetry_violation"),
+}
 
-def _positive(kind):
-    """Argparse type: ``kind(text)``, rejected unless finite and positive."""
+
+def _positive(kind, or_zero=False):
+    """Argparse type: ``kind(text)``, rejected unless finite and positive
+    (or zero, with ``or_zero``)."""
 
     def convert(text):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (math.isfinite(value) and (value > 0 or (or_zero and value == 0))):
+            wording = "non-negative" if or_zero else "positive"
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return convert
-
-
-def _write_table(path, kind, header, rows):
-    """Versioned CSV: comment header line, column names, formatted rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line(kind) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-            )
 
 
 def _canonical_benchmark(name: str) -> str:
@@ -101,19 +89,6 @@ def _canonical_benchmark(name: str) -> str:
     if key not in SPECS:
         raise KeyError(name)
     return key
-
-
-def _build_benchmark(spec, freeze_right=False):
-    """Returns (fom, signal, x0) for any of the bundled systems."""
-    if spec.name == "chafee_infante":
-        return build_chafee_infante(spec, freeze_right=freeze_right)
-    if spec.name == "shallow_ice":
-        fom, x0 = build_shallow_ice(spec)
-        return fom, None, x0
-    if spec.name == "burgers":
-        fom, x0 = build_burgers(spec)
-        return fom, None, x0
-    raise KeyError(spec.name)
 
 
 def cmd_experiment(args) -> int:
@@ -139,8 +114,9 @@ def cmd_experiment(args) -> int:
         return EXIT_THRESHOLD
     out = Path(args.out if args.out else Path("results") / name)
     out.mkdir(parents=True, exist_ok=True)
+    bounded = {t.metric for t in spec.thresholds}
 
-    fom, signal, x0 = _build_benchmark(spec, freeze_right=args.freeze_right)
+    fom, signal, x0 = build(spec)
     snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
     try:
         pod = pod_basis(snaps, n_max)
@@ -149,7 +125,7 @@ def cmd_experiment(args) -> int:
         return EXIT_RANK
     dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     dt_used = args.dt if args.dt is not None else dt_est
-    _write_table(
+    write_table(
         out / "dt_estimate.csv",
         "dt-estimate",
         ["benchmark", "dt_estimate", "dt_used"],
@@ -159,7 +135,6 @@ def cmd_experiment(args) -> int:
     reports = []
     spectra_rows = []
     baseline_rows = []
-    quad_fraction = []
     ensemble = None
     for n in range(1, n_max + 1):
         ref = intrusive_reduce(fom, pod, n)
@@ -174,16 +149,9 @@ def cmd_experiment(args) -> int:
             print(json.dumps({"error": "singular-data-matrix", "n": n, "detail": str(exc)}))
             return EXIT_RANK
         reports.append(build_report(name, n, result.operator, ref, result.cond_P, ensemble.size))
-        if name == "chafee_infante":
-            quad_fraction.append(
-                float(
-                    np.linalg.norm(result.operator.degree_block(2))
-                    / np.linalg.norm(result.operator.matrix)
-                )
-            )
-        if name == "burgers":
+        if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
-            inferred_eigs = diffusion_spectrum(result.operator.degree_block(1))
+            inferred_eigs = reports[-1].diffusion_eigenvalues
             for k in range(n):
                 spectra_rows.append(
                     [n, k + 1, float(intrusive_eigs[k]), float(inferred_eigs[k])]
@@ -200,7 +168,7 @@ def cmd_experiment(args) -> int:
 
     degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
     input_cols = ["err_input"] if spec.n_u else []
-    _write_table(
+    write_table(
         out / "operator_errors.csv",
         "operator-errors",
         ["n", "relative_error"] + degree_cols + input_cols,
@@ -211,40 +179,29 @@ def cmd_experiment(args) -> int:
             for rep in reports
         ],
     )
-    _write_table(
+    write_table(
         out / "cond_P.csv",
         "cond-p",
         ["n", "cond_P", "ensemble_size"],
         [[rep.n, rep.cond_P, rep.ensemble_size] for rep in reports],
     )
-    if name == "burgers":
-        _write_table(
-            out / "energy_violation.csv",
-            "energy-violation",
-            ["n", "energy_violation_scaled"],
-            [[rep.n, rep.energy_violation] for rep in reports],
-        )
-        _write_table(
-            out / "symmetry_violation.csv",
-            "symmetry-violation",
-            ["n", "symmetry_violation"],
-            [[rep.n, rep.symmetry_violation] for rep in reports],
-        )
-        _write_table(
-            out / "spectra.csv",
-            "spectra",
-            ["n", "k", "intrusive", "inferred"],
-            spectra_rows,
+    for metric, (fname, kind, column) in STRUCTURE_TABLES.items():
+        if metric in bounded:
+            rows = [[rep.n, rep.metrics()[metric]] for rep in reports]
+            write_table(out / fname, kind, ["n", column], rows)
+    if "diffusion_spectrum_min" in bounded:
+        write_table(
+            out / "spectra.csv", "spectra", ["n", "k", "intrusive", "inferred"], spectra_rows
         )
     if args.baseline:
-        _write_table(
+        write_table(
             out / "baseline_errors.csv",
             "baseline-errors",
             ["n", "relative_error"],
             baseline_rows,
         )
 
-    failures = _check_thresholds(name, reports, quad_fraction)
+    failures = _check_thresholds(spec, reports)
     if failures:
         print(json.dumps({"benchmark": name, "failures": failures}, indent=2))
         return EXIT_THRESHOLD
@@ -252,47 +209,23 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _check_thresholds(name, reports, quad_fraction=()):
-    """Per-benchmark pass/fail checks on the exported metrics."""
+def _check_thresholds(spec, reports):
+    """Failures of each report against the spec's bounds, then of its
+    ensemble size against the feature count ``n_f``."""
     failures = []
-
-    def fail(metric, n, value, threshold):
-        failures.append(
-            {"metric": metric, "n": n, "value": value, "threshold": threshold}
-        )
-
-    if name == "chafee_infante":
-        for rep, frac in zip(reports, quad_fraction):
-            if not rep.relative_operator_error < 1e-9:
-                fail("relative_operator_error", rep.n, rep.relative_operator_error, 1e-9)
-            # the quadratic block must vanish: this discretization has no
-            # genuine quadratic term
-            if not frac < 1e-9:
-                fail("quadratic_block_fraction", rep.n, frac, 1e-9)
-    elif name == "burgers":
-        for rep in reports:
-            if not rep.relative_operator_error < 1e-9:
-                fail("relative_operator_error", rep.n, rep.relative_operator_error, 1e-9)
-            if not rep.energy_violation < 1e-11:
-                fail("energy_violation", rep.n, rep.energy_violation, 1e-11)
-            if not rep.symmetry_violation < 1e-12:
-                fail("symmetry_violation", rep.n, rep.symmetry_violation, 1e-12)
-            if rep.diffusion_eigenvalues is not None and not (
-                rep.diffusion_eigenvalues.min() >= -1e-10
-            ):
-                fail(
-                    "diffusion_spectrum_min",
-                    rep.n,
-                    float(rep.diffusion_eigenvalues.min()),
-                    -1e-10,
-                )
-    elif name == "shallow_ice":
-        for rep in reports:
-            if not rep.relative_operator_error < 1e-6:
-                fail("relative_operator_error", rep.n, rep.relative_operator_error, 1e-6)
-            expected = math.comb(rep.n + 2, 3) + math.comb(rep.n + 7, 8)
-            if rep.ensemble_size != expected:
-                fail("ensemble_size", rep.n, rep.ensemble_size, expected)
+    for rep in reports:
+        metrics = rep.metrics()
+        checks = [
+            (t.metric, metrics[t.metric], t.bound, t.holds(metrics[t.metric]))
+            for t in spec.thresholds
+        ]
+        n_f = MonomialBasis(n=rep.n, degree_set=spec.degree_set, n_u=spec.n_u).n_f
+        checks.append(("ensemble_size", rep.ensemble_size, n_f, rep.ensemble_size == n_f))
+        failures += [
+            {"metric": metric, "n": rep.n, "value": value, "threshold": bound}
+            for metric, value, bound, ok in checks
+            if not ok
+        ]
     return failures
 
 
@@ -307,26 +240,25 @@ def cmd_infer(args) -> int:
         if args.ensemble:
             ensemble = read_ensemble(args.ensemble)
         else:
-            fom, _, _ = _build_benchmark(spec)
-            V = _read_plain_matrix(args.basis, "basis")
-            if args.n is not None:
-                V = V[:, : args.n]
+            fom, _, _ = build(spec)
+            V = read_matrix(args.basis, "basis")
             if V.shape[0] != fom.dimension:
                 print(
                     f"basis has {V.shape[0]} rows, model dimension is {fom.dimension}",
                     file=sys.stderr,
                 )
                 return EXIT_SCHEMA
-            degree_set = (
-                tuple(int(d) for d in args.degrees.split(","))
-                if args.degrees
-                else spec.degree_set
-            )
-            n_u = args.n_u if args.n_u is not None else spec.n_u
-            pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, spec.state_scale)
+            if args.n is not None:
+                if args.n > V.shape[1]:
+                    print(
+                        f"--n {args.n} exceeds the basis's {V.shape[1]} columns", file=sys.stderr
+                    )
+                    return EXIT_SCHEMA
+                V = V[:, : args.n]
+            pairs = rank_ensuring_pairs(V.shape[1], spec.degree_set, spec.n_u, spec.state_scale)
             ensemble = generate_ensemble(fom, V, pairs, args.dt)
         result = infer(ensemble)
-    except SchemaError as exc:
+    except (OSError, SchemaError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
     except SingularDataMatrixError as exc:
@@ -340,7 +272,7 @@ def cmd_infer(args) -> int:
 def cmd_pod(args) -> int:
     try:
         snaps = read_snapshots(args.snapshots)
-    except SchemaError as exc:
+    except (OSError, SchemaError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -357,12 +289,10 @@ def cmd_pod(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .serialize import read_operator
-
     try:
         op = read_operator(args.operator)
         reference = read_operator(args.reference) if args.reference else None
-    except SchemaError as exc:
+    except (OSError, SchemaError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
     report = {
@@ -397,18 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     exp = sub.add_parser("experiment", help="run a bundled benchmark and export CSV metrics")
-    exp.add_argument("benchmark", help="chafee-infante | burgers | shallow-ice")
+    exp.add_argument("benchmark", help=" | ".join(name.replace("_", "-") for name in SPECS))
     exp.add_argument("--n-max", type=_positive(int), default=None, help="largest reduced dimension")
     exp.add_argument("--out", default=None, help="output directory (default results/<name>)")
     exp.add_argument("--dt", type=_positive(float), default=None, help="single-step size (default: estimated)")
     exp.add_argument("--config", default=None, help="key=value override file (N, dt, T, c1, c2)")
     exp.add_argument("--force", action="store_true", help="allow n beyond the documented range")
     exp.add_argument("--baseline", action="store_true", help="also fit the trajectory-data baseline")
-    exp.add_argument("--regularization", type=float, default=0.0, help="baseline Tikhonov weight")
     exp.add_argument(
-        "--freeze-right",
-        action="store_true",
-        help="pin the right boundary node (first benchmark only)",
+        "--regularization",
+        type=_positive(float, or_zero=True),
+        default=0.0,
+        help="baseline Tikhonov weight",
     )
     exp.set_defaults(func=cmd_experiment)
 
@@ -418,15 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--benchmark", default=None, help="builtin system to step directly")
     inf.add_argument("--basis", default=None, help="basis CSV (required with --benchmark)")
     inf.add_argument("--n", type=_positive(int), default=None, help="truncate the basis to n columns")
-    inf.add_argument("--degrees", default=None, help="comma-separated degree set override")
-    inf.add_argument("--n-u", type=int, default=None, help="input dimension override")
     inf.add_argument("--dt", type=_positive(float), default=None, help="single-step size (required with --benchmark)")
     inf.add_argument("--out", required=True, help="operator CSV to write")
     inf.set_defaults(func=cmd_infer)
 
     pod = sub.add_parser("pod", help="orthonormal basis of a snapshot CSV")
     pod.add_argument("snapshots", help="snapshot CSV")
-    pod.add_argument("--n", type=int, required=True, help="number of basis vectors")
+    pod.add_argument("--n", type=_positive(int), required=True, help="number of basis vectors")
     pod.add_argument("--out-basis", default="basis.csv")
     pod.add_argument("--out-singular-values", default="singular_values.csv")
     pod.set_defaults(func=cmd_pod)

@@ -145,6 +145,19 @@ class DiagnosticsReport:
     energy_violation: float | None = None
     symmetry_violation: float | None = None
     diffusion_eigenvalues: np.ndarray | None = None
+    quadratic_block_fraction: float | None = None
+
+    def metrics(self) -> dict:
+        """The scalar metrics this report has, by name (those a spec may bound)."""
+        spectrum = self.diffusion_eigenvalues
+        found = {
+            "relative_operator_error": self.relative_operator_error,
+            "quadratic_block_fraction": self.quadratic_block_fraction,
+            "energy_violation": self.energy_violation,
+            "symmetry_violation": self.symmetry_violation,
+            "diffusion_spectrum_min": None if spectrum is None else float(spectrum.min()),
+        }
+        return {name: value for name, value in found.items() if value is not None}
 
 
 def build_report(
@@ -160,8 +173,11 @@ def build_report(
     energy = None
     symmetry = None
     spectrum = None
+    fraction = None
     if 2 in basis.degree_set:
         energy = scaled_energy_violation(inferred)
+        total = np.linalg.norm(inferred.matrix)
+        fraction = float(np.linalg.norm(inferred.degree_block(2)) / total) if total else 0.0
     if 1 in basis.degree_set:
         symmetry = symmetry_violation(inferred.degree_block(1))
         spectrum = diffusion_spectrum(inferred.degree_block(1))
@@ -175,4 +191,5 @@ def build_report(
         energy_violation=energy,
         symmetry_violation=symmetry,
         diffusion_eigenvalues=spectrum,
+        quadratic_block_fraction=fraction,
     )

@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .diagnostics import rank_and_condition
 from .fom import PolynomialFOM, SnapshotMatrix, explicit_euler_step
-from .galerkin import AggregatedOperator, _basis_matrix
-from .pod import PodBasis
+from .galerkin import AggregatedOperator
+from .pod import PodBasis, basis_matrix
 from .tensor_poly import (
     MonomialBasis,
     enumerate_monomials,
@@ -205,7 +205,7 @@ def generate_ensemble(fom: PolynomialFOM, V, pairs, dt: float) -> SnapshotEnsemb
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    V = _basis_matrix(V)
+    V = basis_matrix(V)
     n = V.shape[1]
     degrees = fom.degree_set
     basis = MonomialBasis(n=n, degree_set=degrees, n_u=fom.n_u)
@@ -274,7 +274,7 @@ def exact_opinf(
 
     ``scale`` is the state amplitude of :func:`rank_ensuring_pairs`.
     """
-    V = _basis_matrix(V)
+    V = basis_matrix(V)
     pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, scale)
     ensemble = generate_ensemble(fom, V, pairs, dt)
     return infer(ensemble)
@@ -291,7 +291,7 @@ def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> Snapsh
     """
     if old.fom_quotients is None or old.V is None:
         raise ValueError("ensemble lacks full-order data; regenerate it from the model")
-    V_plus = _basis_matrix(V_plus)
+    V_plus = basis_matrix(V_plus)
     n_old = old.V.shape[1]
     n_plus = V_plus.shape[1]
     if n_plus <= n_old:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor_poly import _monomial_index_array, compress_state
+from .tensor_poly import compress_state, monomial_index_array
 
 
 class NonFiniteStateError(RuntimeError):
@@ -311,7 +311,7 @@ def from_dense_operators(
     def make_h(i, A):
         if i == 0:
             return lambda: A[:, 0].copy()
-        idx = _monomial_index_array(N, i)
+        idx = monomial_index_array(N, i)
         perms = list(itertools.permutations(range(i)))
 
         def h(*vs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fom import InputSignal, PolynomialFOM, SnapshotMatrix, simulate
-from .pod import PodBasis
+from .pod import basis_matrix
 from .tensor_poly import (
     MonomialBasis,
     enumerate_monomials,
@@ -63,15 +63,6 @@ class MissingMultilinearAccess(ValueError):
     """Intrusive reduction needs structured operator access."""
 
 
-def _basis_matrix(V, n=None):
-    if isinstance(V, PodBasis):
-        V = V.matrix(n)
-    V = np.asarray(V, dtype=float)
-    if n is not None:
-        V = V[:, :n]
-    return V
-
-
 def intrusive_reduce(fom: PolynomialFOM, V, n: int | None = None) -> AggregatedOperator:
     """Project the model onto the basis ``V`` using its multilinear maps.
 
@@ -81,7 +72,7 @@ def intrusive_reduce(fom: PolynomialFOM, V, n: int | None = None) -> AggregatedO
     accounts for the repeated cross terms of the full Kronecker power that
     the compressed monomial carries only once.
     """
-    V = _basis_matrix(V, n)
+    V = basis_matrix(V, n)
     n = V.shape[1]
     if fom.multilinear is None:
         raise MissingMultilinearAccess(

@@ -41,6 +41,19 @@ class PodBasis:
         return self.V if n is None else self.V[:, :n]
 
 
+def basis_matrix(V, n: int | None = None) -> np.ndarray:
+    """The first ``n`` columns (all by default) of a basis as a float array.
+
+    ``V`` is a :class:`PodBasis` or anything array-like.
+    """
+    if isinstance(V, PodBasis):
+        V = V.matrix(n)
+    V = np.asarray(V, dtype=float)
+    if n is not None:
+        V = V[:, :n]
+    return V
+
+
 def pod_basis(snapshots: SnapshotMatrix | np.ndarray, n_max: int) -> PodBasis:
     """Leading left singular vectors of the raw state matrix.
 

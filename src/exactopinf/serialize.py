@@ -34,110 +34,98 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _header_line(kind: str) -> str:
-    return f"# exactopinf-csv v{FORMAT_VERSION} {kind}"
+def write_table(path, kind, header, rows):
+    """Versioned CSV: the ``kind`` header line, the column names, the rows.
+
+    ``rows`` is a 2-D array or a sequence of rows.  Floats (every entry of
+    an array of floats, too) are written with 17 significant digits, so
+    reading them back gives the same doubles; other values as ``str``
+    prints them.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# exactopinf-csv v{FORMAT_VERSION} {kind}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
 
 
-def _check_header(first_line: str, kind: str, path):
-    expected = _header_line(kind)
-    if first_line.rstrip("\n") != expected:
-        raise SchemaError(f"{path}: expected header {expected!r}, got {first_line!r}", line=1)
+def _read_table(path, kind, text_fields=0, width=None):
+    """Column names, leading text fields and float values of a versioned CSV.
+
+    Checks the header line, ``width`` columns (when given), one field per
+    column on every row and a float in every field after the first
+    ``text_fields``; a violation raises :class:`SchemaError` with its line.
+    Data row ``k`` is on line ``k + 3``.
+    """
+    expected = f"# exactopinf-csv v{FORMAT_VERSION} {kind}"
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if first.rstrip("\n") != expected:
+            raise SchemaError(f"{path}: expected header {expected!r}, got {first!r}", line=1)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: missing column header", line=2) from None
+        if width is not None and len(header) != width:
+            raise SchemaError(f"{path}: expected {width} columns, got {len(header)}", line=2)
+        texts, values = [], []
+        for lineno, row in enumerate(reader, start=3):
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}: expected {len(header)} fields, got {len(row)}", line=lineno
+                )
+            try:
+                values.append([float(v) for v in row[text_fields:]])
+            except ValueError as exc:
+                raise SchemaError(f"{path}: {exc}", line=lineno) from None
+            texts.append(row[:text_fields])
+    if not values:
+        raise SchemaError(f"{path}: no data rows", line=3)
+    return header, texts, np.array(values)
+
+
+def read_matrix(path, kind) -> np.ndarray:
+    """The numbers of a versioned CSV of ``kind``, one matrix row per line."""
+    return _read_table(path, kind)[2]
 
 
 def write_snapshots(snapshots: SnapshotMatrix, path):
     n_u = snapshots.inputs.shape[0]
-    N = snapshots.dimension
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line("snapshots") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"u_{j + 1}" for j in range(n_u)] + [f"x_{j + 1}" for j in range(N)]
-        )
-        for k in range(snapshots.states.shape[1]):
-            row = [_fmt(snapshots.times[k])]
-            row += [_fmt(v) for v in snapshots.inputs[:, k]]
-            row += [_fmt(v) for v in snapshots.states[:, k]]
-            writer.writerow(row)
+    header = ["t"] + [f"u_{j + 1}" for j in range(n_u)]
+    header += [f"x_{j + 1}" for j in range(snapshots.dimension)]
+    data = np.vstack([snapshots.times, snapshots.inputs, snapshots.states]).T
+    write_table(path, "snapshots", header, data)
 
 
 def read_snapshots(path) -> SnapshotMatrix:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        _check_header(first, "snapshots", path)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: missing column header", line=2) from None
-        if not header or header[0] != "t":
-            raise SchemaError(f"{path}: first column must be 't'", line=2)
-        n_u = sum(1 for name in header if name.startswith("u_"))
-        N = sum(1 for name in header if name.startswith("x_"))
-        if 1 + n_u + N != len(header):
-            raise SchemaError(f"{path}: unrecognized columns in {header}", line=2)
-        times, inputs, states = [], [], []
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}", line=lineno) from None
-            times.append(values[0])
-            inputs.append(values[1 : 1 + n_u])
-            states.append(values[1 + n_u :])
-    if not times:
-        raise SchemaError(f"{path}: no data rows", line=3)
+    header, _, values = _read_table(path, "snapshots")
+    if not header or header[0] != "t":
+        raise SchemaError(f"{path}: first column must be 't'", line=2)
+    n_u = sum(1 for name in header if name.startswith("u_"))
+    N = sum(1 for name in header if name.startswith("x_"))
+    if 1 + n_u + N != len(header):
+        raise SchemaError(f"{path}: unrecognized columns in {header}", line=2)
     return SnapshotMatrix(
-        states=np.array(states).T, times=np.array(times), inputs=np.array(inputs).T
+        states=values[:, 1 + n_u :].T, times=values[:, 0], inputs=values[:, 1 : 1 + n_u].T
     )
 
 
 def write_basis(basis: PodBasis, path, singular_values_path):
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line("basis") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"mode_{j + 1}" for j in range(basis.n_max)])
-        for row in basis.V:
-            writer.writerow([_fmt(v) for v in row])
-    with open(singular_values_path, "w", newline="") as fh:
-        fh.write(_header_line("singular-values") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sigma"])
-        for s in basis.singular_values:
-            writer.writerow([_fmt(s)])
+    write_table(path, "basis", [f"mode_{j + 1}" for j in range(basis.n_max)], basis.V)
+    write_table(
+        singular_values_path, "singular-values", ["sigma"], basis.singular_values[:, None]
+    )
 
 
 def read_basis(path, singular_values_path) -> PodBasis:
-    V = _read_plain_matrix(path, "basis")
-    s = _read_plain_matrix(singular_values_path, "singular-values")[:, 0]
+    V = read_matrix(path, "basis")
+    s = read_matrix(singular_values_path, "singular-values")[:, 0]
     return PodBasis(V=V, singular_values=s)
-
-
-def _read_plain_matrix(path, kind) -> np.ndarray:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        _check_header(first, kind, path)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: missing column header", line=2) from None
-        rows = []
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}", line=lineno) from None
-    if not rows:
-        raise SchemaError(f"{path}: no data rows", line=3)
-    return np.array(rows)
 
 
 def _sidecar_path(path) -> Path:
@@ -185,12 +173,7 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
 
 
 def write_operator(op: AggregatedOperator, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line("operator") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"col_{j + 1}" for j in range(op.basis.n_f)])
-        for row in op.matrix:
-            writer.writerow([_fmt(v) for v in row])
+    write_table(path, "operator", [f"col_{j + 1}" for j in range(op.basis.n_f)], op.matrix)
     sidecar = {
         "version": FORMAT_VERSION,
         "n": op.basis.n,
@@ -202,7 +185,7 @@ def write_operator(op: AggregatedOperator, path):
 
 def read_operator(path) -> AggregatedOperator:
     basis, _ = _read_sidecar(path)
-    matrix = _read_plain_matrix(path, "operator")
+    matrix = read_matrix(path, "operator")
     if matrix.shape != (basis.n, basis.n_f):
         raise SchemaError(
             f"{path}: matrix shape {matrix.shape} does not match sidecar layout "
@@ -213,25 +196,20 @@ def read_operator(path) -> AggregatedOperator:
 
 def write_ensemble(ensemble: SnapshotEnsemble, path):
     basis = ensemble.basis
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line("ensemble") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "tag"]
-            + [f"xbar_{j + 1}" for j in range(basis.n)]
-            + [f"ubar_{j + 1}" for j in range(basis.n_u)]
-            + [f"xdot_{j + 1}" for j in range(basis.n)]
-        )
-        for s, pair in enumerate(ensemble.pairs):
-            if pair.provenance[0] == "state":
-                tag = f"{pair.provenance[1]}:" + ".".join(str(j) for j in pair.provenance[2])
-            else:
-                tag = str(pair.provenance[1])
-            row = [pair.provenance[0], tag]
-            row += [_fmt(v) for v in pair.state]
-            row += [_fmt(v) for v in pair.inp]
-            row += [_fmt(v) for v in ensemble.derivatives[:, s]]
-            writer.writerow(row)
+    header = (
+        ["kind", "tag"]
+        + [f"xbar_{j + 1}" for j in range(basis.n)]
+        + [f"ubar_{j + 1}" for j in range(basis.n_u)]
+        + [f"xdot_{j + 1}" for j in range(basis.n)]
+    )
+    rows = []
+    for pair, xdot in zip(ensemble.pairs, ensemble.derivatives.T):
+        if pair.provenance[0] == "state":
+            tag = f"{pair.provenance[1]}:" + ".".join(str(j) for j in pair.provenance[2])
+        else:
+            tag = str(pair.provenance[1])
+        rows.append([pair.provenance[0], tag, *pair.state, *pair.inp, *xdot])
+    write_table(path, "ensemble", header, rows)
     sidecar = {
         "version": FORMAT_VERSION,
         "n": basis.n,
@@ -243,88 +221,41 @@ def write_ensemble(ensemble: SnapshotEnsemble, path):
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+def _provenance(kind, tag):
+    """Provenance of a pair from its ``kind`` and ``tag`` fields."""
+    if kind == "state":
+        degree, _, indices = tag.partition(":")
+        return ("state", int(degree), tuple(int(j) for j in indices.split(".")) if indices else ())
+    if kind == "input":
+        return ("input", int(tag))
+    raise ValueError(f"unknown pair kind {kind!r}")
+
+
 def read_ensemble(path) -> SnapshotEnsemble:
     basis, sidecar = _read_sidecar(path, dt=None, scale=1.0)
+    _, texts, values = _read_table(
+        path, "ensemble", text_fields=2, width=2 + 2 * basis.n + basis.n_u
+    )
     pairs = []
-    derivatives = []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        _check_header(first, "ensemble", path)
-        reader = csv.reader(fh)
+    for lineno, ((kind, tag), row) in enumerate(zip(texts, values), start=3):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: missing column header", line=2) from None
-        expected_fields = 2 + 2 * basis.n + basis.n_u
-        if len(header) != expected_fields:
-            raise SchemaError(
-                f"{path}: expected {expected_fields} columns, got {len(header)}", line=2
+            provenance = _provenance(kind, tag)
+        except ValueError as exc:
+            message = f"{path}: pair kind {kind!r}, tag {tag!r}: {exc}"
+            raise SchemaError(message, line=lineno) from None
+        pairs.append(
+            RankEnsuringPair(
+                state=row[: basis.n],
+                inp=row[basis.n : basis.n + basis.n_u],
+                provenance=provenance,
+                scale=sidecar["scale"],
             )
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != expected_fields:
-                raise SchemaError(
-                    f"{path}: expected {expected_fields} fields, got {len(row)}", line=lineno
-                )
-            kind, tag = row[0], row[1]
-            if kind == "state":
-                degree_text, _, tuple_text = tag.partition(":")
-                degree = int(degree_text)
-                indices = tuple(int(j) for j in tuple_text.split(".")) if tuple_text else ()
-                provenance = ("state", degree, indices)
-            elif kind == "input":
-                provenance = ("input", int(tag))
-            else:
-                raise SchemaError(f"{path}: unknown pair kind {kind!r}", line=lineno)
-            try:
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}", line=lineno) from None
-            state = np.array(values[: basis.n])
-            inp = np.array(values[basis.n : basis.n + basis.n_u])
-            xdot = np.array(values[basis.n + basis.n_u :])
-            pairs.append(
-                RankEnsuringPair(
-                    state=state, inp=inp, provenance=provenance, scale=sidecar["scale"]
-                )
-            )
-            derivatives.append(xdot)
-    if not pairs:
-        raise SchemaError(f"{path}: no data rows", line=3)
+        )
     pairs = tuple(pairs)
     return SnapshotEnsemble(
         basis=basis,
         pairs=pairs,
         dt=sidecar["dt"],
         P=pair_feature_matrix(pairs, basis),
-        derivatives=np.stack(derivatives, axis=1),
+        derivatives=np.ascontiguousarray(values[:, basis.n + basis.n_u :].T),
     )
-
-
-def write_report_rows(reports, path):
-    """One CSV row of scalar metrics per report."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_header_line("diagnostics") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "benchmark",
-                "n",
-                "relative_operator_error",
-                "cond_P",
-                "ensemble_size",
-                "energy_violation",
-                "symmetry_violation",
-            ]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.benchmark,
-                    rep.n,
-                    _fmt(rep.relative_operator_error),
-                    _fmt(rep.cond_P),
-                    rep.ensemble_size,
-                    "" if rep.energy_violation is None else _fmt(rep.energy_violation),
-                    "" if rep.symmetry_violation is None else _fmt(rep.symmetry_violation),
-                ]
-            )

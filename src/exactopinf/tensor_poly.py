@@ -60,7 +60,7 @@ def multiplicity(indices: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _monomial_index_array(n: int, i: int) -> np.ndarray:
+def monomial_index_array(n: int, i: int) -> np.ndarray:
     """0-based (n_i, i) index array of the canonical monomial tuples."""
     mons = enumerate_monomials(n, i)
     arr = np.array(mons, dtype=np.int64).reshape(len(mons), i)
@@ -75,7 +75,7 @@ def compress_state(x, i: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if i == 0:
         return np.ones(1)
-    idx = _monomial_index_array(x.shape[0], i)
+    idx = monomial_index_array(x.shape[0], i)
     return np.prod(x[idx], axis=1)
 
 
@@ -85,7 +85,7 @@ def compress_states(X, i: int) -> np.ndarray:
     n, K = X.shape
     if i == 0:
         return np.ones((1, K))
-    idx = _monomial_index_array(n, i)
+    idx = monomial_index_array(n, i)
     return np.prod(X[idx, :], axis=1)
 
 

@@ -9,7 +9,7 @@ from exactopinf import benchmarks, fom as fom_mod, pod as pod_mod
 @pytest.fixture(scope="session")
 def burgers_data():
     spec = benchmarks.BURGERS
-    model, x0 = benchmarks.build_burgers(spec)
+    model, _, x0 = benchmarks.build_burgers(spec)
     snaps = fom_mod.simulate(model, x0, None, spec.dt_pod, spec.K_pod)
     basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
     return {"spec": spec, "fom": model, "x0": x0, "snaps": snaps, "pod": basis}
@@ -34,7 +34,7 @@ def chafee_data():
 @pytest.fixture(scope="session")
 def ice_data():
     spec = benchmarks.SHALLOW_ICE
-    model, x0 = benchmarks.build_shallow_ice(spec)
+    model, _, x0 = benchmarks.build_shallow_ice(spec)
     snaps = fom_mod.simulate(
         model, x0, None, spec.dt_pod, spec.K_pod, scheme="implicit_euler"
     )

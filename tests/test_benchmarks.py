@@ -8,7 +8,9 @@ from exactopinf.benchmarks import (
     CHAFEE_INFANTE,
     SHALLOW_ICE,
     SPECS,
+    Threshold,
     apply_overrides,
+    build,
     build_burgers,
     build_chafee_infante,
     build_shallow_ice,
@@ -28,6 +30,35 @@ class TestSpecs:
         assert CHAFEE_INFANTE.n_sweep == tuple(range(1, 15))
         assert SHALLOW_ICE.n_sweep == tuple(range(1, 8))
         assert BURGERS.n_sweep == tuple(range(1, 11))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_build_returns_model_signal_state(self, name):
+        spec = SPECS[name]
+        fom, signal, x0 = build(spec)
+        assert fom.dimension == spec.N == x0.shape[0]
+        assert fom.degree_set == spec.degree_set
+        assert (signal is None) == (spec.n_u == 0)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_thresholds_name_reported_metrics(self, name):
+        # the metrics a report of this degree set carries (DiagnosticsReport.metrics)
+        spec = SPECS[name]
+        available = {"relative_operator_error"}
+        if 1 in spec.degree_set:
+            available |= {"symmetry_violation", "diffusion_spectrum_min"}
+        if 2 in spec.degree_set:
+            available |= {"energy_violation", "quadratic_block_fraction"}
+        assert spec.thresholds
+        assert {t.metric for t in spec.thresholds} <= available
+
+    def test_threshold_directions(self):
+        upper = Threshold("m", 1e-9)
+        assert upper.holds(5e-10)
+        assert not upper.holds(1e-9)
+        lower = Threshold("m", -1e-10, upper=False)
+        assert lower.holds(-1e-10)
+        assert not lower.holds(-2e-10)
+        assert not upper.holds(float("nan")) and not lower.holds(float("nan"))
 
 
 class TestChafeeInfante:
@@ -71,11 +102,6 @@ class TestChafeeInfante:
         assert signal.evaluate(0.0)[0] == pytest.approx(10.0)
         assert signal.evaluate(0.5)[0] == pytest.approx(20.0)
 
-    def test_freeze_right_pins_last_node(self, rng):
-        fom, _, _ = build_chafee_infante(freeze_right=True)
-        x = rng.standard_normal(fom.dimension)
-        assert eval_rhs(fom, x, np.array([1.0]))[-1] == 0.0
-
     def test_trajectory_amplitude_pin(self, chafee_data):
         # regression pin on this discretization's own simulation
         assert np.max(np.abs(chafee_data["snaps"].states)) < 13.0
@@ -87,13 +113,13 @@ class TestChafeeInfante:
 
 class TestShallowIce:
     def test_constant_state_is_steady(self):
-        fom, _ = build_shallow_ice()
+        fom, _, _ = build_shallow_ice()
         r = eval_rhs(fom, np.full(fom.dimension, 2.0), None)
         np.testing.assert_allclose(r, 0.0, atol=1e-20)
 
     def test_initial_profile_formula(self):
         spec = SHALLOW_ICE
-        fom, x0 = build_shallow_ice()
+        fom, _, x0 = build_shallow_ice()
         dxi = 1000.0 / spec.N
         j = 255
         xi = (j + 0.5) * dxi
@@ -103,7 +129,7 @@ class TestShallowIce:
 
     def test_degree_blocks_sum_to_rhs(self, rng):
         spec = apply_overrides(SHALLOW_ICE, {"N": 32})
-        fom, _ = build_shallow_ice(spec)
+        fom, _, _ = build_shallow_ice(spec)
         x = 0.5 + 0.1 * rng.standard_normal(32)
         total = fom.multilinear[3](x, x, x) + fom.multilinear[8](*([x] * 8))
         np.testing.assert_allclose(total, eval_rhs(fom, x, None), rtol=1e-10)
@@ -113,7 +139,7 @@ class TestShallowIce:
         # whose huge published coefficient would otherwise swamp the tiny
         # published cubic coefficient in the extraction
         spec = apply_overrides(SHALLOW_ICE, {"N": 16, "c1": 1.0, "c2": 0.0})
-        fom, _ = build_shallow_ice(spec)
+        fom, _, _ = build_shallow_ice(spec)
         vs = [rng.standard_normal(16) for _ in range(3)]
         np.testing.assert_allclose(
             polarize(fom, 3, *vs), fom.multilinear[3](*vs), rtol=1e-6, atol=1e-10
@@ -121,7 +147,7 @@ class TestShallowIce:
 
     def test_analytic_jacobian_matches_finite_differences(self, rng):
         spec = apply_overrides(SHALLOW_ICE, {"N": 24})
-        fom, _ = build_shallow_ice(spec)
+        fom, _, _ = build_shallow_ice(spec)
         x = 1.0 + 0.2 * rng.standard_normal(24)
         J = fom.jacobian(x, None).toarray()
         eps = 1e-6
@@ -138,14 +164,14 @@ class TestShallowIce:
 
 class TestBurgers:
     def test_convection_annihilates_state(self, rng):
-        fom, _ = build_burgers()
+        fom, _, _ = build_burgers()
         for _ in range(50):
             x = rng.standard_normal(fom.dimension)
             quad = fom.multilinear[2](x, x)
             assert abs(x @ quad) < 1e-12 * np.linalg.norm(x) ** 3
 
     def test_diffusion_matrix_symmetric_negative(self):
-        fom, _ = build_burgers()
+        fom, _, _ = build_burgers()
         N = fom.dimension
         A1 = np.stack([fom.multilinear[1](col) for col in np.eye(N)], axis=1)
         np.testing.assert_array_equal(A1, A1.T)
@@ -153,13 +179,13 @@ class TestBurgers:
         assert eigs.min() >= -1e-10
 
     def test_initial_condition_endpoints(self):
-        fom, x0 = build_burgers()
+        fom, _, x0 = build_burgers()
         # grid starts at xi = -1 where -sin(pi * xi / 2) = 1
         assert x0[0] == pytest.approx(1.0)
         assert x0[BURGERS.N // 2] == pytest.approx(-np.sin(0.0), abs=1e-14)
 
     def test_rhs_matches_blocks(self, rng):
-        fom, _ = build_burgers()
+        fom, _, _ = build_burgers()
         x = rng.standard_normal(fom.dimension)
         np.testing.assert_allclose(
             fom.multilinear[1](x) + fom.multilinear[2](x, x),
@@ -168,7 +194,7 @@ class TestBurgers:
         )
 
     def test_short_simulation_decays(self):
-        fom, x0 = build_burgers()
+        fom, _, x0 = build_burgers()
         snaps = simulate(fom, x0, None, BURGERS.dt_pod, 500)
         assert np.linalg.norm(snaps.states[:, -1]) < np.linalg.norm(x0)
 

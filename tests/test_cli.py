@@ -17,7 +17,7 @@ from exactopinf.exact_opinf import (
 )
 from exactopinf.fom import SnapshotMatrix, from_dense_operators, simulate
 from exactopinf.galerkin import intrusive_reduce
-from exactopinf.pod import pod_basis
+from exactopinf.pod import PodBasis, pod_basis
 from exactopinf.serialize import (
     read_basis,
     read_operator,
@@ -94,6 +94,15 @@ class TestPodCommand:
         snaps = _identity_snapshots(tmp_path)
         assert main(["pod", str(snaps), "--n", "500"]) == 1
 
+    def test_zero_n_rejected_at_parse_time(self, tmp_path, capsys):
+        snaps = _identity_snapshots(tmp_path)
+        vpath = tmp_path / "V.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pod", str(snaps), "--n", "0", "--out-basis", str(vpath)])
+        assert excinfo.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not vpath.exists()
+
 
 class TestInferCommand:
     def test_ensemble_round_trip_matches_in_memory(self, rng, tmp_path, capsys):
@@ -152,6 +161,30 @@ class TestInferCommand:
             main(["infer", "--benchmark", "burgers", "--out", "x.csv"])
         assert excinfo.value.code == 2
 
+    def test_n_beyond_basis_exit_code(self, tmp_path, capsys):
+        vpath = tmp_path / "V.csv"
+        V = np.eye(BURGERS.N)[:, :4]
+        write_basis(PodBasis(V=V, singular_values=np.ones(4)), vpath, tmp_path / "sv.csv")
+        opath = tmp_path / "op.csv"
+        code = main(
+            ["infer", "--benchmark", "burgers", "--basis", str(vpath),
+             "--dt", "1e-3", "--n", "30", "--out", str(opath)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "30" in err and "4 columns" in err
+        assert not opath.exists()
+
+    def test_bad_pair_tag_exit_code(self, rng, tmp_path, capsys):
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        ens = generate_ensemble(fom, np.eye(4)[:, :2], rank_ensuring_pairs(2, (1,)), 0.01)
+        epath = tmp_path / "ens.csv"
+        write_ensemble(ens, epath)
+        epath.write_text(epath.read_text().replace("state,1:1,", "state,x:1,"))
+        code = main(["infer", "--ensemble", str(epath), "--out", str(tmp_path / "op.csv")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["infer", "--ensemble", str(tmp_path / "ens.csv"),
@@ -193,12 +226,51 @@ def test_non_positive_value_rejected_at_parse_time(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_regularization_rejected_at_parse_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "burgers", "--baseline", "--regularization", "-1", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "chafee-infante", "--freeze-right"],
+        ["infer", "--ensemble", "ens.csv", "--degrees", "1,2", "--out", "op.csv"],
+        ["infer", "--ensemble", "ens.csv", "--n-u", "2", "--out", "op.csv"],
+    ],
+    ids=["freeze-right", "degrees", "n-u"],
+)
+def test_deleted_option_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pod", "MISSING.csv", "--n", "1"],
+        ["infer", "--benchmark", "burgers", "--basis", "MISSING.csv", "--dt", "1e-3",
+         "--out", "op.csv"],
+    ],
+    ids=["pod", "infer-basis"],
+)
+def test_missing_input_file_exit_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    assert code == 2
+    assert "MISSING.csv" in capsys.readouterr().err
+
+
 class TestDiagnoseCommand:
     def test_report_fields(self, rng, tmp_path, capsys):
-        fom, _ = build_burgers()
-        V = pod_basis(
-            simulate(fom, build_burgers()[1], None, BURGERS.dt_pod, 200), 3
-        )
+        fom, _, x0 = build_burgers()
+        V = pod_basis(simulate(fom, x0, None, BURGERS.dt_pod, 200), 3)
         red = intrusive_reduce(fom, V, 3)
         from exactopinf.serialize import write_operator
 

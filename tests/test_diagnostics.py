@@ -183,6 +183,23 @@ class TestBuildReport:
         assert rep.energy_violation is not None
         assert rep.diffusion_eigenvalues.shape == (2,)
 
+    def test_metrics_by_degree_set(self, rng):
+        for degrees, names in [
+            ((1, 2), {"quadratic_block_fraction", "energy_violation",
+                      "symmetry_violation", "diffusion_spectrum_min"}),
+            ((3, 8), set()),
+        ]:
+            basis = MonomialBasis(n=2, degree_set=degrees)
+            op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, basis.n_f)))
+            rep = build_report("demo", 2, op, op, 1.0, basis.n_f)
+            metrics = rep.metrics()
+            assert set(metrics) == {"relative_operator_error"} | names
+            if degrees == (1, 2):
+                assert metrics["diffusion_spectrum_min"] == rep.diffusion_eigenvalues[0]
+                assert metrics["quadratic_block_fraction"] == pytest.approx(
+                    np.linalg.norm(op.degree_block(2)) / np.linalg.norm(op.matrix)
+                )
+
     def test_vanishing_quadratic_block_scaling(self):
         # numerically-zero quadratic block: scaled violation must stay tiny,
         # not default to the degenerate 0/0 value 3

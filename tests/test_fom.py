@@ -147,7 +147,7 @@ class TestImplicitEuler:
     def test_sparse_jacobian_matches_dense_twin(self):
         # the shallow-ice Jacobian is tridiagonal and sparse; stepping with
         # its dense copy must give the same states and Newton iterations
-        fom, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": 24}))
+        fom, _, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": 24}))
         J0 = fom.jacobian(x0, None)
         assert sp.issparse(J0) and J0.count_nonzero() <= 3 * 24 - 2
 

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from exactopinf.diagnostics import DiagnosticsReport
 from exactopinf.exact_opinf import generate_ensemble, infer, rank_ensuring_pairs
 from exactopinf.fom import SnapshotMatrix, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator
@@ -19,7 +18,6 @@ from exactopinf.serialize import (
     write_basis,
     write_ensemble,
     write_operator,
-    write_report_rows,
     write_snapshots,
 )
 from exactopinf.tensor_poly import MonomialBasis
@@ -266,6 +264,22 @@ class TestEnsemble:
             read_ensemble(path)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("tag", ["x:1", "1:1.y", "z"])
+    def test_bad_tag_reports_line(self, tag, rng, tmp_path):
+        ens = self._make_ensemble(rng)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        lines = path.read_text().splitlines()
+        kind = "input" if tag == "z" else "state"
+        row = next(k for k, line in enumerate(lines) if line.startswith(kind + ","))
+        fields = lines[row].split(",")
+        fields[1] = tag
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=repr(tag)) as excinfo:
+            read_ensemble(path)
+        assert excinfo.value.line == row + 1
+
     def test_wrong_column_count_rejected(self, rng, tmp_path):
         ens = self._make_ensemble(rng)
         path = tmp_path / "ens.csv"
@@ -276,23 +290,3 @@ class TestEnsemble:
             read_ensemble(path)
         assert excinfo.value.line == 2
 
-
-class TestReportRows:
-    def test_rows_written(self, tmp_path):
-        rep = DiagnosticsReport(
-            benchmark="burgers",
-            n=3,
-            relative_operator_error=1e-12,
-            cond_P=42.0,
-            ensemble_size=9,
-            block_errors={1: 0.0, 2: 0.0},
-            energy_violation=1e-13,
-            symmetry_violation=0.0,
-            diffusion_eigenvalues=np.array([1.0, 2.0]),
-        )
-        path = tmp_path / "report.csv"
-        write_report_rows([rep], path)
-        text = path.read_text().splitlines()
-        assert text[0] == "# exactopinf-csv v1 diagnostics"
-        assert text[1].startswith("benchmark,n,")
-        assert text[2].startswith("burgers,3,")
