@@ -13,7 +13,6 @@ from .benchmarks import (
 from .diagnostics import (
     DiagnosticsReport,
     build_report,
-    condition_number,
     diffusion_spectrum,
     energy_violation,
     relative_operator_error,
@@ -44,7 +43,7 @@ from .fom import (
     polarize,
     simulate,
 )
-from .galerkin import AggregatedOperator, intrusive_reduce, rom_rhs, rom_simulate
+from .galerkin import AggregatedOperator, intrusive_reduce
 from .gappy_interp import (
     GappyProblem,
     gappy_interpolate,

@@ -9,10 +9,12 @@ pod          Compute an orthonormal basis from a snapshot CSV.
 diagnose     Structure and accuracy metrics of an operator CSV.
 
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
-machine-readable JSON failure list on stdout), 2 invalid input (a missing
-or unreadable input file, a file schema violation, a config file, a
-non-positive --dt, --n or --n-max, a negative --regularization, or an
---n beyond the basis), 3 rank deficiency / singular system.
+machine-readable JSON failure list on stdout), 2 invalid input or settings
+(a missing or unreadable input file, a file schema violation, a config
+file, an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
+beyond the documented range without --force, a negative --regularization,
+an infer --n beyond the basis, or a pod --n beyond the snapshot count),
+3 rank deficiency / singular system.
 """
 
 from __future__ import annotations
@@ -84,19 +86,16 @@ def _positive(kind, or_zero=False):
     return convert
 
 
-def _canonical_benchmark(name: str) -> str:
-    key = name.replace("-", "_")
+def _benchmark(text):
+    """Argparse type: the ``SPECS`` key of a benchmark name (``-`` or ``_``)."""
+    key = text.replace("-", "_")
     if key not in SPECS:
-        raise KeyError(name)
+        raise argparse.ArgumentTypeError(f"unknown benchmark {text!r}")
     return key
 
 
 def cmd_experiment(args) -> int:
-    try:
-        name = _canonical_benchmark(args.benchmark)
-    except KeyError:
-        print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
-        return EXIT_THRESHOLD
+    name = args.benchmark
     spec = SPECS[name]
     if args.config:
         try:
@@ -111,7 +110,7 @@ def cmd_experiment(args) -> int:
             f"{max(spec.n_sweep)}); pass --force to run anyway",
             file=sys.stderr,
         )
-        return EXIT_THRESHOLD
+        return EXIT_SCHEMA
     out = Path(args.out if args.out else Path("results") / name)
     out.mkdir(parents=True, exist_ok=True)
     bounded = {t.metric for t in spec.thresholds}
@@ -230,16 +229,11 @@ def _check_thresholds(spec, reports):
 
 
 def cmd_infer(args) -> int:
-    if args.benchmark is not None:
-        try:
-            spec = SPECS[_canonical_benchmark(args.benchmark)]
-        except KeyError:
-            print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
-            return EXIT_THRESHOLD
     try:
         if args.ensemble:
             ensemble = read_ensemble(args.ensemble)
         else:
+            spec = SPECS[args.benchmark]
             fom, _, _ = build(spec)
             V = read_matrix(args.basis, "basis")
             if V.shape[0] != fom.dimension:
@@ -282,7 +276,7 @@ def cmd_pod(args) -> int:
         return EXIT_RANK
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_THRESHOLD
+        return EXIT_SCHEMA
     write_basis(basis, args.out_basis, args.out_singular_values)
     print(json.dumps({"out_basis": str(args.out_basis), "n": args.n}))
     return EXIT_OK
@@ -327,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     exp = sub.add_parser("experiment", help="run a bundled benchmark and export CSV metrics")
-    exp.add_argument("benchmark", help=" | ".join(name.replace("_", "-") for name in SPECS))
+    exp.add_argument(
+        "benchmark",
+        type=_benchmark,
+        help=" | ".join(name.replace("_", "-") for name in SPECS),
+    )
     exp.add_argument("--n-max", type=_positive(int), default=None, help="largest reduced dimension")
     exp.add_argument("--out", default=None, help="output directory (default results/<name>)")
     exp.add_argument("--dt", type=_positive(float), default=None, help="single-step size (default: estimated)")
@@ -345,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     inf = sub.add_parser("infer", help="recover a reduced operator, writing an operator CSV")
     src = inf.add_mutually_exclusive_group(required=True)
     src.add_argument("--ensemble", default=None, help="single-step data CSV (with JSON sidecar)")
-    src.add_argument("--benchmark", default=None, help="builtin system to step directly")
+    src.add_argument(
+        "--benchmark", type=_benchmark, default=None, help="builtin system to step directly"
+    )
     inf.add_argument("--basis", default=None, help="basis CSV (required with --benchmark)")
     inf.add_argument("--n", type=_positive(int), default=None, help="truncate the basis to n columns")
     inf.add_argument("--dt", type=_positive(float), default=None, help="single-step size (required with --benchmark)")

@@ -51,17 +51,6 @@ def rank_and_condition(P) -> tuple[int, float]:
     return rank, cond
 
 
-def condition_number(P) -> float:
-    """Spectral condition number via SVD; infinity when numerically singular.
-
-    See :func:`rank_and_condition` for the singularity cutoff.
-    """
-    rank, cond = rank_and_condition(P)
-    if rank == 0:
-        raise ValueError("matrix is zero")
-    return cond
-
-
 def quadratic_tensor(A2: np.ndarray, n: int) -> np.ndarray:
     """Symmetric (n, n, n) coefficient tensor of a compressed quadratic block.
 

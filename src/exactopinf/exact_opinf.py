@@ -19,12 +19,7 @@ from .diagnostics import rank_and_condition
 from .fom import PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
 from .pod import PodBasis, basis_matrix
-from .tensor_poly import (
-    MonomialBasis,
-    enumerate_monomials,
-    feature_matrix,
-    feature_vector,
-)
+from .tensor_poly import MonomialBasis, enumerate_monomials, feature_matrix
 
 
 class SingularDataMatrixError(RuntimeError):
@@ -100,11 +95,10 @@ def rank_ensuring_pairs(
 
 
 def pair_feature_matrix(pairs, basis: MonomialBasis) -> np.ndarray:
-    """Stack the feature vectors of the pairs as columns (n_f x K)."""
-    P = np.empty((basis.n_f, len(pairs)))
-    for s, pair in enumerate(pairs):
-        P[:, s] = feature_vector(basis, pair.state, pair.inp)
-    return P
+    """The feature vectors of the pairs as columns (n_f x K)."""
+    X = np.stack([pair.state for pair in pairs], axis=1)
+    U = np.stack([pair.inp for pair in pairs], axis=1)
+    return feature_matrix(basis, X, U)
 
 
 @dataclass(frozen=True)
@@ -224,6 +218,28 @@ def generate_ensemble(fom: PolynomialFOM, V, pairs, dt: float) -> SnapshotEnsemb
     )
 
 
+def solve_square(P, B) -> np.ndarray:
+    """The ``X`` with ``X @ P = B`` for a square, invertible ``P``.
+
+    Factors ``P.T`` once by LU with partial pivoting and solves for every
+    row of ``B`` (or for ``B`` itself, a vector).  A pivot at or below
+    ``1e-14`` times the largest entry of its own row of ``P`` trips the
+    singularity guard.  Rescaling a row rescales its pivot alike, so the
+    guard gives the same verdict for ``P`` and for the ``diag(c^i) P`` of
+    states scaled by ``c``.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {P.shape}")
+    lu, piv = scipy.linalg.lu_factor(P.T)
+    if np.any(np.abs(np.diag(lu)) <= 1e-14 * np.max(np.abs(P), axis=1)):
+        raise SingularDataMatrixError(
+            "numerically singular data matrix; the generated states guarantee "
+            "invertibility, so check degree set and basis consistency"
+        )
+    return scipy.linalg.lu_solve((lu, piv), np.asarray(B, dtype=float).T).T
+
+
 @dataclass(frozen=True)
 class InferenceResult:
     """Inferred operator with solve diagnostics attached."""
@@ -236,26 +252,12 @@ class InferenceResult:
 def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     """Solve the square linear system defined by the ensemble.
 
-    Factors the (transposed) feature matrix once by LU with partial
-    pivoting and solves for all operator rows.  A pivot at or below
-    ``1e-14`` times the largest entry of its own feature row trips the
-    singularity guard.  Rescaling a feature row rescales its pivot alike,
-    so the guard gives the same verdict for ``P`` and for the
-    ``diag(c^i) P`` of states scaled by ``c``.  The condition number of the
-    feature matrix is computed by SVD (see :func:`rank_and_condition`) and
-    attached to the result.
+    The operator rows come from one :func:`solve_square`.  The condition
+    number of the feature matrix is computed by SVD (see
+    :func:`rank_and_condition`) and attached to the result.
     """
     P = ensemble.P
-    if P.shape[0] != P.shape[1]:
-        raise ValueError(f"feature matrix must be square, got shape {P.shape}")
-    lu, piv = scipy.linalg.lu_factor(P.T)
-    pivots = np.abs(np.diag(lu))
-    if np.any(pivots <= 1e-14 * np.max(np.abs(P), axis=1)):
-        raise SingularDataMatrixError(
-            "numerically singular data matrix; the generated states guarantee "
-            "invertibility, so check degree set and basis consistency"
-        )
-    O = scipy.linalg.lu_solve((lu, piv), ensemble.derivatives.T).T
+    O = solve_square(P, ensemble.derivatives)
     _, cond = rank_and_condition(P)
     residual = float(np.linalg.norm(O @ P - ensemble.derivatives))
     operator = AggregatedOperator(basis=ensemble.basis, matrix=O)

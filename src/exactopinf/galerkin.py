@@ -1,5 +1,4 @@
-"""Intrusive reduction onto an orthonormal basis, and simulation of the
-resulting low-dimensional model.
+"""Intrusive reduction onto an orthonormal basis.
 
 The reduced right-hand side is a single matrix acting on the feature vector
 of the reduced state and input.  Reduction never materializes the
@@ -13,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fom import InputSignal, PolynomialFOM, SnapshotMatrix, simulate
+from .fom import PolynomialFOM
 from .pod import basis_matrix
-from .tensor_poly import (
-    MonomialBasis,
-    enumerate_monomials,
-    feature_vector,
-    multiplicity,
-)
+from .tensor_poly import MonomialBasis, enumerate_monomials, multiplicity
 
 
 @dataclass(frozen=True)
@@ -100,31 +94,3 @@ def intrusive_reduce(fom: PolynomialFOM, V, n: int | None = None) -> AggregatedO
             e[j] = 1.0
             block[:, j] = V.T @ fom.input_map(e)
     return AggregatedOperator(basis=basis, matrix=matrix)
-
-
-def rom_rhs(op: AggregatedOperator, x, u=None) -> np.ndarray:
-    """Reduced right-hand side: operator times feature vector."""
-    return op.matrix @ feature_vector(op.basis, x, u)
-
-
-def as_fom(op: AggregatedOperator) -> PolynomialFOM:
-    """Wrap a reduced operator as a dynamical system of dimension ``n``."""
-    return PolynomialFOM(
-        dimension=op.basis.n,
-        degree_set=op.basis.degree_set,
-        n_u=op.basis.n_u,
-        rhs=lambda x, u: rom_rhs(op, x, u),
-        input_map=(lambda u: op.input_block @ u) if op.basis.n_u else None,
-    )
-
-
-def rom_simulate(
-    op: AggregatedOperator,
-    x0,
-    signal: InputSignal | None,
-    dt: float,
-    K: int,
-    scheme: str = "explicit_euler",
-) -> SnapshotMatrix:
-    """Integrate the reduced model like any other dynamical system."""
-    return simulate(as_fom(op), x0, signal, dt, K, scheme=scheme)

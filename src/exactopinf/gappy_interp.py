@@ -13,23 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .exact_opinf import rank_ensuring_pairs
-from .tensor_poly import MonomialBasis, feature_matrix
-
-
-class SingularInterpolationError(RuntimeError):
-    """The interpolation system is numerically singular.
-
-    The node construction guarantees unisolvence, so this indicates an
-    assembly bug rather than a genuinely unsolvable problem.
-    """
+from .exact_opinf import (
+    SingularDataMatrixError,
+    pair_feature_matrix,
+    rank_ensuring_pairs,
+    solve_square,
+)
+from .tensor_poly import MonomialBasis
 
 
 @dataclass(frozen=True)
 class GappyProblem:
-    """Interpolation of given values at the canonical unit-vector-sum nodes."""
+    """Interpolation of given finite values at the canonical unit-vector-sum
+    nodes."""
 
     n: int
     degree_set: tuple[int, ...]
@@ -41,6 +38,8 @@ class GappyProblem:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (basis.n_p,):
             raise ValueError(f"expected {basis.n_p} values, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
 
     @property
@@ -51,30 +50,24 @@ class GappyProblem:
 def interpolation_matrix(n: int, degree_set) -> np.ndarray:
     """Square (n_p, n_p) matrix whose column j stacks the monomials of node j.
 
-    Identical to the state block of the single-step data matrix.
+    The single-step data matrix of the state pairs, built by the same call.
     """
     basis = MonomialBasis(n=n, degree_set=tuple(degree_set))
-    pairs = rank_ensuring_pairs(n, basis.degree_set)
-    return feature_matrix(basis, np.stack([p.state for p in pairs], axis=1))
+    return pair_feature_matrix(rank_ensuring_pairs(n, basis.degree_set), basis)
 
 
 def gappy_interpolate(problem: GappyProblem) -> np.ndarray:
     """Coefficients (canonical monomial order) interpolating the given values.
 
-    Solves the transposed interpolation matrix by LU and verifies the
+    Solves with the inference solve, :func:`solve_square`, and verifies the
     residual at the nodes.
     """
     M = interpolation_matrix(problem.n, problem.degree_set)
-    try:
-        coeffs = scipy.linalg.solve(M.T, problem.values)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularInterpolationError(str(exc)) from exc
-    if not np.all(np.isfinite(coeffs)):
-        raise SingularInterpolationError("solve produced non-finite coefficients")
+    coeffs = solve_square(M, problem.values)
     residual = np.max(np.abs(M.T @ coeffs - problem.values))
     bound = 1e-10 * (1.0 + np.max(np.abs(problem.values), initial=0.0))
-    if residual > bound:
-        raise SingularInterpolationError(
+    if not residual <= bound:
+        raise SingularDataMatrixError(
             f"interpolation residual {residual:.3e} exceeds {bound:.3e}"
         )
     return coeffs
@@ -96,12 +89,7 @@ def univariate_specific(degree_set, i_star: int) -> np.ndarray:
         raise ValueError(f"{i_star} must be below the remaining degrees {others}")
     support = [i - i_star for i in degrees]
     nodes = np.array(degrees, dtype=float)
-    M = np.array([[x**d for d in support] for x in nodes])
+    # column j holds the support monomials at node j, as in the data matrix
+    M = np.array([[x**d for x in nodes] for d in support])
     target = np.array([1.0 if i == i_star else 0.0 for i in degrees])
-    try:
-        coeffs = scipy.linalg.solve(M, target)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularInterpolationError(str(exc)) from exc
-    if not np.all(np.isfinite(coeffs)):
-        raise SingularInterpolationError("solve produced non-finite coefficients")
-    return coeffs
+    return solve_square(M, target)

@@ -21,8 +21,8 @@ class RankDeficiencyError(ValueError):
 class PodBasis:
     """Column-orthonormal basis with the singular values of the snapshot data.
 
-    Truncating to the first ``n`` columns is itself a valid basis, so one
-    decomposition serves a whole sweep of reduced dimensions.
+    Its first ``n`` columns (:meth:`matrix`) are themselves a valid basis, so
+    one decomposition serves a whole sweep of reduced dimensions.
     """
 
     V: np.ndarray  # (N, n_max)
@@ -31,11 +31,6 @@ class PodBasis:
     @property
     def n_max(self) -> int:
         return self.V.shape[1]
-
-    def truncate(self, n: int) -> "PodBasis":
-        if n > self.n_max:
-            raise ValueError(f"cannot truncate to {n} columns, basis has {self.n_max}")
-        return PodBasis(V=self.V[:, :n], singular_values=self.singular_values)
 
     def matrix(self, n: int | None = None) -> np.ndarray:
         return self.V if n is None else self.V[:, :n]

@@ -70,23 +70,28 @@ def monomial_index_array(n: int, i: int) -> np.ndarray:
 def compress_state(x, i: int) -> np.ndarray:
     """Compressed degree-``i`` power of ``x``: one entry per distinct monomial.
 
-    Degree 0 yields the length-1 vector ``[1.0]``.
+    The one-column case of :func:`compress_states`; degree 0 yields the
+    length-1 vector ``[1.0]``.
     """
     x = np.asarray(x, dtype=float)
-    if i == 0:
-        return np.ones(1)
-    idx = monomial_index_array(x.shape[0], i)
-    return np.prod(x[idx], axis=1)
+    return compress_states(x[:, None], i)[:, 0]
 
 
 def compress_states(X, i: int) -> np.ndarray:
-    """Column-wise :func:`compress_state` of an (n, K) matrix of states."""
+    """Compressed degree-``i`` powers of the columns of an (n, K) matrix.
+
+    The package's one monomial-product kernel.  It multiplies the entries
+    named by one index slot at a time into a block of ones, so each entry is
+    the product of its ``i`` factors taken left to right, and degree 0 is
+    the empty product, a row of ones.
+    """
     X = np.asarray(X, dtype=float)
     n, K = X.shape
-    if i == 0:
-        return np.ones((1, K))
     idx = monomial_index_array(n, i)
-    return np.prod(X[idx, :], axis=1)
+    block = np.ones((idx.shape[0], K))
+    for slot in idx.T:
+        block *= X[slot]
+    return block
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,8 @@ class MonomialBasis:
 
 
 def feature_vector(basis: MonomialBasis, x, u=None) -> np.ndarray:
-    """Assemble the feature vector: compressed powers per degree, then input."""
+    """Feature vector of one state and input: the one-column
+    :func:`feature_matrix`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({basis.n},)")
@@ -150,13 +156,14 @@ def feature_vector(basis: MonomialBasis, x, u=None) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (basis.n_u,):
         raise ValueError(f"input has shape {u.shape}, expected ({basis.n_u},)")
-    blocks = [compress_state(x, i) for i in basis.degree_set]
-    blocks.append(u)
-    return np.concatenate(blocks)
+    return feature_matrix(basis, x[:, None], u[:, None])[:, 0]
 
 
 def feature_matrix(basis: MonomialBasis, X, U=None) -> np.ndarray:
-    """Column-wise :func:`feature_vector` for (n, K) states and (n_u, K) inputs."""
+    """Feature vectors of (n, K) states and (n_u, K) inputs as columns.
+
+    Each column stacks the compressed powers per degree, then the input.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != basis.n:
         raise ValueError(f"states have shape {X.shape}, expected ({basis.n}, K)")
@@ -166,6 +173,8 @@ def feature_matrix(basis: MonomialBasis, X, U=None) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.shape != (basis.n_u, K):
         raise ValueError(f"inputs have shape {U.shape}, expected ({basis.n_u}, {K})")
-    blocks = [compress_states(X, i) for i in basis.degree_set]
-    blocks.append(U)
-    return np.concatenate(blocks, axis=0)
+    P = np.empty((basis.n_f, K))
+    for i in basis.degree_set:
+        P[basis.degree_slice(i)] = compress_states(X, i)
+    P[basis.input_slice] = U
+    return P

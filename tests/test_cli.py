@@ -92,7 +92,7 @@ class TestPodCommand:
 
     def test_oversized_n_exit_code(self, tmp_path, capsys):
         snaps = _identity_snapshots(tmp_path)
-        assert main(["pod", str(snaps), "--n", "500"]) == 1
+        assert main(["pod", str(snaps), "--n", "500"]) == 2
 
     def test_zero_n_rejected_at_parse_time(self, tmp_path, capsys):
         snaps = _identity_snapshots(tmp_path)
@@ -358,11 +358,21 @@ class TestExperimentCommand:
         code = main(
             ["experiment", "burgers", "--n-max", "99", "--out", str(tmp_path / "r")]
         )
-        assert code == 1
+        assert code == 2
         assert "--force" in capsys.readouterr().err
 
-    def test_unknown_benchmark(self, capsys):
-        assert main(["experiment", "heat-cube"]) == 1
+    def test_unknown_benchmark(self, tmp_path, capsys):
+        # rejected at parse time, before any file is read or written
+        for argv in (
+            ["experiment", "heat-cube", "--out", str(tmp_path / "r")],
+            ["infer", "--benchmark", "heat-cube", "--basis", str(tmp_path / "V.csv"),
+             "--dt", "1e-3", "--out", str(tmp_path / "O.csv")],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unknown benchmark 'heat-cube'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

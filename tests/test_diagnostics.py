@@ -6,7 +6,6 @@ import pytest
 from exactopinf.diagnostics import (
     block_errors,
     build_report,
-    condition_number,
     diffusion_spectrum,
     energy_violation,
     quadratic_tensor,
@@ -50,16 +49,8 @@ class TestRelativeOperatorError:
 
 
 class TestConditionNumber:
-    def test_identity(self):
-        assert condition_number(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert condition_number(np.diag([1.0, 1e-3])) == pytest.approx(1e3)
-
-    def test_singular_is_inf(self):
-        assert condition_number(np.ones((2, 2))) == np.inf
-
     def test_rank_and_condition_share_the_cutoff(self):
+        assert rank_and_condition(np.eye(4)) == (4, pytest.approx(1.0))
         assert rank_and_condition(np.ones((2, 2))) == (1, np.inf)
         assert rank_and_condition(np.diag([1.0, 1e-3])) == (2, pytest.approx(1e3))
         assert rank_and_condition(np.zeros((2, 3))) == (0, np.inf)

@@ -15,6 +15,7 @@ from exactopinf.exact_opinf import (
     infer,
     pair_feature_matrix,
     rank_ensuring_pairs,
+    solve_square,
     standard_opinf,
 )
 from exactopinf.fom import (
@@ -24,7 +25,7 @@ from exactopinf.fom import (
     from_dense_operators,
     simulate,
 )
-from exactopinf.galerkin import intrusive_reduce, rom_simulate
+from exactopinf.galerkin import intrusive_reduce
 from exactopinf.pod import PodBasis, pod_basis
 from exactopinf.tensor_poly import MonomialBasis, monomial_count
 
@@ -230,6 +231,18 @@ class TestGenerateEnsemble:
         )
         assert ens.size == ens_basis.n_f
         assert ens.P.shape == (ens_basis.n_f, ens_basis.n_f)
+
+
+class TestSolveSquare:
+    def test_solves_from_the_right(self, rng):
+        P = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        X = rng.standard_normal((3, 5))
+        np.testing.assert_allclose(solve_square(P, X @ P), X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(solve_square(P, X[0] @ P), X[0], rtol=1e-12, atol=1e-12)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            solve_square(np.ones((2, 3)), np.ones(3))
 
 
 class TestInfer:

@@ -1,19 +1,11 @@
-"""Intrusive reduction and reduced-model evaluation against dense oracles."""
+"""Intrusive reduction against dense oracles."""
 
 import numpy as np
 import pytest
 
-from exactopinf.fom import from_dense_operators, simulate, eval_rhs
-from exactopinf.galerkin import (
-    AggregatedOperator,
-    MissingMultilinearAccess,
-    as_fom,
-    intrusive_reduce,
-    rom_rhs,
-    rom_simulate,
-)
-from exactopinf.fom import PolynomialFOM
-from exactopinf.tensor_poly import MonomialBasis, compress_state, monomial_count
+from exactopinf.fom import PolynomialFOM, eval_rhs, from_dense_operators
+from exactopinf.galerkin import AggregatedOperator, MissingMultilinearAccess, intrusive_reduce
+from exactopinf.tensor_poly import MonomialBasis, compress_state, feature_vector, monomial_count
 
 
 class TestAggregatedOperator:
@@ -89,62 +81,21 @@ class TestIntrusiveReduce:
         b = intrusive_reduce(burgers_data["fom"], burgers_data["pod"].matrix(3))
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
-
-class TestRomRhs:
-    def test_zero_state_no_constant(self, rng):
-        basis = MonomialBasis(n=2, degree_set=(1, 2))
-        op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 5)))
-        np.testing.assert_array_equal(rom_rhs(op, np.zeros(2)), np.zeros(2))
-
-    def test_unit_features_pick_columns(self):
-        basis = MonomialBasis(n=2, degree_set=(1,), n_u=1)
-        M = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        op = AggregatedOperator(basis=basis, matrix=M)
-        np.testing.assert_array_equal(rom_rhs(op, np.array([1.0, 0.0])), M[:, 0])
-        np.testing.assert_array_equal(
-            rom_rhs(op, np.zeros(2), np.array([1.0])), M[:, 2]
-        )
-
-    def test_matches_projected_rhs(self, rng):
-        N, n = 6, 3
+    @pytest.mark.parametrize("full", [False, True], ids=["orthonormal", "identity"])
+    def test_matches_projected_rhs(self, rng, full):
+        # the reduced operator on reduced features is the projected model;
+        # on the full basis V = I it is the model itself
+        N = 6
         fom = from_dense_operators(
             {i: rng.standard_normal((N, monomial_count(N, i))) for i in (1, 2)}
         )
-        V = np.linalg.qr(rng.standard_normal((N, n)))[0]
+        V = np.eye(N) if full else np.linalg.qr(rng.standard_normal((N, 3)))[0]
         red = intrusive_reduce(fom, V)
         for _ in range(10):
-            xt = rng.standard_normal(n)
+            xt = rng.standard_normal(V.shape[1])
             np.testing.assert_allclose(
-                rom_rhs(red, xt),
+                red.matrix @ feature_vector(red.basis, xt),
                 V.T @ eval_rhs(fom, V @ xt, None),
                 rtol=1e-11,
                 atol=1e-12,
             )
-
-
-class TestRomSimulate:
-    def test_zero_operator_constant(self):
-        basis = MonomialBasis(n=2, degree_set=(1,))
-        op = AggregatedOperator(basis=basis, matrix=np.zeros((2, 2)))
-        snaps = rom_simulate(op, np.array([1.0, -1.0]), None, 0.1, 4)
-        assert np.all(snaps.states == snaps.states[:, :1])
-
-    def test_full_basis_reproduces_fom(self, rng):
-        N = 4
-        A1 = rng.standard_normal((N, N))
-        fom = from_dense_operators({1: A1})
-        red = intrusive_reduce(fom, np.eye(N))
-        x0 = rng.standard_normal(N)
-        a = simulate(fom, x0, None, 0.01, 50)
-        b = rom_simulate(red, x0, None, 0.01, 50)
-        np.testing.assert_allclose(a.states, b.states, atol=1e-10)
-
-    def test_as_fom_wraps_operator(self, rng):
-        basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=1)
-        op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 6)))
-        wrapped = as_fom(op)
-        x = rng.standard_normal(2)
-        u = rng.standard_normal(1)
-        np.testing.assert_allclose(
-            eval_rhs(wrapped, x, u), rom_rhs(op, x, u), rtol=1e-14
-        )

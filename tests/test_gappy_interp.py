@@ -91,6 +91,11 @@ class TestGappyInterpolate:
         with pytest.raises(ValueError):
             GappyProblem(n=2, degree_set=(1, 2), values=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GappyProblem(n=1, degree_set=(0, 2), values=[1.0, bad])
+
 
 class TestUnivariateSpecific:
     def test_constant(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from exactopinf.tensor_poly import (
     feature_matrix,
     feature_vector,
     monomial_count,
+    monomial_index_array,
     multiplicity,
 )
 
@@ -126,6 +128,22 @@ class TestCompressState:
         stacked = compress_states(X, 2)
         for k in range(6):
             np.testing.assert_array_equal(stacked[:, k], compress_state(X[:, k], 2))
+
+    def test_compress_states_memory_does_not_grow_with_degree(self, rng):
+        # one index slot at a time: the block and one slot's factors, never
+        # an (n_i, i, K) array of all factors (590 MB for the ice data
+        # matrix at n = 7)
+        n, i, K = 7, 8, 50
+        X = rng.standard_normal((n, K))
+        monomial_index_array(n, i)  # cached index table, not part of the product
+        block_bytes = monomial_count(n, i) * K * 8
+        tracemalloc.start()
+        try:
+            compress_states(X, i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block_bytes
 
 
 class TestMonomialBasis:
