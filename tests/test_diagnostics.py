@@ -49,8 +49,16 @@ class TestRelativeOperatorError:
 
 
 class TestConditionNumber:
+    def test_identity(self):
+        assert rank_and_condition(np.eye(4))[1] == pytest.approx(1.0)
+
+    def test_diagonal(self):
+        assert rank_and_condition(np.diag([1.0, 1e-3]))[1] == pytest.approx(1e3)
+
+    def test_singular_is_inf(self):
+        assert rank_and_condition(np.ones((2, 2)))[1] == np.inf
+
     def test_rank_and_condition_share_the_cutoff(self):
-        assert rank_and_condition(np.eye(4)) == (4, pytest.approx(1.0))
         assert rank_and_condition(np.ones((2, 2))) == (1, np.inf)
         assert rank_and_condition(np.diag([1.0, 1e-3])) == (2, pytest.approx(1e3))
         assert rank_and_condition(np.zeros((2, 3))) == (0, np.inf)
