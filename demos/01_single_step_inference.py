@@ -38,15 +38,16 @@ def main():
     print(f"reduced operator shape: {reference.matrix.shape} "
           f"(n = {n}, features = {reference.basis.n_f})")
 
-    # the inference side only needs to step the model once per feature
-    pairs = rank_ensuring_pairs(n, degrees, n_u)
+    # the inference side only needs to step the model once per feature;
+    # the start states follow from the basis width and the model alone
+    pairs = rank_ensuring_pairs(n, fom.degree_set, fom.n_u)
     print(f"single-step runs needed: {len(pairs)} (equals the feature count)")
     for pair in pairs[:5]:
         print(f"  start state {pair.state}, input {pair.inp}  <- {pair.provenance}")
     print("  ...")
 
     dt = 1.0 / np.linalg.norm(reference.matrix, 2)
-    result = exact_opinf(fom, V, degrees, n_u, dt)
+    result = exact_opinf(fom, V, dt)
     err = relative_operator_error(result.operator, reference)
     print(f"data-matrix condition number: {result.cond_P:.3e}")
     print(f"relative operator error vs intrusive reduction: {err:.3e}")

@@ -42,7 +42,7 @@ def main():
     for n in range(1, 7):
         V = pod.matrix(n)
         ref = intrusive_reduce(fom, V)
-        res = exact_opinf(fom, V, spec.degree_set, spec.n_u, dt, scale=spec.state_scale)
+        res = exact_opinf(fom, V, dt, scale=spec.state_scale)
         err = relative_operator_error(res.operator, ref)
         A1 = res.operator.degree_block(1)
         A2 = res.operator.degree_block(2)
@@ -52,7 +52,7 @@ def main():
         total = np.linalg.norm(res.operator.matrix)
         if scale <= 1e-12 * total:
             scale = total
-        energy = energy_violation(A2, n) / scale
+        energy = energy_violation(A2) / scale
         print(
             f"{n:>3} {err:>14.3e} {energy:>10.2e} "
             f"{symmetry_violation(A1):>10.2e} {diffusion_spectrum(A1).min():>10.2e}"

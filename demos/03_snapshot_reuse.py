@@ -15,7 +15,6 @@ from exactopinf import (
     generate_ensemble,
     infer,
     intrusive_reduce,
-    rank_ensuring_pairs,
     relative_operator_error,
     from_dense_operators,
 )
@@ -32,7 +31,7 @@ def main():
     V = np.linalg.qr(rng.standard_normal((N, 6)))[0]
     dt = 0.01
 
-    ensemble = generate_ensemble(fom, V[:, :1], rank_ensuring_pairs(1, degrees, 0), dt)
+    ensemble = generate_ensemble(fom, V[:, :1], dt)
     total_runs = ensemble.size
     print(f"{'n':>3} {'ensemble':>9} {'new runs':>9} {'operator err':>14}")
     for n in range(1, 7):

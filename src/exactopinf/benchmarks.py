@@ -116,9 +116,12 @@ SPECS = {spec.name: spec for spec in (CHAFEE_INFANTE, SHALLOW_ICE, BURGERS)}
 def parse_config(path) -> dict:
     """Read ``key = value`` overrides; '#' starts a comment.
 
-    Recognized keys: N, dt, T, c1, c2 (numbers).  Unknown keys raise.
+    Recognized keys: N, dt, T, c1, c2 (numbers).  Unknown keys, a value
+    that is not finite, and a non-positive N, dt or T raise a ``ValueError``
+    naming the line.
     """
     allowed = {"N": int, "dt": float, "T": float, "c1": float, "c2": float}
+    positive = ("N", "dt", "T")
     overrides = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -130,7 +133,11 @@ def parse_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in allowed:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = allowed[key](value)
+            number = allowed[key](value)
+            if not (math.isfinite(number) and (number > 0 or key not in positive)):
+                wording = "positive and finite" if key in positive else "finite"
+                raise ValueError(f"{path}:{lineno}: {key} must be {wording}, got {value!r}")
+            overrides[key] = number
     return overrides
 
 

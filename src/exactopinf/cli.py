@@ -11,9 +11,10 @@ diagnose     Structure and accuracy metrics of an operator CSV.
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
 machine-readable JSON failure list on stdout), 2 invalid input or settings
 (a missing or unreadable input file, a file schema violation, a config
-file, an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
-beyond the documented range without --force, a negative --regularization,
-an infer --n beyond the basis, or a pod --n beyond the snapshot count),
+file with an unknown key or an out-of-range value, an unknown benchmark, a
+non-positive --dt, --n or --n-max, an --n-max beyond the documented range
+without --force, a negative --regularization, an infer --n beyond the
+basis, or a pod --n or experiment --n-max beyond the snapshot count),
 3 rank deficiency / singular system.
 """
 
@@ -40,7 +41,6 @@ from .exact_opinf import (
     extend_ensemble,
     generate_ensemble,
     infer,
-    rank_ensuring_pairs,
     standard_opinf,
 )
 from .fom import SnapshotMatrix, simulate
@@ -122,6 +122,9 @@ def cmd_experiment(args) -> int:
     except RankDeficiencyError as exc:
         print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
         return EXIT_RANK
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_SCHEMA
     dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     dt_used = args.dt if args.dt is not None else dt_est
     write_table(
@@ -138,8 +141,7 @@ def cmd_experiment(args) -> int:
     for n in range(1, n_max + 1):
         ref = intrusive_reduce(fom, pod, n)
         if ensemble is None:
-            pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt_used)
+            ensemble = generate_ensemble(fom, pod.matrix(n), dt_used, spec.state_scale)
         else:
             ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
         try:
@@ -147,7 +149,7 @@ def cmd_experiment(args) -> int:
         except SingularDataMatrixError as exc:
             print(json.dumps({"error": "singular-data-matrix", "n": n, "detail": str(exc)}))
             return EXIT_RANK
-        reports.append(build_report(name, n, result.operator, ref, result.cond_P, ensemble.size))
+        reports.append(build_report(name, result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
             inferred_eigs = reports[-1].diffusion_eigenvalues
@@ -249,8 +251,7 @@ def cmd_infer(args) -> int:
                     )
                     return EXIT_SCHEMA
                 V = V[:, : args.n]
-            pairs = rank_ensuring_pairs(V.shape[1], spec.degree_set, spec.n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, V, pairs, args.dt)
+            ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
         result = infer(ensemble)
     except (OSError, SchemaError) as exc:
         print(str(exc), file=sys.stderr)

@@ -72,17 +72,15 @@ def quadratic_tensor(A2: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def energy_violation(A2: np.ndarray, n: int) -> float:
+def energy_violation(A2: np.ndarray) -> float:
     """Total violation of the energy-preserving triple-symmetry condition.
 
     Builds the evenly-split symmetric coefficient tensor ``h`` of the
-    quadratic block and sums ``|h_ijk + h_jik + h_kji|`` over all index
-    triples.  The quadratic form annihilates the state for every input
-    exactly when this sum vanishes.
+    quadratic block, whose row count is the state dimension, and sums
+    ``|h_ijk + h_jik + h_kji|`` over all index triples.  The quadratic form
+    annihilates the state for every input exactly when this sum vanishes.
     """
-    h = quadratic_tensor(A2, n)
-    if h.shape[0] != n:
-        raise ValueError("quadratic block must be square in its output dimension")
+    h = quadratic_tensor(A2, np.shape(A2)[0])
     total = h + h.transpose(1, 0, 2) + h.transpose(2, 1, 0)
     return float(np.sum(np.abs(total)))
 
@@ -99,7 +97,7 @@ def scaled_energy_violation(operator: AggregatedOperator) -> float:
     total_norm = np.linalg.norm(operator.matrix)
     if norm <= 1e-12 * total_norm:
         norm = total_norm
-    return float(energy_violation(A2, operator.basis.n) / norm) if norm > 0 else 0.0
+    return float(energy_violation(A2) / norm) if norm > 0 else 0.0
 
 
 def symmetry_violation(A1: np.ndarray) -> float:
@@ -151,7 +149,6 @@ class DiagnosticsReport:
 
 def build_report(
     benchmark: str,
-    n: int,
     inferred: AggregatedOperator,
     reference: AggregatedOperator,
     cond_P: float,
@@ -172,7 +169,7 @@ def build_report(
         spectrum = diffusion_spectrum(inferred.degree_block(1))
     return DiagnosticsReport(
         benchmark=benchmark,
-        n=n,
+        n=basis.n,
         relative_operator_error=relative_operator_error(inferred, reference),
         cond_P=cond_P,
         ensemble_size=ensemble_size,

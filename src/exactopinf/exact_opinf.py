@@ -161,51 +161,37 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     return 1.0 / rate
 
 
-def _lift(pair: RankEnsuringPair, V: np.ndarray) -> np.ndarray:
-    """Full-order start state of a pair.
+def _build_ensemble(
+    fom: PolynomialFOM, V: np.ndarray, dt: float, scale: float, known: dict
+) -> SnapshotEnsemble:
+    """The ensemble of the rank-ensuring pairs of ``V``'s width and the model.
 
-    A state pair lifts to the basis columns its provenance names, added in
-    that order, times its scale; degree-0 and input pairs start at zero.
-    Unlike ``V @ pair.state``, whose rounding depends on how BLAS blocks the
-    sum over all ``n`` columns, this does not depend on how many columns
-    ``V`` has, so a step reused after the basis grows is bitwise the step a
-    fresh ensemble takes.
+    A pair whose provenance ``known`` maps to a full-order quotient takes
+    that quotient; every other pair is lifted and stepped once.  A state
+    pair lifts to the basis columns its provenance names, added in that
+    order, times its scale; degree-0 and input pairs start at zero.  Unlike
+    ``V @ pair.state``, whose rounding depends on how BLAS blocks the sum
+    over all ``n`` columns, this does not depend on how many columns ``V``
+    has, so a step reused after the basis grows is bitwise the step a fresh
+    ensemble takes.
     """
-    x = np.zeros(V.shape[0])
-    if pair.provenance[0] == "state":
-        for j in pair.provenance[2]:
-            x += V[:, j - 1]
-        x *= pair.scale
-    return x
-
-
-def _step_pairs(fom, V, pairs, dt, indices, quotients) -> None:
-    """Step each pair named by ``indices`` once, into ``quotients[:, s]``."""
-    for s in indices:
-        pair = pairs[s]
-        x0 = _lift(pair, V)
+    basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
+    pairs = tuple(rank_ensuring_pairs(basis.n, basis.degree_set, basis.n_u, scale))
+    quotients = np.empty((fom.dimension, len(pairs)))
+    for s, pair in enumerate(pairs):
+        if pair.provenance in known:
+            quotients[:, s] = known[pair.provenance]
+            continue
+        x0 = np.zeros(V.shape[0])
+        if pair.provenance[0] == "state":
+            for j in pair.provenance[2]:
+                x0 += V[:, j - 1]
+            x0 *= scale
         try:
             x1 = explicit_euler_step(fom, x0, pair.inp, dt)
         except Exception as exc:
             raise RuntimeError(f"single step failed for pair {pair.provenance}: {exc}") from exc
         quotients[:, s] = (x1 - x0) / dt
-
-
-def generate_ensemble(fom: PolynomialFOM, V, pairs, dt: float) -> SnapshotEnsemble:
-    """Run one explicit Euler step per pair and collect the inference data.
-
-    Each pair is lifted to the full order with the basis (see :func:`_lift`),
-    stepped once, and the difference quotient projected back.
-    """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    V = basis_matrix(V)
-    n = V.shape[1]
-    degrees = fom.degree_set
-    basis = MonomialBasis(n=n, degree_set=degrees, n_u=fom.n_u)
-    pairs = tuple(pairs)
-    quotients = np.empty((fom.dimension, len(pairs)))
-    _step_pairs(fom, V, pairs, dt, range(len(pairs)), quotients)
 
     return SnapshotEnsemble(
         basis=basis,
@@ -216,6 +202,19 @@ def generate_ensemble(fom: PolynomialFOM, V, pairs, dt: float) -> SnapshotEnsemb
         fom_quotients=quotients,
         V=V,
     )
+
+
+def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
+    """Run one explicit Euler step per rank-ensuring pair and collect the data.
+
+    The pairs are :func:`rank_ensuring_pairs` of the basis width and the
+    model's degree set and input count, at amplitude ``scale``.  Each is
+    lifted to the full order with the basis, stepped once, and the
+    difference quotient projected back.
+    """
+    if dt <= 0:
+        raise ValueError("time step must be positive")
+    return _build_ensemble(fom, basis_matrix(V), dt, scale, known={})
 
 
 def solve_square(P, B) -> np.ndarray:
@@ -264,32 +263,22 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     return InferenceResult(operator=operator, cond_P=cond, residual=residual)
 
 
-def exact_opinf(
-    fom: PolynomialFOM,
-    V,
-    degree_set,
-    n_u: int,
-    dt: float,
-    scale: float = 1.0,
-) -> InferenceResult:
+def exact_opinf(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> InferenceResult:
     """Generate the minimal single-step ensemble and solve for the operator.
 
     ``scale`` is the state amplitude of :func:`rank_ensuring_pairs`.
     """
-    V = basis_matrix(V)
-    pairs = rank_ensuring_pairs(V.shape[1], degree_set, n_u, scale)
-    ensemble = generate_ensemble(fom, V, pairs, dt)
-    return infer(ensemble)
+    return infer(generate_ensemble(fom, V, dt, scale))
 
 
 def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> SnapshotEnsemble:
     """Grow an ensemble to a larger reduced dimension, reusing old steps.
 
-    Every pair of the smaller dimension also occurs at the larger one, at
-    the same scale (its state zero-padded and lifted by the same leading
-    basis columns), so its full-order step is reused verbatim; only the
-    genuinely new pairs are simulated.  The extended basis must agree with
-    the old one on its leading columns.
+    Every pair of the smaller dimension also occurs at the larger one, under
+    the same provenance and at the same scale (its state zero-padded and
+    lifted by the same leading basis columns), so its full-order step is
+    reused verbatim; only the genuinely new pairs are simulated.  The
+    extended basis must agree with the old one on its leading columns.
     """
     if old.fom_quotients is None or old.V is None:
         raise ValueError("ensemble lacks full-order data; regenerate it from the model")
@@ -300,36 +289,8 @@ def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> Snapsh
         raise ValueError(f"extended dimension {n_plus} must exceed {n_old}")
     if np.max(np.abs(V_plus[:, :n_old] - old.V)) > 1e-14:
         raise ValueError("extended basis does not match the original leading columns")
-
-    old_column = {(pair.provenance, pair.scale): s for s, pair in enumerate(old.pairs)}
-    pairs = tuple(
-        rank_ensuring_pairs(n_plus, old.basis.degree_set, old.basis.n_u, old.scale)
-    )
-    quotients = np.empty((fom.dimension, len(pairs)))
-    new_indices = []
-    for s, pair in enumerate(pairs):
-        key = (pair.provenance, pair.scale)
-        if pair.provenance[0] == "state":
-            # a state pair exists at the old dimension iff no index exceeds it
-            reusable = all(j <= n_old for j in pair.provenance[2])
-        else:
-            reusable = True
-        if reusable and key in old_column:
-            quotients[:, s] = old.fom_quotients[:, old_column[key]]
-        else:
-            new_indices.append(s)
-    _step_pairs(fom, V_plus, pairs, old.dt, new_indices, quotients)
-
-    basis = MonomialBasis(n=n_plus, degree_set=old.basis.degree_set, n_u=old.basis.n_u)
-    return SnapshotEnsemble(
-        basis=basis,
-        pairs=pairs,
-        dt=old.dt,
-        P=pair_feature_matrix(pairs, basis),
-        derivatives=V_plus.T @ quotients,
-        fom_quotients=quotients,
-        V=V_plus,
-    )
+    known = {pair.provenance: q for pair, q in zip(old.pairs, old.fom_quotients.T)}
+    return _build_ensemble(fom, V_plus, old.dt, old.scale, known)
 
 
 @dataclass(frozen=True)

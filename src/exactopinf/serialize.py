@@ -166,7 +166,8 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
         basis = MonomialBasis(
             n=field("n", (int,)), degree_set=tuple(degree_set), n_u=field("n_u", (int,))
         )
-    except ValueError as exc:
+        basis.n_f  # a feature count beyond 64 bits raises OverflowError
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{sidecar_file}: {exc}") from None
     values = {key: float(field(key, (int, float), default)) for key, default in numbers.items()}
     return basis, values

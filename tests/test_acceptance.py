@@ -77,8 +77,7 @@ def _sweep(data, n_values):
     ensemble = None
     for n in n_values:
         if ensemble is None:
-            pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
-            ensemble = generate_ensemble(fom, pod.matrix(n), pairs, dt)
+            ensemble = generate_ensemble(fom, pod.matrix(n), dt, spec.state_scale)
         else:
             ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
         res = infer(ensemble)
@@ -132,7 +131,7 @@ def test_criterion_2_burgers_exact_and_structured(burgers_sweep):
     worst_spec_diff = 0.0
     for n, r in burgers_sweep.items():
         worst_err = max(worst_err, relative_operator_error(r["inferred"], r["intrusive"]))
-        rep = build_report("burgers", n, r["inferred"], r["intrusive"], r["cond_P"], r["size"])
+        rep = build_report("burgers", r["inferred"], r["intrusive"], r["cond_P"], r["size"])
         worst_energy = max(worst_energy, rep.energy_violation)
         worst_sym = max(worst_sym, rep.symmetry_violation)
         eig_inf = diffusion_spectrum(r["inferred"].degree_block(1))
@@ -277,7 +276,7 @@ def test_criterion_7_randomized_exactness_and_baseline_gap():
             ref = intrusive_reduce(fom, V)
             norm = np.linalg.norm(ref.matrix, 2)
             dt = 1.0 / norm if norm > 0 else 1.0
-            res = exact_opinf(fom, V, degrees, n_u, dt)
+            res = exact_opinf(fom, V, dt)
             err_exact = relative_operator_error(res.operator, ref)
             worst_exact = max(worst_exact, err_exact)
             exact_ok = exact_ok and err_exact < 1e-10
@@ -316,20 +315,10 @@ def test_criterion_8_nested_ensemble_reuse(chafee_data, burgers_data, ice_data):
         fom = data["fom"]
         pod = data["pod"]
         dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
-        ensemble = generate_ensemble(
-            fom,
-            pod.matrix(spec.n_sweep[0]),
-            rank_ensuring_pairs(spec.n_sweep[0], spec.degree_set, spec.n_u, spec.state_scale),
-            dt,
-        )
+        ensemble = generate_ensemble(fom, pod.matrix(spec.n_sweep[0]), dt, spec.state_scale)
         for n in spec.n_sweep[1:]:
             ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
-            fresh = generate_ensemble(
-                fom,
-                pod.matrix(n),
-                rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale),
-                dt,
-            )
+            fresh = generate_ensemble(fom, pod.matrix(n), dt, spec.state_scale)
             a = infer(ensemble).operator.matrix
             b = infer(fresh).operator.matrix
             worst = max(worst, float(np.linalg.norm(a - b) / np.linalg.norm(b)))

@@ -13,7 +13,6 @@ from exactopinf.exact_opinf import (
     exact_opinf,
     generate_ensemble,
     infer,
-    rank_ensuring_pairs,
 )
 from exactopinf.fom import SnapshotMatrix, from_dense_operators, simulate
 from exactopinf.galerkin import intrusive_reduce
@@ -114,7 +113,7 @@ class TestInferCommand:
             }
         )
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
-        ens = generate_ensemble(fom, V, rank_ensuring_pairs(n, (1, 2), 0), 0.01)
+        ens = generate_ensemble(fom, V, 0.01)
         epath = tmp_path / "ens.csv"
         write_ensemble(ens, epath)
         opath = tmp_path / "op.csv"
@@ -138,10 +137,7 @@ class TestInferCommand:
              "--n", "5", "--dt", str(dt), "--out", str(opath)]
         )
         assert code == 0
-        ref = exact_opinf(
-            burgers_data["fom"], pod.matrix(5), spec.degree_set, spec.n_u, dt,
-            scale=spec.state_scale,
-        )
+        ref = exact_opinf(burgers_data["fom"], pod.matrix(5), dt, scale=spec.state_scale)
         np.testing.assert_array_equal(
             read_operator(opath).matrix, ref.operator.matrix
         )
@@ -177,7 +173,7 @@ class TestInferCommand:
 
     def test_bad_pair_tag_exit_code(self, rng, tmp_path, capsys):
         fom = from_dense_operators({1: rng.standard_normal((4, 4))})
-        ens = generate_ensemble(fom, np.eye(4)[:, :2], rank_ensuring_pairs(2, (1,)), 0.01)
+        ens = generate_ensemble(fom, np.eye(4)[:, :2], 0.01)
         epath = tmp_path / "ens.csv"
         write_ensemble(ens, epath)
         epath.write_text(epath.read_text().replace("state,1:1,", "state,x:1,"))
@@ -194,7 +190,7 @@ class TestInferCommand:
 
     def test_sidecar_without_dt_exit_code(self, rng, tmp_path, capsys):
         fom = from_dense_operators({1: rng.standard_normal((4, 4))})
-        ens = generate_ensemble(fom, np.eye(4)[:, :2], rank_ensuring_pairs(2, (1,)), 0.01)
+        ens = generate_ensemble(fom, np.eye(4)[:, :2], 0.01)
         epath = tmp_path / "ens.csv"
         write_ensemble(ens, epath)
         sidecar = tmp_path / "ens.csv.json"
@@ -295,13 +291,10 @@ class TestDiagnoseCommand:
         spec = chafee_data["spec"]
         pod = chafee_data["pod"]
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
-        result = exact_opinf(
-            chafee_data["fom"], pod.matrix(n), spec.degree_set, spec.n_u, dt,
-            scale=spec.state_scale,
-        )
+        result = exact_opinf(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
         ref = intrusive_reduce(chafee_data["fom"], pod, n)
         expected = build_report(
-            "chafee_infante", n, result.operator, ref, result.cond_P, n
+            "chafee_infante", result.operator, ref, result.cond_P, n
         ).energy_violation
         from exactopinf.serialize import write_operator
 
@@ -392,6 +385,34 @@ class TestExperimentCommand:
              "--out", str(tmp_path / "r"), "--config", str(cfg)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["dt = -1", "N = 0", "dt = nan", "T = 0", "T = inf", "c1 = nan", "c2 = -inf"],
+    )
+    def test_out_of_range_config_value_exit_code(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"# override\n{text}\n")
+        out = tmp_path / "r"
+        code = main(
+            ["experiment", "burgers", "--n-max", "2", "--out", str(out), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert f"{cfg}:2: {text.split()[0]} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_n_max_beyond_snapshots_exit_code(self, tmp_path, capsys):
+        # T = 0.01 at dt = 1e-4 gives 101 snapshot columns, fewer than 200
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T = 0.01\n")
+        out = tmp_path / "r"
+        code = main(
+            ["experiment", "burgers", "--n-max", "200", "--force", "--out", str(out),
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "n_max must be in 1..101" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_baseline_errors_written(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -86,13 +86,13 @@ class TestQuadraticTensor:
 
 class TestEnergyViolation:
     def test_zero_block(self):
-        assert energy_violation(np.zeros((2, 3)), 2) == 0.0
+        assert energy_violation(np.zeros((2, 3))) == 0.0
 
     def test_sqrt2_style_example(self):
         # single nonzero entry h_111 = 1 gives |3 h_111| = 3
         A2 = np.zeros((1, 1))
         A2[0, 0] = 1.0
-        assert energy_violation(A2, 1) == pytest.approx(3.0)
+        assert energy_violation(A2) == pytest.approx(3.0)
 
     def test_projected_skew_form_vanishes(self, rng):
         # oracle: quadratic forms built from skew matrices annihilate the state
@@ -117,7 +117,7 @@ class TestEnergyViolation:
         for _ in range(5):
             x = rng.standard_normal(n)
             assert abs(x @ (A2 @ compress_state(x, 2))) < 1e-12
-        assert energy_violation(A2, n) < 1e-12
+        assert energy_violation(A2) < 1e-12
 
     def test_representation_invariance(self, rng):
         # the violation only depends on the bilinear form, not on how the
@@ -142,7 +142,7 @@ class TestEnergyViolation:
         skew = skew - skew.transpose(0, 2, 1)  # cancels on the diagonal action
         A2_alt = block_from(h + skew)
         np.testing.assert_allclose(A2, A2_alt, rtol=1e-12)
-        assert energy_violation(A2, n) == pytest.approx(energy_violation(A2_alt, n))
+        assert energy_violation(A2) == pytest.approx(energy_violation(A2_alt))
 
 
 class TestSymmetryViolation:
@@ -174,7 +174,7 @@ class TestBuildReport:
     def test_report_fields(self, rng):
         basis = MonomialBasis(n=2, degree_set=(1, 2))
         ref = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 5)))
-        rep = build_report("demo", 2, ref, ref, 12.5, 5)
+        rep = build_report("demo", ref, ref, 12.5, 5)
         assert rep.relative_operator_error == 0.0
         assert rep.cond_P == 12.5
         assert rep.ensemble_size == 5
@@ -190,7 +190,7 @@ class TestBuildReport:
         ]:
             basis = MonomialBasis(n=2, degree_set=degrees)
             op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, basis.n_f)))
-            rep = build_report("demo", 2, op, op, 1.0, basis.n_f)
+            rep = build_report("demo", op, op, 1.0, basis.n_f)
             metrics = rep.metrics()
             assert set(metrics) == {"relative_operator_error"} | names
             if degrees == (1, 2):
@@ -205,5 +205,5 @@ class TestBuildReport:
         basis = MonomialBasis(n=1, degree_set=(1, 2))
         M = np.array([[10.0, 1e-16]])
         op = AggregatedOperator(basis=basis, matrix=M)
-        rep = build_report("demo", 1, op, op, 1.0, 2)
+        rep = build_report("demo", op, op, 1.0, 2)
         assert rep.energy_violation < 1e-12

@@ -194,7 +194,7 @@ class TestEstimateDt:
 class TestGenerateEnsemble:
     def test_zero_rhs_zero_derivatives(self):
         fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros(3))
-        ens = generate_ensemble(fom, np.eye(3), rank_ensuring_pairs(3, (1,), 0), 0.1)
+        ens = generate_ensemble(fom, np.eye(3), 0.1)
         np.testing.assert_array_equal(ens.derivatives, np.zeros((3, 3)))
 
     def test_dt_cancels_for_polynomial_rhs(self, rng):
@@ -202,18 +202,16 @@ class TestGenerateEnsemble:
         N = 4
         A1 = rng.standard_normal((N, N))
         fom = from_dense_operators({1: A1})
-        pairs = rank_ensuring_pairs(N, (1,), 0)
         for dt in (1e-3, 1.0, 1e3):
-            ens = generate_ensemble(fom, np.eye(N), pairs, dt)
+            ens = generate_ensemble(fom, np.eye(N), dt)
             np.testing.assert_allclose(ens.derivatives[:, 0], A1[:, 0], rtol=1e-12)
 
     def test_quotients_match_rhs_oracle(self, rng):
         N, n = 6, 3
         fom = random_dense_fom(rng, N, (1, 2))
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
-        pairs = rank_ensuring_pairs(n, (1, 2), 0)
-        ens = generate_ensemble(fom, V, pairs, 1e-3)
-        for s, pair in enumerate(pairs):
+        ens = generate_ensemble(fom, V, 1e-3)
+        for s, pair in enumerate(ens.pairs):
             expected = V.T @ eval_rhs(fom, V @ pair.state, None)
             scale = np.linalg.norm(expected)
             np.testing.assert_allclose(
@@ -226,11 +224,22 @@ class TestGenerateEnsemble:
             dimension=5, degree_set=(1, 2), n_u=2, rhs=lambda x, u: np.zeros(5)
         )
         V = np.eye(5)[:, :3]
-        ens = generate_ensemble(
-            fom, V, rank_ensuring_pairs(3, (1, 2), 2), 1.0
-        )
+        ens = generate_ensemble(fom, V, 1.0)
         assert ens.size == ens_basis.n_f
         assert ens.P.shape == (ens_basis.n_f, ens_basis.n_f)
+
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
+    def test_pairs_follow_model_and_basis(self, rng, scale):
+        fom = random_dense_fom(rng, 6, (0, 1, 3), n_u=1)
+        V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        ens = generate_ensemble(fom, V, 0.1, scale)
+        expected = rank_ensuring_pairs(V.shape[1], fom.degree_set, fom.n_u, scale)
+        assert [p.provenance for p in ens.pairs] == [p.provenance for p in expected]
+        assert [p.scale for p in ens.pairs] == [scale] * len(expected)
+        for got, want in zip(ens.pairs, expected):
+            np.testing.assert_array_equal(got.state, want.state)
+            np.testing.assert_array_equal(got.inp, want.inp)
+        assert ens.pairs[-1].provenance == ("input", 1)
 
 
 class TestSolveSquare:
@@ -301,7 +310,7 @@ class TestInfer:
             }
         )
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
-        ens = generate_ensemble(fom, V, rank_ensuring_pairs(n, degrees, 0, scale), 0.1)
+        ens = generate_ensemble(fom, V, 0.1, scale)
         lu, _ = scipy.linalg.lu_factor(ens.P.T)
         assert np.min(np.abs(np.diag(lu))) < 1e-14 * np.max(np.abs(ens.P))
         res = infer(ens)
@@ -311,7 +320,7 @@ class TestInfer:
         # degree set {0} with no inputs: P = [1], recover the constant column
         c = np.array([2.0, -1.0, 0.5])
         fom = from_dense_operators({0: c.reshape(3, 1)})
-        res = exact_opinf(fom, np.eye(3), (0,), 0, 1.0)
+        res = exact_opinf(fom, np.eye(3), 1.0)
         np.testing.assert_allclose(res.operator.matrix[:, 0], c, rtol=1e-14)
 
 
@@ -321,14 +330,14 @@ class TestExactRecovery:
         fom = random_dense_fom(rng, N, (0, 1, 2), n_u=2)
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ref = intrusive_reduce(fom, V)
-        res = exact_opinf(fom, V, fom.degree_set, 2, 1e-2)
+        res = exact_opinf(fom, V, 1e-2)
         assert relative_operator_error(res.operator, ref) < 1e-11
 
     def test_zero_fom(self):
         fom = PolynomialFOM(
             dimension=4, degree_set=(1, 2), n_u=0, rhs=lambda x, u: np.zeros(4)
         )
-        res = exact_opinf(fom, np.eye(4)[:, :2], (1, 2), 0, 1.0)
+        res = exact_opinf(fom, np.eye(4)[:, :2], 1.0)
         np.testing.assert_allclose(res.operator.matrix, 0.0, atol=1e-15)
 
     def test_dt_invariance(self, rng):
@@ -337,8 +346,8 @@ class TestExactRecovery:
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ref = intrusive_reduce(fom, V)
         scale = 1.0 / np.linalg.norm(ref.matrix, 2)
-        a = exact_opinf(fom, V, (1, 2), 0, scale)
-        b = exact_opinf(fom, V, (1, 2), 0, 10 * scale)
+        a = exact_opinf(fom, V, scale)
+        b = exact_opinf(fom, V, 10 * scale)
         rel = np.linalg.norm(a.operator.matrix - b.operator.matrix) / np.linalg.norm(
             a.operator.matrix
         )
@@ -359,7 +368,7 @@ class TestExactRecovery:
             ref = intrusive_reduce(fom, V)
             norm = np.linalg.norm(ref.matrix, 2)
             dt = 1.0 / norm if norm > 0 else 1.0
-            res = exact_opinf(fom, V, fom.degree_set, n_u, dt)
+            res = exact_opinf(fom, V, dt)
             err_exact = relative_operator_error(res.operator, ref)
             assert err_exact < 1e-10, f"case {case}: exact inference error {err_exact}"
 
@@ -411,7 +420,7 @@ class TestExtendEnsemble:
         counted = PolynomialFOM(
             dimension=5, degree_set=(1,), n_u=0, rhs=counting_rhs,
         )
-        ens1 = generate_ensemble(counted, V[:, :1], rank_ensuring_pairs(1, (1,), 0), 0.1)
+        ens1 = generate_ensemble(counted, V[:, :1], 0.1)
         before = counter["calls"]
         assert before == 1
         extend_ensemble(ens1, counted, V[:, :2])
@@ -429,7 +438,7 @@ class TestExtendEnsemble:
             n_u=0,
             rhs=lambda x, u: (counter.__setitem__("calls", counter["calls"] + 1), original_rhs(x, u))[1],
         )
-        ens2 = generate_ensemble(counted, V[:, :2], rank_ensuring_pairs(2, (1, 2), 0), 0.1)
+        ens2 = generate_ensemble(counted, V[:, :2], 0.1)
         assert counter["calls"] == 5
         ens3 = extend_ensemble(ens2, counted, V)
         assert counter["calls"] == 5 + 4  # 9 pairs at n=3, reuses 5
@@ -438,9 +447,9 @@ class TestExtendEnsemble:
     def test_extension_equals_fresh_inference(self, rng):
         fom = random_dense_fom(rng, 8, (1, 2), n_u=1)
         V = np.linalg.qr(rng.standard_normal((8, 4)))[0]
-        ens3 = generate_ensemble(fom, V[:, :3], rank_ensuring_pairs(3, (1, 2), 1), 0.05)
+        ens3 = generate_ensemble(fom, V[:, :3], 0.05)
         grown = extend_ensemble(ens3, fom, V)
-        fresh = generate_ensemble(fom, V, rank_ensuring_pairs(4, (1, 2), 1), 0.05)
+        fresh = generate_ensemble(fom, V, 0.05)
         a = infer(grown).operator.matrix
         b = infer(fresh).operator.matrix
         assert np.max(np.abs(a - b)) < 1e-12
@@ -457,16 +466,16 @@ class TestExtendEnsemble:
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
         n = 5 - grow
-        small = generate_ensemble(fom, V[:, :n], rank_ensuring_pairs(n, degrees, 1, scale), 0.01)
+        small = generate_ensemble(fom, V[:, :n], 0.01, scale)
         grown = extend_ensemble(small, fom, V)
-        fresh = generate_ensemble(fom, V, rank_ensuring_pairs(5, degrees, 1, scale), 0.01)
+        fresh = generate_ensemble(fom, V, 0.01, scale)
         assert grown.scale == scale
         assert np.array_equal(grown.fom_quotients, fresh.fom_quotients)
 
     def test_mismatched_basis_rejected(self, rng):
         fom = random_dense_fom(rng, 5, (1,))
         V = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-        ens = generate_ensemble(fom, V[:, :2], rank_ensuring_pairs(2, (1,), 0), 0.1)
+        ens = generate_ensemble(fom, V[:, :2], 0.1)
         W = V.copy()
         W[:, 0] = -W[:, 0]
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exactopinf.exact_opinf import generate_ensemble, infer, rank_ensuring_pairs
+from exactopinf.exact_opinf import generate_ensemble, infer
 from exactopinf.fom import SnapshotMatrix, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator
 from exactopinf.pod import PodBasis, pod_basis
@@ -143,6 +143,7 @@ class TestOperator:
             '{"n": 2, "degree_set": ["1"], "n_u": 0}',
             '{"n": 2, "degree_set": [1], "n_u": true}',
             '{"n": 0, "degree_set": [1], "n_u": 0}',
+            '{"n": 1000000, "degree_set": [40], "n_u": 0}',
         ],
         ids=[
             "malformed",
@@ -152,6 +153,7 @@ class TestOperator:
             "string-degree",
             "bool-n_u",
             "zero-n",
+            "feature-count-overflow",
         ],
     )
     def test_bad_sidecar_rejected(self, text, rng, tmp_path):
@@ -186,7 +188,7 @@ class TestEnsemble:
             rng.standard_normal((N, 1)),
         )
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
-        return generate_ensemble(fom, V, rank_ensuring_pairs(n, (1, 2), 1, scale), 0.01)
+        return generate_ensemble(fom, V, 0.01, scale)
 
     def test_round_trip_bit_exact(self, rng, tmp_path):
         ens = self._make_ensemble(rng)
