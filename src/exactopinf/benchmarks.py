@@ -116,9 +116,9 @@ SPECS = {spec.name: spec for spec in (CHAFEE_INFANTE, SHALLOW_ICE, BURGERS)}
 def parse_config(path) -> dict:
     """Read ``key = value`` overrides; '#' starts a comment.
 
-    Recognized keys: N, dt, T, c1, c2 (numbers).  Unknown keys, a value
-    that is not finite, and a non-positive N, dt or T raise a ``ValueError``
-    naming the line.
+    Recognized keys: N (an integer), dt, T, c1, c2 (numbers).  Unknown
+    keys, a value that does not parse or is not finite, and a non-positive
+    N, dt or T raise a ``ValueError`` naming the line.
     """
     allowed = {"N": int, "dt": float, "T": float, "c1": float, "c2": float}
     positive = ("N", "dt", "T")
@@ -133,7 +133,13 @@ def parse_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in allowed:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            number = allowed[key](value)
+            try:
+                number = allowed[key](value)
+            except ValueError:
+                wording = "an integer" if allowed[key] is int else "a number"
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be {wording}, got {value!r}"
+                ) from None
             if not (math.isfinite(number) and (number > 0 or key not in positive)):
                 wording = "positive and finite" if key in positive else "finite"
                 raise ValueError(f"{path}:{lineno}: {key} must be {wording}, got {value!r}")

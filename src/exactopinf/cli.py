@@ -14,7 +14,8 @@ machine-readable JSON failure list on stdout), 2 invalid input or settings
 file with an unknown key or an out-of-range value, an unknown benchmark, a
 non-positive --dt, --n or --n-max, an --n-max beyond the documented range
 without --force, a negative --regularization, an infer --n beyond the
-basis, or a pod --n or experiment --n-max beyond the snapshot count),
+basis, a pod --n or experiment --n-max beyond the snapshot count, or an
+experiment trajectory too short or too flat to estimate a time step),
 3 rank deficiency / singular system.
 """
 
@@ -119,13 +120,13 @@ def cmd_experiment(args) -> int:
     snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
     try:
         pod = pod_basis(snaps, n_max)
+        dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     except RankDeficiencyError as exc:
         print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
         return EXIT_RANK
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
-    dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     dt_used = args.dt if args.dt is not None else dt_est
     write_table(
         out / "dt_estimate.csv",

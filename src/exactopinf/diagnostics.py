@@ -40,7 +40,9 @@ def rank_and_condition(P) -> tuple[int, float]:
     SVD itself leaves an exactly singular matrix a smallest singular value
     of that order, not zero.  The condition number ``sigma_1 / sigma_min``
     is infinite when any of the ``min(P.shape)`` singular values counts as
-    zero.  A zero or empty matrix has rank 0.
+    zero.  A zero or empty matrix has rank 0.  The least-squares baseline
+    needs the rank of its rectangular ``P``; the square ``P`` of ``infer``
+    takes its condition number from its LU instead, with the same cutoff.
     """
     P = np.asarray(P, dtype=float)
     svals = np.linalg.svd(P, compute_uv=False)

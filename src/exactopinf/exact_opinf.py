@@ -217,15 +217,11 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     return _build_ensemble(fom, basis_matrix(V), dt, scale, known={})
 
 
-def solve_square(P, B) -> np.ndarray:
-    """The ``X`` with ``X @ P = B`` for a square, invertible ``P``.
+def _factor_square(P):
+    """The LU factors of ``P.T`` for a square ``P``.
 
-    Factors ``P.T`` once by LU with partial pivoting and solves for every
-    row of ``B`` (or for ``B`` itself, a vector).  A pivot at or below
-    ``1e-14`` times the largest entry of its own row of ``P`` trips the
-    singularity guard.  Rescaling a row rescales its pivot alike, so the
-    guard gives the same verdict for ``P`` and for the ``diag(c^i) P`` of
-    states scaled by ``c``.
+    Raises ``SingularDataMatrixError`` when a pivot trips the guard
+    described in :func:`solve_square`.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -236,7 +232,98 @@ def solve_square(P, B) -> np.ndarray:
             "numerically singular data matrix; the generated states guarantee "
             "invertibility, so check degree set and basis consistency"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(B, dtype=float).T).T
+    return lu, piv
+
+
+def solve_square(P, B) -> np.ndarray:
+    """The ``X`` with ``X @ P = B`` for a square, invertible ``P``.
+
+    Factors ``P.T`` once by LU with partial pivoting and solves for every
+    row of ``B`` (or for ``B`` itself, a vector).  A pivot at or below
+    ``1e-14`` times the largest entry of its own row of ``P`` trips the
+    singularity guard.  Rescaling a row rescales its pivot alike, so the
+    guard gives the same verdict for ``P`` and for the ``diag(c^i) P`` of
+    states scaled by ``c``.
+    """
+    factors = _factor_square(P)
+    return scipy.linalg.lu_solve(factors, np.asarray(B, dtype=float).T).T
+
+
+def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np.inf) -> float:
+    """``sigma_max`` of the ``size x size`` operator ``x -> apply(x)``.
+
+    Golub-Kahan-Lanczos bidiagonalization (``A V_k = U_k B_k``, ``B_k``
+    upper bidiagonal) with both Krylov bases fully reorthogonalized, from a
+    fixed pseudo-random start vector.  The top Ritz triplet ``(sigma, U y,
+    V z)`` of ``B_k`` has residual ``beta_k |y_k|``; the iteration stops
+    when that is at most ``1e-14 sigma``, or after ``size`` steps, where the
+    bidiagonalization is complete and ``sigma`` exact.  A diagonal entry
+    ``alpha_k`` of ``B_k`` is a lower bound of ``sigma_max``; once one is not
+    below ``limit`` it is returned at once.  Only the vectors of the steps
+    taken are kept.  Norms are BLAS ``nrm2``, which does not overflow on
+    entries whose squares would.
+    """
+
+    def norm(x):
+        return scipy.linalg.norm(x, check_finite=False)
+
+    v = np.random.default_rng(0).standard_normal(size)
+    V, U, alphas, betas = [v / norm(v)], [], [], []
+    for _ in range(size):
+        u = _reorthogonalize(apply(V[-1]) - (betas[-1] * U[-1] if U else 0.0), U)
+        alphas.append(norm(u))
+        if not alphas[-1] < limit:
+            return float(alphas[-1])
+        U.append(u / alphas[-1])
+        v = _reorthogonalize(apply_transpose(U[-1]) - alphas[-1] * V[-1], V)
+        betas.append(norm(v))
+        # B B^T of the bidiagonal scaled to unit largest entry, so squaring
+        # neither overflows nor underflows
+        scale = max(alphas)
+        B = (np.diag(alphas) + np.diag(betas[:-1], 1)) / scale
+        eigenvalues, Y = np.linalg.eigh(B @ B.T)
+        sigma = scale * np.sqrt(eigenvalues[-1])
+        if betas[-1] * abs(Y[-1, -1]) <= 1e-14 * sigma:
+            break
+        V.append(v / betas[-1])
+    return float(sigma)
+
+
+def _reorthogonalize(w, basis):
+    """``w`` with its components along the orthonormal ``basis`` removed
+    (two classical Gram-Schmidt passes)."""
+    if basis:
+        Q = np.array(basis)
+        for _ in range(2):
+            w = w - Q.T @ (Q @ w)
+    return w
+
+
+def _condition_number(P, factors) -> float:
+    """Spectral condition number ``sigma_max(P) sigma_max(P^-1)`` of a square ``P``.
+
+    ``factors`` is the LU of ``P.T`` from :func:`_factor_square`.
+    :func:`_largest_singular_value` runs on ``P / max|P|`` by products and
+    on its inverse by ``lu_solve``; the scaling leaves the product unchanged
+    and puts the first factor in ``[1, size]``.  As in
+    :func:`~exactopinf.diagnostics.rank_and_condition`, a smallest singular
+    value at or below ``max(P.shape) * eps * sigma_max`` counts as zero and
+    makes the condition number infinite; the inverse's run stops as soon
+    as that is certain, before its vectors can overflow.
+    """
+    size = P.shape[0]
+    m = np.max(np.abs(P))
+    sigma_max = _largest_singular_value(lambda x: (P @ x) / m, lambda y: (y @ P) / m, size)
+    cutoff = max(P.shape) * np.finfo(float).eps * sigma_max
+    inverse_max = _largest_singular_value(
+        lambda x: m * scipy.linalg.lu_solve(factors, x, trans=1),
+        lambda y: m * scipy.linalg.lu_solve(factors, y),
+        size,
+        limit=1.0 / cutoff,
+    )
+    if not 1.0 / inverse_max > cutoff:
+        return float("inf")
+    return sigma_max * inverse_max
 
 
 @dataclass(frozen=True)
@@ -251,13 +338,17 @@ class InferenceResult:
 def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     """Solve the square linear system defined by the ensemble.
 
-    The operator rows come from one :func:`solve_square`.  The condition
-    number of the feature matrix is computed by SVD (see
-    :func:`rank_and_condition`) and attached to the result.
+    ``P`` is factored once, by the LU and pivot guard of
+    :func:`solve_square`.  Those factors give the operator rows and the
+    spectral condition number ``cond_P = sigma_max(P) sigma_max(P^-1)``:
+    each factor is the largest singular value from a Golub-Kahan-Lanczos
+    bidiagonalization, of ``P`` by products and of ``P^-1`` by LU solves
+    (see :func:`_condition_number`).  No SVD of ``P`` is computed.
     """
-    P = ensemble.P
-    O = solve_square(P, ensemble.derivatives)
-    _, cond = rank_and_condition(P)
+    P = np.asarray(ensemble.P, dtype=float)
+    factors = _factor_square(P)
+    O = scipy.linalg.lu_solve(factors, np.asarray(ensemble.derivatives, dtype=float).T).T
+    cond = _condition_number(P, factors)
     residual = float(np.linalg.norm(O @ P - ensemble.derivatives))
     operator = AggregatedOperator(basis=ensemble.basis, matrix=O)
     return InferenceResult(operator=operator, cond_P=cond, residual=residual)

@@ -388,7 +388,17 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["dt = -1", "N = 0", "dt = nan", "T = 0", "T = inf", "c1 = nan", "c2 = -inf"],
+        [
+            "dt = -1",
+            "N = 0",
+            "dt = nan",
+            "T = 0",
+            "T = inf",
+            "c1 = nan",
+            "c2 = -inf",
+            "N = 1.5",
+            "dt = abc",
+        ],
     )
     def test_out_of_range_config_value_exit_code(self, text, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -400,6 +410,27 @@ class TestExperimentCommand:
         assert code == 2
         assert f"{cfg}:2: {text.split()[0]} must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # K_pod rounds to 0: a one-column trajectory
+            ("T = 1e-6", "need at least two snapshot columns"),
+            # one grid point: the periodic differences vanish
+            ("N = 1", "trajectory is constant"),
+        ],
+    )
+    def test_no_step_size_estimate_exit_code(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{text}\n")
+        out = tmp_path / "r"
+        code = main(
+            ["experiment", "burgers", "--n-max", "1", "--out", str(out), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg, out]
+        assert list(out.iterdir()) == []
 
     def test_n_max_beyond_snapshots_exit_code(self, tmp_path, capsys):
         # T = 0.01 at dt = 1e-4 gives 101 snapshot columns, fewer than 200

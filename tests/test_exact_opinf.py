@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from exactopinf.diagnostics import relative_operator_error
+from exactopinf.benchmarks import CHAFEE_INFANTE, SPECS
+from exactopinf.diagnostics import rank_and_condition, relative_operator_error
 from exactopinf.exact_opinf import (
     SingularDataMatrixError,
     SnapshotEnsemble,
@@ -322,6 +323,88 @@ class TestInfer:
         fom = from_dense_operators({0: c.reshape(3, 1)})
         res = exact_opinf(fom, np.eye(3), 1.0)
         np.testing.assert_allclose(res.operator.matrix[:, 0], c, rtol=1e-14)
+
+
+def _square_ensemble(P, basis):
+    """An ensemble with feature matrix ``P`` and zero derivatives."""
+    return SnapshotEnsemble(
+        basis=basis,
+        pairs=tuple(rank_ensuring_pairs(basis.n, basis.degree_set, basis.n_u)),
+        dt=1.0,
+        P=P,
+        derivatives=np.zeros((basis.n, basis.n_f)),
+    )
+
+
+def _pair_matrix_cases():
+    """``(spec, n)`` for every ``n`` of the three sweeps, and Chafee-Infante at 24."""
+    cases = [(spec, n) for spec in SPECS.values() for n in spec.n_sweep]
+    cases.append((CHAFEE_INFANTE, 24))
+    return [pytest.param(spec, n, id=f"{spec.name}-{n}") for spec, n in cases]
+
+
+class TestConditionNumber:
+    """``infer``'s ``cond_P`` (Lanczos on ``P`` and ``P^-1`` through the LU)
+    against the singular values of ``P``."""
+
+    @pytest.mark.parametrize("spec, n", _pair_matrix_cases())
+    def test_matches_svd_on_pair_matrices(self, spec, n):
+        basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
+        pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
+        P = pair_feature_matrix(pairs, basis)
+        cond = infer(_square_ensemble(P, basis)).cond_P
+        assert cond == pytest.approx(rank_and_condition(P)[1], rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            *(np.random.default_rng(n_f).standard_normal((n_f, n_f)) for n_f in (1, 2, 4)),
+            WORKED_EXAMPLE_P,
+            # the estimate runs on P / max|P|, so a tiny scale is harmless
+            np.array([[-1e-200]]),
+        ],
+        ids=["random-1", "random-2", "random-4", "worked-example", "scale-1e-200"],
+    )
+    def test_matches_svd_on_tiny_matrices(self, P):
+        basis = MonomialBasis(n=P.shape[0], degree_set=(1,))
+        cond = infer(_square_ensemble(P, basis)).cond_P
+        assert cond == pytest.approx(rank_and_condition(P)[1], rel=1e-8)
+
+    @pytest.mark.parametrize("small", [1e-20, 1e-200])
+    def test_numerically_singular_is_infinite(self, small):
+        # every pivot is its own row's largest entry, so the guard passes;
+        # sigma_min is below the 2 * eps * sigma_max cutoff (at 1e-200 the
+        # inverse's vectors would overflow a sum of squares)
+        P = np.diag([1.0, small])
+        basis = MonomialBasis(n=2, degree_set=(1,))
+        assert rank_and_condition(P)[1] == np.inf
+        assert infer(_square_ensemble(P, basis)).cond_P == np.inf
+
+    def test_deterministic(self):
+        spec = CHAFEE_INFANTE
+        basis = MonomialBasis(n=6, degree_set=spec.degree_set, n_u=spec.n_u)
+        P = pair_feature_matrix(rank_ensuring_pairs(6, spec.degree_set, spec.n_u), basis)
+        first = infer(_square_ensemble(P, basis)).cond_P
+        second = infer(_square_ensemble(P, basis)).cond_P
+        assert np.array_equal(first, second)
+
+    def test_one_factorization_and_no_svd(self, monkeypatch):
+        factorizations = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting_lu_factor(a, *args, **kwargs):
+            factorizations.append(np.shape(a))
+            return lu_factor(a, *args, **kwargs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("infer computed an SVD")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu_factor)
+        for module, name in [(np.linalg, "svd"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals")]:
+            monkeypatch.setattr(module, name, no_svd)
+        basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
+        infer(_square_ensemble(WORKED_EXAMPLE_P, basis))
+        assert factorizations == [(7, 7)]
 
 
 class TestExactRecovery:

@@ -1,7 +1,11 @@
 """Package hygiene: modules use each other's public names only, the CLI
-names no benchmark, and one module holds the dense square solve."""
+names no benchmark, one module holds the dense square solve, and importing
+the package leaves the sparse solvers unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from exactopinf.benchmarks import SPECS
@@ -55,3 +59,17 @@ def test_only_exact_opinf_imports_scipy_linalg():
         }
     )
     assert importers == ["exact_opinf.py"]
+
+
+def test_import_does_not_load_sparse_linalg():
+    # fom imports spsolve only inside the sparse Newton branch, and the
+    # condition-number estimate needs no scipy.sparse.linalg solver
+    code = (
+        "import sys, exactopinf, exactopinf.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
