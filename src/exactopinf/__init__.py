@@ -32,7 +32,6 @@ from .exact_opinf import (
     standard_opinf,
 )
 from .fom import (
-    InputSignal,
     PolynomialFOM,
     SnapshotMatrix,
     eval_rhs,

@@ -2,10 +2,10 @@
 
 Each builder takes its spec and returns ``(fom, signal, x0)``: a
 :class:`~exactopinf.fom.PolynomialFOM` with both black-box and structured
-(multilinear) access, the input signal (``None`` without inputs) and the
-initial condition.  Each spec also declares the bounds ``exactopinf
-experiment`` checks.  Parameters can be overridden through a plain key-value
-config file for sensitivity studies.
+(multilinear) access, the input signal as a function ``t -> u`` (``None``
+without inputs) and the initial condition.  Each spec also declares the
+bounds ``exactopinf experiment`` checks.  Parameters can be overridden
+through a plain key-value config file for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fom import InputSignal, PolynomialFOM
+from .fom import PolynomialFOM
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
         multilinear=multilinear,
         input_map=lambda u: B @ u,
     )
-    signal = InputSignal(evaluate=lambda t: np.array([10.0 * (math.sin(math.pi * t) + 1.0)]), n_u=1)
+    signal = lambda t: np.array([10.0 * (math.sin(math.pi * t) + 1.0)])
     x0 = np.zeros(N)
     return fom, signal, x0
 

@@ -10,8 +10,9 @@ diagnose     Structure and accuracy metrics of an operator CSV.
 
 Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
 machine-readable JSON failure list on stdout), 2 invalid input or settings
-(a missing or unreadable input file, a file schema violation, a config
-file with an unknown key or an out-of-range value, an unknown benchmark, a
+(a missing or unreadable input file, a file schema violation such as a
+non-finite number or repeated snapshot times, a config file with an
+unknown key or an out-of-range value, an unknown benchmark, a
 non-positive --dt, --n or --n-max, an --n-max beyond the documented range
 without --force, a negative --regularization, an infer --n beyond the
 basis, a pod --n or experiment --n-max beyond the snapshot count, or an
@@ -140,11 +141,12 @@ def cmd_experiment(args) -> int:
     baseline_rows = []
     ensemble = None
     for n in range(1, n_max + 1):
-        ref = intrusive_reduce(fom, pod, n)
+        V = pod.matrix(n)
+        ref = intrusive_reduce(fom, V)
         if ensemble is None:
-            ensemble = generate_ensemble(fom, pod.matrix(n), dt_used, spec.state_scale)
+            ensemble = generate_ensemble(fom, V, dt_used, spec.state_scale)
         else:
-            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
+            ensemble = extend_ensemble(ensemble, fom, V)
         try:
             result = infer(ensemble)
         except SingularDataMatrixError as exc:
@@ -160,7 +162,7 @@ def cmd_experiment(args) -> int:
                 )
         if args.baseline:
             reduced = SnapshotMatrix(
-                states=pod.matrix(n).T @ snaps.states,
+                states=V.T @ snaps.states,
                 times=snaps.times,
                 inputs=snaps.inputs,
             )

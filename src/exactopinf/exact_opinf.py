@@ -18,7 +18,7 @@ import scipy.linalg
 from .diagnostics import rank_and_condition
 from .fom import PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
-from .pod import PodBasis, basis_matrix
+from .pod import PodBasis
 from .tensor_poly import MonomialBasis, enumerate_monomials, feature_matrix
 
 
@@ -207,14 +207,14 @@ def _build_ensemble(
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
     """Run one explicit Euler step per rank-ensuring pair and collect the data.
 
-    The pairs are :func:`rank_ensuring_pairs` of the basis width and the
-    model's degree set and input count, at amplitude ``scale``.  Each is
-    lifted to the full order with the basis, stepped once, and the
-    difference quotient projected back.
+    The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n)
+    basis array ``V`` and the model's degree set and input count, at
+    amplitude ``scale``.  Each is lifted to the full order with ``V``,
+    stepped once, and the difference quotient projected back.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    return _build_ensemble(fom, basis_matrix(V), dt, scale, known={})
+    return _build_ensemble(fom, V, dt, scale, known={})
 
 
 def _factor_square(P):
@@ -227,7 +227,8 @@ def _factor_square(P):
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"matrix must be square, got shape {P.shape}")
     lu, piv = scipy.linalg.lu_factor(P.T)
-    if np.any(np.abs(np.diag(lu)) <= 1e-14 * np.max(np.abs(P), axis=1)):
+    row_max = np.maximum(P.max(axis=1), -P.min(axis=1))  # no |P| as large as P
+    if np.any(np.abs(np.diag(lu)) <= 1e-14 * row_max):
         raise SingularDataMatrixError(
             "numerically singular data matrix; the generated states guarantee "
             "invertibility, so check degree set and basis consistency"
@@ -312,7 +313,7 @@ def _condition_number(P, factors) -> float:
     as that is certain, before its vectors can overflow.
     """
     size = P.shape[0]
-    m = np.max(np.abs(P))
+    m = max(P.max(), -P.min())
     sigma_max = _largest_singular_value(lambda x: (P @ x) / m, lambda y: (y @ P) / m, size)
     cutoff = max(P.shape) * np.finfo(float).eps * sigma_max
     inverse_max = _largest_singular_value(
@@ -369,11 +370,10 @@ def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> Snapsh
     the same provenance and at the same scale (its state zero-padded and
     lifted by the same leading basis columns), so its full-order step is
     reused verbatim; only the genuinely new pairs are simulated.  The
-    extended basis must agree with the old one on its leading columns.
+    extended basis array must agree with the old one on its leading columns.
     """
     if old.fom_quotients is None or old.V is None:
         raise ValueError("ensemble lacks full-order data; regenerate it from the model")
-    V_plus = basis_matrix(V_plus)
     n_old = old.V.shape[1]
     n_plus = V_plus.shape[1]
     if n_plus <= n_old:

@@ -4,7 +4,8 @@ A model is represented by a black-box right-hand side (all that inference
 needs) plus optional structured access: symmetric multilinear maps, one per
 polynomial degree, and a linear input map.  The structured access is what
 intrusive reduction consumes; it is cross-checked against the black box via
-polarization.
+polarization.  An input signal is a plain function ``t -> u`` that
+:func:`simulate` holds constant over each time step.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .tensor_poly import compress_state, monomial_index_array
+
+NEWTON_TOL = 1e-10  # implicit Euler's Newton residual tolerance, times 1 + ||x||
+NEWTON_MAX_ITER = 50
 
 
 class NonFiniteStateError(RuntimeError):
@@ -59,25 +63,6 @@ class PolynomialFOM:
 
     def __post_init__(self):
         object.__setattr__(self, "degree_set", tuple(sorted(set(self.degree_set))))
-
-
-@dataclass(frozen=True)
-class InputSignal:
-    """Time-dependent input ``t -> u(t)``, held constant over each time step.
-
-    Integrators sample the signal at the left endpoint of every step
-    (zero-order hold).
-    """
-
-    evaluate: Callable[[float], np.ndarray]
-    n_u: int
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.evaluate(t), dtype=float))
-
-
-def zero_signal(n_u: int) -> InputSignal:
-    return InputSignal(evaluate=lambda t: np.zeros(n_u), n_u=n_u)
 
 
 @dataclass(frozen=True)
@@ -161,29 +146,22 @@ def _solve_shifted(Jf, dt: float, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(Jf.shape[0]) - dt * Jf, r)
 
 
-def implicit_euler_step(
-    fom: PolynomialFOM,
-    x,
-    u,
-    dt: float,
-    newton_tol: float = 1e-10,
-    newton_max_iter: int = 50,
-) -> np.ndarray:
+def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One implicit Euler step: solve ``y = x + dt * f(y, u)`` by Newton.
 
     Each Newton iteration solves ``(I - dt * J) d = r`` with ``J`` from
     ``fom.jacobian`` when the model has one, and from forward finite
     differences (dense) otherwise.  A ``scipy.sparse`` ``J`` is solved with a
     sparse LU, a dense one with a dense LU.  Raises :class:`NewtonError` when
-    the residual norm does not drop below ``newton_tol * (1 + ||x||)`` within
-    ``newton_max_iter`` iterations.
+    the residual norm does not drop below ``NEWTON_TOL * (1 + ||x||)`` within
+    ``NEWTON_MAX_ITER`` iterations.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
     x = np.asarray(x, dtype=float)
-    tol = newton_tol * (1.0 + np.linalg.norm(x))
+    tol = NEWTON_TOL * (1.0 + np.linalg.norm(x))
     y = x.copy()
-    for _ in range(newton_max_iter + 1):
+    for _ in range(NEWTON_MAX_ITER + 1):
         f = eval_rhs(fom, y, u)
         residual = y - x - dt * f
         res_norm = np.linalg.norm(residual)
@@ -195,7 +173,7 @@ def implicit_euler_step(
             Jf = _fd_jacobian(fom, y, u, f)
         y = y - _solve_shifted(Jf, dt, residual)
     raise NewtonError(
-        f"Newton did not converge in {newton_max_iter} iterations "
+        f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last residual {res_norm:.3e})",
         residual_norm=res_norm,
     )
@@ -204,34 +182,33 @@ def implicit_euler_step(
 def simulate(
     fom: PolynomialFOM,
     x0,
-    signal: InputSignal | None,
+    signal: Callable[[float], np.ndarray] | None,
     dt: float,
     K: int,
     scheme: str = "explicit_euler",
 ) -> SnapshotMatrix:
     """Integrate ``K`` uniform steps of size ``dt`` from ``x0``.
 
-    Inputs are sampled at the left endpoint of each step; the returned
+    ``signal`` maps ``t`` to the input (``None``: zero input); it is sampled
+    once per time stamp and held over the step from there.  The returned
     matrix holds ``K + 1`` columns including the initial state.
     """
     if scheme not in ("explicit_euler", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if signal is None:
-        signal = zero_signal(fom.n_u)
-    x0 = np.asarray(x0, dtype=float)
+        signal = lambda t: np.zeros(fom.n_u)
     states = np.empty((fom.dimension, K + 1))
     inputs = np.empty((fom.n_u, K + 1))
     times = dt * np.arange(K + 1)
     states[:, 0] = x0
-    inputs[:, 0] = signal(0.0)
     step = explicit_euler_step if scheme == "explicit_euler" else implicit_euler_step
     for k in range(K):
         u = signal(times[k])
-        inputs[:, k] = u
         try:
             states[:, k + 1] = step(fom, states[:, k], u, dt)
         except (NonFiniteStateError, NewtonError) as exc:
             raise type(exc)(f"step {k} failed: {exc}") from exc
+        inputs[:, k] = u
     inputs[:, K] = signal(times[K])
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 

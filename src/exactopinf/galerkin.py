@@ -1,4 +1,4 @@
-"""Intrusive reduction onto an orthonormal basis.
+"""Intrusive reduction onto an orthonormal basis, given as an (N, n) array.
 
 The reduced right-hand side is a single matrix acting on the feature vector
 of the reduced state and input.  Reduction never materializes the
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fom import PolynomialFOM
-from .pod import basis_matrix
 from .tensor_poly import MonomialBasis, enumerate_monomials, multiplicity
 
 
@@ -57,8 +56,8 @@ class MissingMultilinearAccess(ValueError):
     """Intrusive reduction needs structured operator access."""
 
 
-def intrusive_reduce(fom: PolynomialFOM, V, n: int | None = None) -> AggregatedOperator:
-    """Project the model onto the basis ``V`` using its multilinear maps.
+def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
+    """Project the model onto the basis array ``V`` using its multilinear maps.
 
     The column for a monomial with index tuple ``(j_1, ..., j_i)`` is the
     projected multilinear map evaluated on the corresponding basis columns,
@@ -66,7 +65,6 @@ def intrusive_reduce(fom: PolynomialFOM, V, n: int | None = None) -> AggregatedO
     accounts for the repeated cross terms of the full Kronecker power that
     the compressed monomial carries only once.
     """
-    V = basis_matrix(V, n)
     n = V.shape[1]
     if fom.multilinear is None:
         raise MissingMultilinearAccess(

@@ -36,21 +36,8 @@ class PodBasis:
         return self.V if n is None else self.V[:, :n]
 
 
-def basis_matrix(V, n: int | None = None) -> np.ndarray:
-    """The first ``n`` columns (all by default) of a basis as a float array.
-
-    ``V`` is a :class:`PodBasis` or anything array-like.
-    """
-    if isinstance(V, PodBasis):
-        V = V.matrix(n)
-    V = np.asarray(V, dtype=float)
-    if n is not None:
-        V = V[:, :n]
-    return V
-
-
-def pod_basis(snapshots: SnapshotMatrix | np.ndarray, n_max: int) -> PodBasis:
-    """Leading left singular vectors of the raw state matrix.
+def pod_basis(snapshots: SnapshotMatrix, n_max: int) -> PodBasis:
+    """Leading left singular vectors of the snapshots' raw state matrix.
 
     No mean subtraction and no quadrature weighting are applied.  Each
     column's sign is fixed so that its entry of largest magnitude (lowest
@@ -58,7 +45,7 @@ def pod_basis(snapshots: SnapshotMatrix | np.ndarray, n_max: int) -> PodBasis:
     Singular values below ``1e-13 * sigma_1`` count as zero; asking for more
     columns than the numerical rank raises :class:`RankDeficiencyError`.
     """
-    X = snapshots.states if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots, dtype=float)
+    X = snapshots.states
     if n_max < 1 or n_max > min(X.shape):
         raise ValueError(f"n_max must be in 1..{min(X.shape)}, got {n_max}")
     U, s, _ = np.linalg.svd(X, full_matrices=False)

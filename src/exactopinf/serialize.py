@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ def _read_table(path, kind, text_fields=0, width=None):
     """Column names, leading text fields and float values of a versioned CSV.
 
     Checks the header line, ``width`` columns (when given), one field per
-    column on every row and a float in every field after the first
+    column on every row and a finite float in every field after the first
     ``text_fields``; a violation raises :class:`SchemaError` with its line.
     Data row ``k`` is on line ``k + 3``.
     """
@@ -83,6 +84,8 @@ def _read_table(path, kind, text_fields=0, width=None):
                 values.append([float(v) for v in row[text_fields:]])
             except ValueError as exc:
                 raise SchemaError(f"{path}: {exc}", line=lineno) from None
+            if not all(map(math.isfinite, values[-1])):
+                raise SchemaError(f"{path}: non-finite number", line=lineno)
             texts.append(row[:text_fields])
     if not values:
         raise SchemaError(f"{path}: no data rows", line=3)
@@ -110,9 +113,12 @@ def read_snapshots(path) -> SnapshotMatrix:
     N = sum(1 for name in header if name.startswith("x_"))
     if 1 + n_u + N != len(header):
         raise SchemaError(f"{path}: unrecognized columns in {header}", line=2)
-    return SnapshotMatrix(
-        states=values[:, 1 + n_u :].T, times=values[:, 0], inputs=values[:, 1 : 1 + n_u].T
-    )
+    try:
+        return SnapshotMatrix(
+            states=values[:, 1 + n_u :].T, times=values[:, 0], inputs=values[:, 1 : 1 + n_u].T
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_basis(basis: PodBasis, path, singular_values_path):
@@ -192,7 +198,10 @@ def read_operator(path) -> AggregatedOperator:
             f"{path}: matrix shape {matrix.shape} does not match sidecar layout "
             f"({basis.n}, {basis.n_f})"
         )
-    return AggregatedOperator(basis=basis, matrix=matrix)
+    try:
+        return AggregatedOperator(basis=basis, matrix=matrix)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_ensemble(ensemble: SnapshotEnsemble, path):

@@ -77,21 +77,23 @@ def compress_state(x, i: int) -> np.ndarray:
     return compress_states(x[:, None], i)[:, 0]
 
 
-def compress_states(X, i: int) -> np.ndarray:
+def compress_states(X, i: int, out=None) -> np.ndarray:
     """Compressed degree-``i`` powers of the columns of an (n, K) matrix.
 
-    The package's one monomial-product kernel.  It multiplies the entries
-    named by one index slot at a time into a block of ones, so each entry is
-    the product of its ``i`` factors taken left to right, and degree 0 is
-    the empty product, a row of ones.
+    The package's one monomial-product kernel.  It fills ``out`` (a new
+    array by default; :func:`feature_matrix` passes its degree block) with
+    ones and multiplies in the entries named by one index slot at a time, so
+    each entry is the product of its ``i`` factors taken left to right, and
+    degree 0 is the empty product, a row of ones.
     """
     X = np.asarray(X, dtype=float)
     n, K = X.shape
     idx = monomial_index_array(n, i)
-    block = np.ones((idx.shape[0], K))
+    out = np.empty((idx.shape[0], K)) if out is None else out
+    out[...] = 1.0
     for slot in idx.T:
-        block *= X[slot]
-    return block
+        out *= X[slot]
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,6 @@ def feature_matrix(basis: MonomialBasis, X, U=None) -> np.ndarray:
         raise ValueError(f"inputs have shape {U.shape}, expected ({basis.n_u}, {K})")
     P = np.empty((basis.n_f, K))
     for i in basis.degree_set:
-        P[basis.degree_slice(i)] = compress_states(X, i)
+        compress_states(X, i, out=P[basis.degree_slice(i)])
     P[basis.input_slice] = U
     return P

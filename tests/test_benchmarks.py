@@ -98,9 +98,8 @@ class TestChafeeInfante:
 
     def test_input_signal(self):
         _, signal, _ = build_chafee_infante()
-        assert signal.n_u == 1
-        assert signal.evaluate(0.0)[0] == pytest.approx(10.0)
-        assert signal.evaluate(0.5)[0] == pytest.approx(20.0)
+        assert signal(0.0)[0] == pytest.approx(10.0)
+        assert signal(0.5)[0] == pytest.approx(20.0)
 
     def test_trajectory_amplitude_pin(self, chafee_data):
         # regression pin on this discretization's own simulation

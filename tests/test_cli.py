@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exactopinf.benchmarks import BURGERS, build_burgers
+from exactopinf.benchmarks import BURGERS, CHAFEE_INFANTE, build_burgers
 from exactopinf.cli import main
 from exactopinf.diagnostics import build_report, relative_operator_error
 from exactopinf.exact_opinf import (
@@ -22,6 +22,7 @@ from exactopinf.serialize import (
     read_operator,
     write_basis,
     write_ensemble,
+    write_operator,
     write_snapshots,
 )
 from exactopinf.tensor_poly import monomial_count
@@ -54,10 +55,8 @@ class TestPodCommand:
     def test_matches_library(self, rng, tmp_path):
         X = rng.standard_normal((20, 50))
         path = tmp_path / "snaps.csv"
-        write_snapshots(
-            SnapshotMatrix(states=X, times=np.arange(50.0), inputs=np.zeros((0, 50))),
-            path,
-        )
+        snaps = SnapshotMatrix(states=X, times=np.arange(50.0), inputs=np.zeros((0, 50)))
+        write_snapshots(snaps, path)
         vpath = tmp_path / "V.csv"
         spath = tmp_path / "sv.csv"
         assert main(
@@ -65,7 +64,7 @@ class TestPodCommand:
              "--out-basis", str(vpath), "--out-singular-values", str(spath)]
         ) == 0
         back = read_basis(vpath, spath)
-        ref = pod_basis(X, 6)
+        ref = pod_basis(snaps, 6)
         np.testing.assert_array_equal(back.V, ref.V)
         np.testing.assert_array_equal(back.singular_values, ref.singular_values)
 
@@ -263,11 +262,70 @@ def test_missing_input_file_exit_code(argv, tmp_path, monkeypatch, capsys):
     assert "MISSING.csv" in capsys.readouterr().err
 
 
+def _write_valid_inputs(rng):
+    """A Chafee-Infante-sized basis V.csv, and a small model's ensemble E.csv,
+    its operator OP.csv and REF.csv, and identity snapshots S.csv, in the
+    working directory."""
+    V = np.eye(CHAFEE_INFANTE.N)[:, :2]
+    write_basis(PodBasis(V=V, singular_values=np.ones(2)), "V.csv", "SV.csv")
+    fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+    ens = generate_ensemble(fom, np.eye(4)[:, :2], 0.01)
+    write_ensemble(ens, "E.csv")
+    op = infer(ens).operator
+    write_operator(op, "OP.csv")
+    write_operator(op, "REF.csv")
+    write_snapshots(
+        SnapshotMatrix(states=np.eye(4), times=np.arange(4.0), inputs=np.zeros((0, 4))), "S.csv"
+    )
+
+
+def _set_field(path, row, column, text):
+    """Replace one field of data row ``row`` (line ``row + 3``) of a CSV."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    fields = lines[row + 2].split(",")
+    fields[column] = text
+    lines[row + 2] = ",".join(fields)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
+POD_ARGV = ["pod", "S.csv", "--n", "1", "--out-basis", "B.csv", "--out-singular-values", "W.csv"]
+
+
+@pytest.mark.parametrize(
+    "bad, row, column, text, argv",
+    [
+        ("V.csv", 5, 1, "nan",
+         ["infer", "--benchmark", "chafee-infante", "--basis", "V.csv", "--dt", "1e-5",
+          "--out", "OUT.csv"]),
+        ("E.csv", 0, -1, "nan", ["infer", "--ensemble", "E.csv", "--out", "OUT.csv"]),
+        ("OP.csv", 1, 0, "inf", ["diagnose", "OP.csv", "--out", "OUT.json"]),
+        ("OP.csv", 1, 0, "-inf",
+         ["diagnose", "REF.csv", "--reference", "OP.csv", "--out", "OUT.json"]),
+        ("S.csv", 1, 0, "0", POD_ARGV),
+        ("S.csv", 1, 2, "nan", POD_ARGV),
+    ],
+    ids=["basis-nan", "ensemble-nan", "operator-inf", "reference-inf", "repeated-time",
+         "snapshot-nan"],
+)
+def test_bad_file_content_exit_code(bad, row, column, text, argv, rng, tmp_path, monkeypatch,
+                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_valid_inputs(rng)
+    _set_field(bad, row, column, text)
+    files = sorted(tmp_path.iterdir())
+    code = main(argv)
+    assert code == 2
+    assert bad in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == files
+
+
 class TestDiagnoseCommand:
     def test_report_fields(self, rng, tmp_path, capsys):
         fom, _, x0 = build_burgers()
         V = pod_basis(simulate(fom, x0, None, BURGERS.dt_pod, 200), 3)
-        red = intrusive_reduce(fom, V, 3)
+        red = intrusive_reduce(fom, V.matrix(3))
         from exactopinf.serialize import write_operator
 
         opath = tmp_path / "op.csv"
@@ -292,7 +350,7 @@ class TestDiagnoseCommand:
         pod = chafee_data["pod"]
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
         result = exact_opinf(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
-        ref = intrusive_reduce(chafee_data["fom"], pod, n)
+        ref = intrusive_reduce(chafee_data["fom"], pod.matrix(n))
         expected = build_report(
             "chafee_infante", result.operator, ref, result.cond_P, n
         ).energy_violation

@@ -1,5 +1,7 @@
 """Single-step ensembles and the square inference solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -406,6 +408,20 @@ class TestConditionNumber:
         infer(_square_ensemble(WORKED_EXAMPLE_P, basis))
         assert factorizations == [(7, 7)]
 
+    def test_peak_memory_is_P_and_its_LU(self):
+        # the LU copy of P is 1.0 x P.nbytes; a temporary |P| would be another
+        spec, n = CHAFEE_INFANTE, 14
+        basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
+        P = pair_feature_matrix(rank_ensuring_pairs(n, spec.degree_set, spec.n_u), basis)
+        ensemble = _square_ensemble(P, basis)
+        tracemalloc.start()
+        try:
+            infer(ensemble)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * P.nbytes
+
 
 class TestExactRecovery:
     def test_random_dense_fom_with_inputs(self, rng):
@@ -459,16 +475,12 @@ class TestExactRecovery:
             x0 = 0.1 * rng.standard_normal(N)
             signal = None
             if n_u:
-                from exactopinf.fom import InputSignal
-
                 freq = rng.uniform(0.5, 2.0, size=n_u)
 
                 def make(freq):
                     return lambda t: 0.1 * np.sin(freq * t)
 
-                signal = InputSignal(
-                    evaluate=lambda t, f=freq: 0.1 * np.sin(f * t), n_u=n_u
-                )
+                signal = lambda t, f=freq: 0.1 * np.sin(f * t)
             try:
                 snaps = simulate(fom, x0, signal, 1e-2, 200)
             except Exception:

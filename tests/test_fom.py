@@ -1,7 +1,6 @@
 """Full-order models: evaluation, integration, and black-box structure probes."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import scipy.sparse as sp
 
 from exactopinf.benchmarks import SHALLOW_ICE, apply_overrides, build_shallow_ice
 from exactopinf.fom import (
-    InputSignal,
     NewtonError,
     NonFiniteStateError,
     PolynomialFOM,
@@ -21,7 +19,6 @@ from exactopinf.fom import (
     implicit_euler_step,
     polarize,
     simulate,
-    zero_signal,
 )
 from exactopinf.tensor_poly import compress_state, monomial_count
 
@@ -217,11 +214,30 @@ class TestSimulate:
             return np.array([t])
 
         fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=1, rhs=lambda x, u: u)
-        signal = InputSignal(evaluate=u_of_t, n_u=1)
-        snaps = simulate(fom, np.zeros(1), signal, 1.0, 3)
+        snaps = simulate(fom, np.zeros(1), u_of_t, 1.0, 3)
         # explicit Euler with zero-order hold: x_{k+1} = x_k + dt*u(t_k)
         np.testing.assert_allclose(snaps.states[0], [0.0, 0.0, 1.0, 3.0], atol=1e-14)
         np.testing.assert_allclose(snaps.inputs[0], [0.0, 1.0, 2.0, 3.0], atol=1e-14)
+
+    def test_signal_none_and_wrong_length(self):
+        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=2, rhs=lambda x, u: u[:1])
+        snaps = simulate(fom, np.ones(1), None, 0.5, 3)
+        np.testing.assert_array_equal(snaps.inputs, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="input has shape"):
+            simulate(fom, np.ones(1), lambda t: np.ones(3), 0.5, 3)
+        with pytest.raises(ValueError, match="input has shape"):
+            simulate(fom, np.ones(1), lambda t: np.ones(1), 0.5, 3)
+
+    def test_signal_sampled_once_per_time_stamp(self):
+        seen = []
+
+        def u_of_t(t):
+            seen.append(float(t))
+            return np.array([t])
+
+        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=1, rhs=lambda x, u: u)
+        simulate(fom, np.zeros(1), u_of_t, 0.5, 4)
+        assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_step_index(self):
@@ -331,8 +347,3 @@ class TestFromDenseOperators:
     def test_shape_check(self, rng):
         with pytest.raises(ValueError):
             from_dense_operators({2: rng.standard_normal((3, 5))})
-
-    def test_zero_signal(self):
-        signal = zero_signal(2)
-        np.testing.assert_array_equal(signal(3.7), np.zeros(2))
-        assert math.isclose(signal(0.0).sum(), 0.0)

@@ -76,11 +76,6 @@ class TestIntrusiveReduce:
         with pytest.raises(MissingMultilinearAccess):
             intrusive_reduce(fom, np.eye(2))
 
-    def test_pod_basis_argument(self, burgers_data):
-        a = intrusive_reduce(burgers_data["fom"], burgers_data["pod"], 3)
-        b = intrusive_reduce(burgers_data["fom"], burgers_data["pod"].matrix(3))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-
     @pytest.mark.parametrize("full", [False, True], ids=["orthonormal", "identity"])
     def test_matches_projected_rhs(self, rng, full):
         # the reduced operator on reduced features is the projected model;

@@ -1,6 +1,7 @@
-"""Package hygiene: modules use each other's public names only, the CLI
-names no benchmark, one module holds the dense square solve, and importing
-the package leaves the sparse solvers unloaded."""
+"""Package hygiene: modules use each other's public names only and read
+every name they import, the CLI names no benchmark, one module holds the
+dense square solve, and importing the package leaves the sparse solvers
+unloaded."""
 
 import ast
 import os
@@ -27,6 +28,26 @@ def test_no_private_cross_module_imports():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export; every other module must read each name
+    # it imports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path.name)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read
+        ]
+    assert unused == []
 
 
 def test_cli_names_no_benchmark():

@@ -95,7 +95,7 @@ class TestSnapshots:
 class TestBasis:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         X = rng.standard_normal((8, 12))
-        basis = pod_basis(X, 4)
+        basis = pod_basis(SnapshotMatrix(states=X, times=np.arange(12.0), inputs=np.zeros((0, 12))), 4)
         vpath = tmp_path / "V.csv"
         spath = tmp_path / "sv.csv"
         write_basis(basis, vpath, spath)
@@ -105,7 +105,7 @@ class TestBasis:
 
     def test_singular_values_header_checked(self, rng, tmp_path):
         X = rng.standard_normal((4, 6))
-        basis = pod_basis(X, 2)
+        basis = pod_basis(SnapshotMatrix(states=X, times=np.arange(6.0), inputs=np.zeros((0, 6))), 2)
         vpath = tmp_path / "V.csv"
         spath = tmp_path / "sv.csv"
         write_basis(basis, vpath, spath)

@@ -145,6 +145,23 @@ class TestCompressState:
             tracemalloc.stop()
         assert peak < 3 * block_bytes
 
+    def test_feature_matrix_writes_blocks_in_place(self, rng):
+        # each degree block is computed inside the result, so assembly holds
+        # the result and one slot's factors, not a second block-sized array
+        basis = MonomialBasis(n=14, degree_set=(1, 2, 3), n_u=1)
+        X = rng.standard_normal((basis.n, basis.n_f))
+        for i in basis.degree_set:
+            monomial_index_array(basis.n, i)  # cached index tables
+        P_bytes = basis.n_f * basis.n_f * 8
+        block_bytes = max(basis.block_sizes) * basis.n_f * 8
+        tracemalloc.start()
+        try:
+            feature_matrix(basis, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= P_bytes + 1.5 * block_bytes
+
 
 class TestMonomialBasis:
     def test_layout_sizes(self):
