@@ -148,9 +148,17 @@ def parse_config(path) -> dict:
 
 
 def apply_overrides(spec: BenchmarkSpec, overrides: dict) -> BenchmarkSpec:
+    """``spec`` with the :func:`parse_config` overrides applied.
+
+    A key whose field ``spec`` leaves ``None`` (``c1``, ``c2`` of a system
+    without those coefficients) raises a ``ValueError`` naming the key:
+    the system's builder would not read it.
+    """
     mapping = {"N": "N", "dt": "dt_pod", "T": "T", "c1": "c1", "c2": "c2"}
-    fields = {mapping[k]: v for k, v in overrides.items()}
-    return replace(spec, **fields)
+    for key in overrides:
+        if getattr(spec, mapping[key]) is None:
+            raise ValueError(f"{spec.name} has no parameter {key!r} to override")
+    return replace(spec, **{mapping[k]: v for k, v in overrides.items()})
 
 
 def build(spec: BenchmarkSpec):

@@ -12,11 +12,13 @@ Exit codes: 0 success (all thresholds pass), 1 threshold failure (with a
 machine-readable JSON failure list on stdout), 2 invalid input or settings
 (a missing or unreadable input file, a file schema violation such as a
 non-finite number or repeated snapshot times, a config file with an
-unknown key or an out-of-range value, an unknown benchmark, a
-non-positive --dt, --n or --n-max, an --n-max beyond the documented range
-without --force, a negative --regularization, an infer --n beyond the
-basis, a pod --n or experiment --n-max beyond the snapshot count, or an
-experiment trajectory too short or too flat to estimate a time step),
+unknown key, a key the benchmark does not use or an out-of-range value,
+an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
+beyond the documented range without --force, a negative
+--regularization, an infer --basis, --n or --dt given with --ensemble,
+an infer --n beyond the basis, a pod --n or experiment --n-max beyond
+the snapshot count, or an experiment trajectory too short or too flat to
+estimate a time step),
 3 rank deficiency / singular system.
 """
 
@@ -152,7 +154,7 @@ def cmd_experiment(args) -> int:
         except SingularDataMatrixError as exc:
             print(json.dumps({"error": "singular-data-matrix", "n": n, "detail": str(exc)}))
             return EXIT_RANK
-        reports.append(build_report(name, result.operator, ref, result.cond_P, ensemble.size))
+        reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
             inferred_eigs = reports[-1].diffusion_eigenvalues
@@ -374,9 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "infer" and args.benchmark is not None:
-        if args.basis is None or args.dt is None:
+    if args.command == "infer":
+        if args.benchmark is not None and (args.basis is None or args.dt is None):
             parser.error("--benchmark requires --basis and --dt")
+        for option in ("basis", "n", "dt"):
+            if args.ensemble is not None and getattr(args, option) is not None:
+                parser.error(f"--{option} cannot be used with --ensemble")
     return args.func(args)
 
 

@@ -1,4 +1,4 @@
-"""Figures of merit: operator errors, conditioning and structure checks."""
+"""Figures of merit: operator errors and structure checks."""
 
 from __future__ import annotations
 
@@ -30,27 +30,6 @@ def block_errors(inferred: AggregatedOperator, reference: AggregatedOperator) ->
     if inferred.basis.n_u:
         errors["input"] = float(np.linalg.norm(inferred.input_block - reference.input_block))
     return errors
-
-
-def rank_and_condition(P) -> tuple[int, float]:
-    """Numerical rank and spectral condition number from one SVD.
-
-    A singular value at or below ``max(P.shape) * eps * sigma_1`` counts as
-    zero (the cutoff of :func:`numpy.linalg.matrix_rank`): rounding in the
-    SVD itself leaves an exactly singular matrix a smallest singular value
-    of that order, not zero.  The condition number ``sigma_1 / sigma_min``
-    is infinite when any of the ``min(P.shape)`` singular values counts as
-    zero.  A zero or empty matrix has rank 0.  The least-squares baseline
-    needs the rank of its rectangular ``P``; the square ``P`` of ``infer``
-    takes its condition number from its LU instead, with the same cutoff.
-    """
-    P = np.asarray(P, dtype=float)
-    svals = np.linalg.svd(P, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        return 0, float("inf")
-    rank = int(np.sum(svals > max(P.shape) * np.finfo(float).eps * svals[0]))
-    cond = float(svals[0] / svals[-1]) if rank == svals.size else float("inf")
-    return rank, cond
 
 
 def quadratic_tensor(A2: np.ndarray, n: int) -> np.ndarray:
@@ -123,9 +102,8 @@ def diffusion_spectrum(A1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Collected metrics for one (system, reduced dimension) combination."""
+    """Collected metrics of one inferred operator against its reference."""
 
-    benchmark: str
     n: int
     relative_operator_error: float
     cond_P: float
@@ -150,7 +128,6 @@ class DiagnosticsReport:
 
 
 def build_report(
-    benchmark: str,
     inferred: AggregatedOperator,
     reference: AggregatedOperator,
     cond_P: float,
@@ -170,7 +147,6 @@ def build_report(
         symmetry = symmetry_violation(inferred.degree_block(1))
         spectrum = diffusion_spectrum(inferred.degree_block(1))
     return DiagnosticsReport(
-        benchmark=benchmark,
         n=basis.n,
         relative_operator_error=relative_operator_error(inferred, reference),
         cond_P=cond_P,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import rank_and_condition
 from .fom import PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
 from .pod import PodBasis
@@ -306,11 +305,13 @@ def _condition_number(P, factors) -> float:
     ``factors`` is the LU of ``P.T`` from :func:`_factor_square`.
     :func:`_largest_singular_value` runs on ``P / max|P|`` by products and
     on its inverse by ``lu_solve``; the scaling leaves the product unchanged
-    and puts the first factor in ``[1, size]``.  As in
-    :func:`~exactopinf.diagnostics.rank_and_condition`, a smallest singular
-    value at or below ``max(P.shape) * eps * sigma_max`` counts as zero and
-    makes the condition number infinite; the inverse's run stops as soon
-    as that is certain, before its vectors can overflow.
+    and puts the first factor in ``[1, size]``.  A smallest singular value
+    at or below ``max(P.shape) * eps * sigma_max`` counts as zero and makes
+    the condition number infinite: the rank cutoff of
+    :func:`numpy.linalg.matrix_rank` and of :func:`numpy.linalg.lstsq` with
+    ``rcond=None``, which :func:`standard_opinf` reads its rank from.  The
+    inverse's run stops as soon as that is certain, before its vectors can
+    overflow.
     """
     size = P.shape[0]
     m = max(P.max(), -P.min())
@@ -405,7 +406,10 @@ def standard_opinf(
     forward difference quotients.  With positive ``regularization`` the
     Tikhonov-shifted normal equations are solved; with zero regularization
     and a rank-deficient feature matrix the minimum-norm solution is
-    returned and flagged.
+    returned and flagged.  The rank and the singular values come from the
+    SVD inside :func:`numpy.linalg.lstsq`, whose ``rcond=None`` cutoff
+    ``max(P.shape) * eps * sigma_1`` is that of :func:`_condition_number`;
+    ``cond_P`` is infinite when the rank is below ``n_f``.
     """
     if regularization < 0:
         raise ValueError("regularization must be non-negative")
@@ -417,17 +421,13 @@ def standard_opinf(
     dXdt = np.diff(X, axis=1) / np.diff(trajectory.times)
     P = feature_matrix(basis, X[:, :-1], trajectory.inputs[:, :-1])
 
-    rank, cond = rank_and_condition(P)
+    O, _, rank, svals = np.linalg.lstsq(P.T, dXdt.T, rcond=None)
     deficient = rank < basis.n_f
-    if deficient:
-        # with fewer snapshots than features P has fewer singular values
-        # than rows, so their ratio alone can look well conditioned
-        cond = float("inf")
-
+    # with fewer snapshots than features P has fewer singular values than
+    # rows, so their ratio alone can look well conditioned
+    cond = float("inf") if deficient else float(svals[0] / svals[-1])
     if regularization > 0:
         G = P @ P.T + regularization * np.eye(basis.n_f)
-        O = np.linalg.solve(G, P @ dXdt.T).T
-    else:
-        O = np.linalg.lstsq(P.T, dXdt.T, rcond=None)[0].T
-    operator = AggregatedOperator(basis=basis, matrix=O)
-    return LeastSquaresResult(operator=operator, rank=rank, cond_P=cond, rank_deficient=deficient)
+        O = np.linalg.solve(G, P @ dXdt.T)
+    operator = AggregatedOperator(basis=basis, matrix=O.T)
+    return LeastSquaresResult(operator, int(rank), cond, deficient)

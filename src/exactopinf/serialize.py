@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +98,24 @@ def read_matrix(path, kind) -> np.ndarray:
     return _read_table(path, kind)[2]
 
 
+def _snapshot_header(n_u, N):
+    return ["t"] + [f"u_{j + 1}" for j in range(n_u)] + [f"x_{j + 1}" for j in range(N)]
+
+
 def write_snapshots(snapshots: SnapshotMatrix, path):
-    n_u = snapshots.inputs.shape[0]
-    header = ["t"] + [f"u_{j + 1}" for j in range(n_u)]
-    header += [f"x_{j + 1}" for j in range(snapshots.dimension)]
+    header = _snapshot_header(snapshots.inputs.shape[0], snapshots.dimension)
     data = np.vstack([snapshots.times, snapshots.inputs, snapshots.states]).T
     write_table(path, "snapshots", header, data)
 
 
 def read_snapshots(path) -> SnapshotMatrix:
+    """Snapshots from a CSV with columns ``t, u_1..u_{n_u}, x_1..x_N``, in that order."""
     header, _, values = _read_table(path, "snapshots")
-    if not header or header[0] != "t":
-        raise SchemaError(f"{path}: first column must be 't'", line=2)
     n_u = sum(1 for name in header if name.startswith("u_"))
-    N = sum(1 for name in header if name.startswith("x_"))
-    if 1 + n_u + N != len(header):
-        raise SchemaError(f"{path}: unrecognized columns in {header}", line=2)
+    N = len(header) - 1 - n_u
+    if header != _snapshot_header(n_u, N):
+        inputs = f"u_1..u_{n_u}, " if n_u else ""
+        raise SchemaError(f"{path}: expected columns t, {inputs}x_1..x_{N}, got {header}", line=2)
     try:
         return SnapshotMatrix(
             states=values[:, 1 + n_u :].T, times=values[:, 0], inputs=values[:, 1 : 1 + n_u].T
@@ -143,9 +146,9 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
     """Feature layout of an operator or ensemble file, from its JSON sidecar.
 
     ``numbers`` names further numeric keys with their defaults (``None``
-    for a required key); their values come back in a dict.  A missing
-    sidecar, malformed JSON and a missing or ill-typed key raise
-    :class:`SchemaError`.
+    for a required key); their values, each finite and positive, come back
+    in a dict.  A missing sidecar, malformed JSON and a missing, ill-typed,
+    non-finite or non-positive key raise :class:`SchemaError`.
     """
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
@@ -175,8 +178,12 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
         basis.n_f  # a feature count beyond 64 bits raises OverflowError
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{sidecar_file}: {exc}") from None
-    values = {key: float(field(key, (int, float), default)) for key, default in numbers.items()}
-    return basis, values
+    values = {key: field(key, (int, float), default) for key, default in numbers.items()}
+    for key, value in values.items():
+        if not 0 < value <= sys.float_info.max:  # false for NaN, and exact for any int
+            message = f"key {key!r} must be positive and finite, got {value}"
+            raise SchemaError(f"{sidecar_file}: {message}")
+    return basis, {key: float(value) for key, value in values.items()}
 
 
 def write_operator(op: AggregatedOperator, path):

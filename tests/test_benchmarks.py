@@ -210,6 +210,12 @@ class TestConfig:
         assert spec.c1 == 2.5
         assert spec.T == SHALLOW_ICE.T  # untouched field
 
+    @pytest.mark.parametrize("spec", [CHAFEE_INFANTE, BURGERS], ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("key", ["c1", "c2"])
+    def test_unused_coefficient_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=f"{spec.name} has no parameter '{key}'"):
+            apply_overrides(spec, {"N": 64, key: 1.0})
+
     def test_unknown_key_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("N = 64\nbogus = 1\n")

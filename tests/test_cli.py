@@ -156,6 +156,22 @@ class TestInferCommand:
             main(["infer", "--benchmark", "burgers", "--out", "x.csv"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option", [["--n", "2"], ["--dt", "5"], ["--basis", "V.csv"]], ids=["n", "dt", "basis"]
+    )
+    def test_ensemble_rejects_model_options(self, option, rng, tmp_path, capsys):
+        # an ensemble file fixes n, dt and the lifted states; the option
+        # would be ignored
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, np.eye(4), 0.01), epath)
+        opath = tmp_path / "op.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", "--ensemble", str(epath), *option, "--out", str(opath)])
+        assert excinfo.value.code == 2
+        assert f"{option[0]} cannot be used with --ensemble" in capsys.readouterr().err
+        assert not opath.exists()
+
     def test_n_beyond_basis_exit_code(self, tmp_path, capsys):
         vpath = tmp_path / "V.csv"
         V = np.eye(BURGERS.N)[:, :4]
@@ -199,6 +215,21 @@ class TestInferCommand:
         code = main(["infer", "--ensemble", str(epath), "--out", str(tmp_path / "op.csv")])
         assert code == 2
         assert "missing key 'dt'" in capsys.readouterr().err
+
+    def test_non_finite_sidecar_exit_code(self, rng, tmp_path, capsys):
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, np.eye(4)[:, :2], 0.01), epath)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta.update(dt=float("nan"), scale=float("-inf"))
+        sidecar.write_text(json.dumps(meta))
+        opath = tmp_path / "op.csv"
+        code = main(["infer", "--ensemble", str(epath), "--out", str(opath)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "key 'dt' must be positive and finite" in err
+        assert not opath.exists()
 
 
 @pytest.mark.parametrize(
@@ -351,9 +382,7 @@ class TestDiagnoseCommand:
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
         result = exact_opinf(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
         ref = intrusive_reduce(chafee_data["fom"], pod.matrix(n))
-        expected = build_report(
-            "chafee_infante", result.operator, ref, result.cond_P, n
-        ).energy_violation
+        expected = build_report(result.operator, ref, result.cond_P, n).energy_violation
         from exactopinf.serialize import write_operator
 
         opath = tmp_path / "op.csv"
@@ -434,6 +463,18 @@ class TestExperimentCommand:
              "--config", str(cfg)]
         )
         assert code == 0
+
+    def test_unused_config_key_exit_code(self, tmp_path, capsys):
+        # Burgers has no c1 or c2; its builder would ignore them
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("c1 = 5\nc2 = -3\n")
+        code = main(
+            ["experiment", "burgers", "--n-max", "2",
+             "--out", str(tmp_path / "r"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "burgers has no parameter 'c1'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

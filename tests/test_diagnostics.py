@@ -9,10 +9,11 @@ from exactopinf.diagnostics import (
     diffusion_spectrum,
     energy_violation,
     quadratic_tensor,
-    rank_and_condition,
     relative_operator_error,
     symmetry_violation,
 )
+from exactopinf.exact_opinf import SnapshotEnsemble, infer, rank_ensuring_pairs, standard_opinf
+from exactopinf.fom import SnapshotMatrix
 from exactopinf.galerkin import AggregatedOperator
 from exactopinf.tensor_poly import MonomialBasis, compress_state, monomial_count
 
@@ -48,20 +49,45 @@ class TestRelativeOperatorError:
         np.testing.assert_allclose(errs[1], np.linalg.norm(np.ones((2, 2))))
 
 
+def _square_cond(P):
+    """``infer``'s ``cond_P`` for the square feature matrix ``P``."""
+    basis = MonomialBasis(n=P.shape[0], degree_set=(1,))
+    ensemble = SnapshotEnsemble(
+        basis=basis,
+        pairs=tuple(rank_ensuring_pairs(basis.n, (1,))),
+        dt=1.0,
+        P=P,
+        derivatives=np.zeros((basis.n, basis.n_f)),
+    )
+    return infer(ensemble).cond_P
+
+
+def _baseline(P):
+    """``standard_opinf`` on a linear trajectory whose feature matrix is ``P``."""
+    n, K = P.shape
+    states = np.hstack([P, np.zeros((n, 1))])
+    traj = SnapshotMatrix(states=states, times=np.arange(K + 1.0), inputs=np.zeros((0, K + 1)))
+    result = standard_opinf(traj, MonomialBasis(n=n, degree_set=(1,)))
+    return result.rank, result.cond_P, result.rank_deficient
+
+
 class TestConditionNumber:
+    """The one rank cutoff, ``max(shape) * eps * sigma_1``, in ``infer``'s
+    square ``cond_P`` and in the least-squares baseline's rank."""
+
     def test_identity(self):
-        assert rank_and_condition(np.eye(4))[1] == pytest.approx(1.0)
+        assert _square_cond(np.eye(4)) == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert rank_and_condition(np.diag([1.0, 1e-3]))[1] == pytest.approx(1e3)
+        assert _square_cond(np.diag([1.0, 1e-3])) == pytest.approx(1e3)
 
     def test_singular_is_inf(self):
-        assert rank_and_condition(np.ones((2, 2)))[1] == np.inf
+        assert _baseline(np.ones((2, 2)))[1] == np.inf
 
     def test_rank_and_condition_share_the_cutoff(self):
-        assert rank_and_condition(np.ones((2, 2))) == (1, np.inf)
-        assert rank_and_condition(np.diag([1.0, 1e-3])) == (2, pytest.approx(1e3))
-        assert rank_and_condition(np.zeros((2, 3))) == (0, np.inf)
+        assert _baseline(np.ones((2, 2))) == (1, np.inf, True)
+        assert _baseline(np.diag([1.0, 1e-3])) == (2, pytest.approx(1e3), False)
+        assert _baseline(np.zeros((2, 3))) == (0, np.inf, True)
 
 
 class TestQuadraticTensor:
@@ -174,7 +200,7 @@ class TestBuildReport:
     def test_report_fields(self, rng):
         basis = MonomialBasis(n=2, degree_set=(1, 2))
         ref = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 5)))
-        rep = build_report("demo", ref, ref, 12.5, 5)
+        rep = build_report(ref, ref, 12.5, 5)
         assert rep.relative_operator_error == 0.0
         assert rep.cond_P == 12.5
         assert rep.ensemble_size == 5
@@ -190,7 +216,7 @@ class TestBuildReport:
         ]:
             basis = MonomialBasis(n=2, degree_set=degrees)
             op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, basis.n_f)))
-            rep = build_report("demo", op, op, 1.0, basis.n_f)
+            rep = build_report(op, op, 1.0, basis.n_f)
             metrics = rep.metrics()
             assert set(metrics) == {"relative_operator_error"} | names
             if degrees == (1, 2):
@@ -205,5 +231,5 @@ class TestBuildReport:
         basis = MonomialBasis(n=1, degree_set=(1, 2))
         M = np.array([[10.0, 1e-16]])
         op = AggregatedOperator(basis=basis, matrix=M)
-        rep = build_report("demo", op, op, 1.0, 2)
+        rep = build_report(op, op, 1.0, 2)
         assert rep.energy_violation < 1e-12

@@ -1,7 +1,7 @@
 """Package hygiene: modules use each other's public names only and read
 every name they import, the CLI names no benchmark, one module holds the
-dense square solve, and importing the package leaves the sparse solvers
-unloaded."""
+dense square solve, one module takes an SVD, and importing the package
+leaves the sparse solvers unloaded."""
 
 import ast
 import os
@@ -80,6 +80,22 @@ def test_only_exact_opinf_imports_scipy_linalg():
         }
     )
     assert importers == ["exact_opinf.py"]
+
+
+def test_only_pod_calls_an_svd():
+    # the POD basis is the one SVD; infer's cond_P comes from its LU and the
+    # baseline's rank from its own lstsq
+    svd_names = {"svd", "svdvals", "svds"}
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_tree(path.name))
+        if (isinstance(node, ast.Attribute) and node.attr in svd_names)
+        or (isinstance(node, ast.Name) and node.id in svd_names)
+        or (isinstance(node, ast.alias) and node.name in svd_names)
+    )
+    assert [name for name in found if not name.startswith("pod.py:")] == []
+    assert found
 
 
 def test_import_does_not_load_sparse_linalg():

@@ -65,6 +65,15 @@ class TestSnapshots:
             read_snapshots(path)
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize("header", ["t,x_1,u_1,x_2,x_3", "t,u_1,x_2,x_1,x_3"])
+    def test_misnamed_columns_rejected(self, header, tmp_path):
+        # the counts fit one input and three states; the names and order do not
+        path = tmp_path / "snaps.csv"
+        path.write_text(f"# exactopinf-csv v1 snapshots\n{header}\n0,1,2,3,4\n1,1,2,3,4\n")
+        with pytest.raises(SchemaError, match="expected columns t, u_1..u_1, x_1..x_3") as excinfo:
+            read_snapshots(path)
+        assert excinfo.value.line == 2
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# exactopinf-csv v99 snapshots\nt,x_1\n0,1\n")
@@ -223,7 +232,21 @@ class TestEnsemble:
         sidecar.write_text(json.dumps(meta))
         assert read_ensemble(path).scale == 1.0
 
-    @pytest.mark.parametrize("key,value", [("dt", None), ("dt", "0.01"), ("scale", [8])])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("dt", None),
+            ("dt", "0.01"),
+            ("scale", [8]),
+            ("dt", float("nan")),
+            ("dt", 0.0),
+            ("dt", -0.01),
+            ("scale", float("-inf")),
+            ("scale", float("inf")),
+            ("scale", 0),
+            pytest.param("dt", 10**400, id="dt-beyond-float"),
+        ],
+    )
     def test_bad_ensemble_field_rejected(self, key, value, rng, tmp_path):
         ens = self._make_ensemble(rng)
         path = tmp_path / "ens.csv"
