@@ -11,9 +11,11 @@ Run:  python3 demos/01_single_step_inference.py
 import numpy as np
 
 from exactopinf import (
+    MonomialBasis,
     exact_opinf,
     from_dense_operators,
     intrusive_reduce,
+    pair_tags,
     rank_ensuring_pairs,
     relative_operator_error,
 )
@@ -39,11 +41,14 @@ def main():
           f"(n = {n}, features = {reference.basis.n_f})")
 
     # the inference side only needs to step the model once per feature;
-    # the start states follow from the basis width and the model alone
-    pairs = rank_ensuring_pairs(n, fom.degree_set, fom.n_u)
-    print(f"single-step runs needed: {len(pairs)} (equals the feature count)")
-    for pair in pairs[:5]:
-        print(f"  start state {pair.state}, input {pair.inp}  <- {pair.provenance}")
+    # the start states follow from the basis width and the model alone:
+    # column s of the pair arrays is the pair of feature s
+    layout = MonomialBasis(n=n, degree_set=fom.degree_set, n_u=fom.n_u)
+    X, U = rank_ensuring_pairs(layout)
+    tags = pair_tags(layout)
+    print(f"single-step runs needed: {X.shape[1]} (equals the feature count)")
+    for s in range(5):
+        print(f"  start state {X[:, s]}, input {U[:, s]}  <- {tags[s]}")
     print("  ...")
 
     dt = 1.0 / np.linalg.norm(reference.matrix, 2)

@@ -21,13 +21,13 @@ from .diagnostics import (
 from .exact_opinf import (
     InferenceResult,
     LeastSquaresResult,
-    RankEnsuringPair,
     SnapshotEnsemble,
     estimate_dt,
     exact_opinf,
     extend_ensemble,
     generate_ensemble,
     infer,
+    pair_tags,
     rank_ensuring_pairs,
     standard_opinf,
 )

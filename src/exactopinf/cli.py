@@ -17,8 +17,10 @@ an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
 beyond the documented range without --force, a negative
 --regularization, an infer --basis, --n or --dt given with --ensemble,
 an infer --n beyond the basis, a pod --n or experiment --n-max beyond
-the snapshot count, or an experiment trajectory too short or too flat to
-estimate a time step),
+the snapshot count, an experiment trajectory too short or too flat to
+estimate a time step, a trajectory or single step that leaves the finite
+range or whose Newton iteration fails, or a diagnose --reference of
+another feature layout or all zero),
 3 rank deficiency / singular system.
 """
 
@@ -47,7 +49,7 @@ from .exact_opinf import (
     infer,
     standard_opinf,
 )
-from .fom import SnapshotMatrix, simulate
+from .fom import NewtonError, NonFiniteStateError, SnapshotMatrix, simulate
 from .galerkin import intrusive_reduce
 from .pod import RankDeficiencyError, pod_basis
 from .serialize import (
@@ -66,6 +68,7 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_SCHEMA = 2
 EXIT_RANK = 3
+STEP_FAILURES = (NonFiniteStateError, NewtonError)  # a trajectory or a single step
 
 # file, CSV kind and column of the per-n table of a structure metric,
 # written when the benchmark's spec bounds that metric
@@ -120,14 +123,14 @@ def cmd_experiment(args) -> int:
     bounded = {t.metric for t in spec.thresholds}
 
     fom, signal, x0 = build(spec)
-    snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
     try:
+        snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
         pod = pod_basis(snaps, n_max)
         dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     except RankDeficiencyError as exc:
         print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
         return EXIT_RANK
-    except ValueError as exc:
+    except (ValueError, *STEP_FAILURES) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
     dt_used = args.dt if args.dt is not None else dt_est
@@ -145,15 +148,18 @@ def cmd_experiment(args) -> int:
     for n in range(1, n_max + 1):
         V = pod.matrix(n)
         ref = intrusive_reduce(fom, V)
-        if ensemble is None:
-            ensemble = generate_ensemble(fom, V, dt_used, spec.state_scale)
-        else:
-            ensemble = extend_ensemble(ensemble, fom, V)
         try:
+            if ensemble is None:
+                ensemble = generate_ensemble(fom, V, dt_used, spec.state_scale)
+            else:
+                ensemble = extend_ensemble(ensemble, fom, V)
             result = infer(ensemble)
         except SingularDataMatrixError as exc:
             print(json.dumps({"error": "singular-data-matrix", "n": n, "detail": str(exc)}))
             return EXIT_RANK
+        except STEP_FAILURES as exc:
+            print(f"n={n}: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
@@ -258,7 +264,7 @@ def cmd_infer(args) -> int:
                 V = V[:, : args.n]
             ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
         result = infer(ensemble)
-    except (OSError, SchemaError) as exc:
+    except (OSError, SchemaError, *STEP_FAILURES) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
     except SingularDataMatrixError as exc:
@@ -307,7 +313,11 @@ def cmd_diagnose(args) -> int:
     if 2 in op.basis.degree_set:
         report["energy_violation_scaled"] = scaled_energy_violation(op)
     if reference is not None:
-        report["relative_operator_error"] = relative_operator_error(op, reference)
+        try:  # another layout, or a zero reference
+            report["relative_operator_error"] = relative_operator_error(op, reference)
+        except ValueError as exc:
+            print(f"{args.reference}: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
         report["block_errors"] = {
             str(k): v for k, v in block_errors(op, reference).items()
         }

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fom import PolynomialFOM, SnapshotMatrix, explicit_euler_step
+from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
 from .pod import PodBasis
-from .tensor_poly import MonomialBasis, enumerate_monomials, feature_matrix
+from .tensor_poly import MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array
 
 
 class SingularDataMatrixError(RuntimeError):
@@ -29,104 +29,62 @@ class SingularDataMatrixError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class RankEnsuringPair:
-    """One reduced state / input pair with its provenance.
+def pair_tags(basis: MonomialBasis) -> list[tuple]:
+    """Tags of the rank-ensuring pairs, in feature order.
 
-    State pairs carry a zero input and a state that is ``scale`` times a sum
-    of ``i`` unit vectors; input pairs carry a zero state and a unit input,
-    and record the scale of the set they belong to.  ``provenance`` is
-    ``("state", degree, index_tuple)`` or ``("input", j)`` with ``j``
-    1-based.
+    ``("state", i, tup)`` for the canonical monomial tuple ``tup`` of each
+    degree ``i``, then ``("input", j)`` for each input, ``j`` 1-based.
     """
-
-    state: np.ndarray
-    inp: np.ndarray
-    provenance: tuple
-    scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        object.__setattr__(self, "inp", np.asarray(self.inp, dtype=float))
+    tags = [("state", i, tup) for i in basis.degree_set for tup in enumerate_monomials(basis.n, i)]
+    return tags + [("input", j) for j in range(1, basis.n_u + 1)]
 
 
-def rank_ensuring_pairs(
-    n: int, degree_set, n_u: int = 0, scale: float = 1.0
-) -> list[RankEnsuringPair]:
-    """State pairs (canonical order) followed by one unit-input pair per input.
+def rank_ensuring_pairs(basis: MonomialBasis, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, n_f)`` states and ``(n_u, n_f)`` inputs of the rank-ensuring pairs.
 
-    The state of the k-th pair of the degree-``i`` block is the sum of the
-    unit vectors named by the k-th canonical monomial tuple, so states and
-    feature-vector entries line up one-to-one; degree 0 contributes the zero
-    state.  Every state is multiplied by ``scale``; the default 1.0 gives
-    the unit states.  Scaling by ``c`` turns the data matrix into
-    ``diag(c^i) P``, so it stays invertible; it moves the degree-``i`` part
-    of the stepped data by ``c^i`` and so sets which degree dominates it.
-    A power of two keeps states and features exact.  Inputs stay unit
-    vectors.
+    Column ``s`` is the pair of feature ``s``, tagged ``pair_tags(basis)[s]``:
+    for monomial tuple ``tup``, ``scale`` times the sum of the unit vectors
+    ``tup`` names (zero for degree 0) and a zero input; for input ``j``, a
+    zero state and the unit input ``e_j``.  Scaling by ``c`` turns the data
+    matrix into ``diag(c^i) P``, so it stays invertible; it moves the
+    degree-``i`` part of the stepped data by ``c^i`` and so sets which degree
+    dominates it.  A power of two keeps states and features exact.
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    basis = MonomialBasis(n=n, degree_set=tuple(degree_set), n_u=n_u)
-    pairs = []
+    X = np.zeros((basis.n, basis.n_f))
     for i in basis.degree_set:
-        for tup in enumerate_monomials(n, i):
-            x = np.zeros(n)
-            for j in tup:
-                x[j - 1] += 1.0
-            pairs.append(
-                RankEnsuringPair(
-                    state=scale * x,
-                    inp=np.zeros(n_u),
-                    provenance=("state", i, tup),
-                    scale=scale,
-                )
-            )
-    for j in range(n_u):
-        u = np.zeros(n_u)
-        u[j] = 1.0
-        pairs.append(
-            RankEnsuringPair(
-                state=np.zeros(n), inp=u, provenance=("input", j + 1), scale=scale
-            )
-        )
-    return pairs
-
-
-def pair_feature_matrix(pairs, basis: MonomialBasis) -> np.ndarray:
-    """The feature vectors of the pairs as columns (n_f x K)."""
-    X = np.stack([pair.state for pair in pairs], axis=1)
-    U = np.stack([pair.inp for pair in pairs], axis=1)
-    return feature_matrix(basis, X, U)
+        columns = np.arange(basis.n_f)[basis.degree_slice(i)]
+        for slot in monomial_index_array(basis.n, i).T:
+            X[slot, columns] += 1.0
+    X *= scale
+    U = np.zeros((basis.n_u, basis.n_f))
+    U[:, basis.input_slice] = np.eye(basis.n_u)
+    return X, U
 
 
 @dataclass(frozen=True)
 class SnapshotEnsemble:
-    """Single-step data: chosen pairs, their features and derivative quotients.
+    """Single-step data: the layout, its features and derivative quotients.
 
     ``P`` is the (n_f, K) feature matrix, ``derivatives`` the (n, K) matrix
-    of projected difference quotients.  ``fom_quotients`` keeps the
-    full-order quotients ``(x_1 - x_0)/dt`` so the data can be reused when
-    the basis is extended; it is ``None`` for ensembles loaded from disk.
+    of projected difference quotients, column ``s`` of both from the pair
+    ``s`` of ``rank_ensuring_pairs(basis, scale)``.  ``fom_quotients`` keeps
+    the full-order quotients ``(x_1 - x_0)/dt`` so the data can be reused
+    when the basis is extended; it is ``None`` for ensembles loaded from disk.
     """
 
     basis: MonomialBasis
-    pairs: tuple
     dt: float
     P: np.ndarray
     derivatives: np.ndarray
+    scale: float = 1.0
     fom_quotients: np.ndarray | None = None
     V: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.P.shape[1]
-
-    @property
-    def scale(self) -> float:
-        """State amplitude of the pairs; :func:`extend_ensemble` keeps it,
-        and the ensemble file's sidecar records it."""
-        return self.pairs[0].scale
 
 
 def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u: int = 0) -> float:
@@ -165,39 +123,38 @@ def _build_ensemble(
 ) -> SnapshotEnsemble:
     """The ensemble of the rank-ensuring pairs of ``V``'s width and the model.
 
-    A pair whose provenance ``known`` maps to a full-order quotient takes
-    that quotient; every other pair is lifted and stepped once.  A state
-    pair lifts to the basis columns its provenance names, added in that
-    order, times its scale; degree-0 and input pairs start at zero.  Unlike
-    ``V @ pair.state``, whose rounding depends on how BLAS blocks the sum
-    over all ``n`` columns, this does not depend on how many columns ``V``
-    has, so a step reused after the basis grows is bitwise the step a fresh
-    ensemble takes.
+    A pair whose tag ``known`` maps to a full-order quotient takes that
+    quotient; every other pair is lifted and stepped once.  A state pair
+    lifts to the basis columns its tag names, added in that order, times
+    ``scale``; degree-0 and input pairs start at zero.  Unlike ``V @ x``,
+    whose rounding depends on how BLAS blocks the sum over all ``n`` columns,
+    this does not depend on how many columns ``V`` has, so a step reused
+    after the basis grows is bitwise the step a fresh ensemble takes.
     """
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
-    pairs = tuple(rank_ensuring_pairs(basis.n, basis.degree_set, basis.n_u, scale))
-    quotients = np.empty((fom.dimension, len(pairs)))
-    for s, pair in enumerate(pairs):
-        if pair.provenance in known:
-            quotients[:, s] = known[pair.provenance]
+    X, U = rank_ensuring_pairs(basis, scale)
+    quotients = np.empty((fom.dimension, basis.n_f))
+    for s, tag in enumerate(pair_tags(basis)):
+        if tag in known:
+            quotients[:, s] = known[tag]
             continue
         x0 = np.zeros(V.shape[0])
-        if pair.provenance[0] == "state":
-            for j in pair.provenance[2]:
+        if tag[0] == "state":
+            for j in tag[2]:
                 x0 += V[:, j - 1]
             x0 *= scale
         try:
-            x1 = explicit_euler_step(fom, x0, pair.inp, dt)
-        except Exception as exc:
-            raise RuntimeError(f"single step failed for pair {pair.provenance}: {exc}") from exc
+            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
         quotients[:, s] = (x1 - x0) / dt
 
     return SnapshotEnsemble(
         basis=basis,
-        pairs=pairs,
         dt=dt,
-        P=pair_feature_matrix(pairs, basis),
+        P=feature_matrix(basis, X, U),
         derivatives=V.T @ quotients,
+        scale=scale,
         fom_quotients=quotients,
         V=V,
     )
@@ -206,9 +163,9 @@ def _build_ensemble(
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
     """Run one explicit Euler step per rank-ensuring pair and collect the data.
 
-    The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n)
-    basis array ``V`` and the model's degree set and input count, at
-    amplitude ``scale``.  Each is lifted to the full order with ``V``,
+    The pairs are :func:`rank_ensuring_pairs` of the layout of the width of
+    the (N, n) basis array ``V`` and the model's degree set and input
+    count, at amplitude ``scale``.  Each is lifted to the full order with ``V``,
     stepped once, and the difference quotient projected back.
     """
     if dt <= 0:
@@ -368,7 +325,7 @@ def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> Snapsh
     """Grow an ensemble to a larger reduced dimension, reusing old steps.
 
     Every pair of the smaller dimension also occurs at the larger one, under
-    the same provenance and at the same scale (its state zero-padded and
+    the same tag and at the same scale (its state zero-padded and
     lifted by the same leading basis columns), so its full-order step is
     reused verbatim; only the genuinely new pairs are simulated.  The
     extended basis array must agree with the old one on its leading columns.
@@ -381,7 +338,7 @@ def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> Snapsh
         raise ValueError(f"extended dimension {n_plus} must exceed {n_old}")
     if np.max(np.abs(V_plus[:, :n_old] - old.V)) > 1e-14:
         raise ValueError("extended basis does not match the original leading columns")
-    known = {pair.provenance: q for pair, q in zip(old.pairs, old.fom_quotients.T)}
+    known = dict(zip(pair_tags(old.basis), old.fom_quotients.T))
     return _build_ensemble(fom, V_plus, old.dt, old.scale, known)
 
 

@@ -115,11 +115,14 @@ def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
 
 
 def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
-    """One explicit Euler step ``x + dt * f(x, u)``."""
+    """One explicit Euler step ``x + dt * f(x, u)``, rejecting a non-finite one."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     x = np.asarray(x, dtype=float)
-    return x + dt * eval_rhs(fom, x, u)
+    y = x + dt * eval_rhs(fom, x, u)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteStateError(f"step of size {dt:g} left the finite range", state=x)
+    return y
 
 
 def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> np.ndarray:

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_opinf import (
-    SingularDataMatrixError,
-    pair_feature_matrix,
-    rank_ensuring_pairs,
-    solve_square,
-)
-from .tensor_poly import MonomialBasis
+from .exact_opinf import SingularDataMatrixError, rank_ensuring_pairs, solve_square
+from .tensor_poly import MonomialBasis, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class GappyProblem:
 
     @property
     def nodes(self) -> list[np.ndarray]:
-        return [p.state for p in rank_ensuring_pairs(self.n, self.degree_set)]
+        return list(rank_ensuring_pairs(MonomialBasis(n=self.n, degree_set=self.degree_set))[0].T)
 
 
 def interpolation_matrix(n: int, degree_set) -> np.ndarray:
@@ -53,7 +48,7 @@ def interpolation_matrix(n: int, degree_set) -> np.ndarray:
     The single-step data matrix of the state pairs, built by the same call.
     """
     basis = MonomialBasis(n=n, degree_set=tuple(degree_set))
-    return pair_feature_matrix(rank_ensuring_pairs(n, basis.degree_set), basis)
+    return feature_matrix(basis, *rank_ensuring_pairs(basis))
 
 
 def gappy_interpolate(problem: GappyProblem) -> np.ndarray:

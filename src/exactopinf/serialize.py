@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .exact_opinf import RankEnsuringPair, SnapshotEnsemble, pair_feature_matrix
+from .exact_opinf import SnapshotEnsemble, pair_tags, rank_ensuring_pairs
 from .fom import SnapshotMatrix
 from .galerkin import AggregatedOperator
 from .pod import PodBasis
-from .tensor_poly import MonomialBasis
+from .tensor_poly import MonomialBasis, feature_matrix
 
 FORMAT_VERSION = 1
 
@@ -147,8 +147,9 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
 
     ``numbers`` names further numeric keys with their defaults (``None``
     for a required key); their values, each finite and positive, come back
-    in a dict.  A missing sidecar, malformed JSON and a missing, ill-typed,
-    non-finite or non-positive key raise :class:`SchemaError`.
+    in a dict.  A missing sidecar, malformed JSON, an integer too long to
+    parse and a missing, ill-typed, non-finite or non-positive key raise
+    :class:`SchemaError`.
     """
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
@@ -157,6 +158,8 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
         sidecar = json.loads(sidecar_file.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{sidecar_file}: malformed JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:  # an integer beyond Python's int-to-string digit limit
+        raise SchemaError(f"{sidecar_file}: {exc}") from None
     if not isinstance(sidecar, dict):
         raise SchemaError(f"{sidecar_file}: expected a JSON object")
 
@@ -186,15 +189,17 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
     return basis, {key: float(value) for key, value in values.items()}
 
 
+def _write_sidecar(path, basis: MonomialBasis, **numbers):
+    """The JSON sidecar of an operator or ensemble file: its feature layout,
+    then ``numbers``."""
+    layout = {"n": basis.n, "degree_set": list(basis.degree_set), "n_u": basis.n_u}
+    sidecar = {"version": FORMAT_VERSION, **layout, **numbers}
+    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
 def write_operator(op: AggregatedOperator, path):
     write_table(path, "operator", [f"col_{j + 1}" for j in range(op.basis.n_f)], op.matrix)
-    sidecar = {
-        "version": FORMAT_VERSION,
-        "n": op.basis.n,
-        "degree_set": list(op.basis.degree_set),
-        "n_u": op.basis.n_u,
-    }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_sidecar(path, op.basis)
 
 
 def read_operator(path) -> AggregatedOperator:
@@ -211,7 +216,17 @@ def read_operator(path) -> AggregatedOperator:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def _tag_fields(basis: MonomialBasis) -> list[list[str]]:
+    """The ``kind`` and ``tag`` fields of the rank-ensuring pairs, in feature
+    order: ``state,i:j1.j2...`` (``state,0:`` for degree 0), ``input,j``."""
+    return [
+        [tag[0], f"{tag[1]}:" + ".".join(map(str, tag[2])) if tag[0] == "state" else str(tag[1])]
+        for tag in pair_tags(basis)
+    ]
+
+
 def write_ensemble(ensemble: SnapshotEnsemble, path):
+    """One row per rank-ensuring pair: its tag, state, input and derivative."""
     basis = ensemble.basis
     header = (
         ["kind", "tag"]
@@ -219,60 +234,41 @@ def write_ensemble(ensemble: SnapshotEnsemble, path):
         + [f"ubar_{j + 1}" for j in range(basis.n_u)]
         + [f"xdot_{j + 1}" for j in range(basis.n)]
     )
-    rows = []
-    for pair, xdot in zip(ensemble.pairs, ensemble.derivatives.T):
-        if pair.provenance[0] == "state":
-            tag = f"{pair.provenance[1]}:" + ".".join(str(j) for j in pair.provenance[2])
-        else:
-            tag = str(pair.provenance[1])
-        rows.append([pair.provenance[0], tag, *pair.state, *pair.inp, *xdot])
-    write_table(path, "ensemble", header, rows)
-    sidecar = {
-        "version": FORMAT_VERSION,
-        "n": basis.n,
-        "degree_set": list(basis.degree_set),
-        "n_u": basis.n_u,
-        "dt": ensemble.dt,
-        "scale": ensemble.scale,
-    }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def _provenance(kind, tag):
-    """Provenance of a pair from its ``kind`` and ``tag`` fields."""
-    if kind == "state":
-        degree, _, indices = tag.partition(":")
-        return ("state", int(degree), tuple(int(j) for j in indices.split(".")) if indices else ())
-    if kind == "input":
-        return ("input", int(tag))
-    raise ValueError(f"unknown pair kind {kind!r}")
+    X, U = rank_ensuring_pairs(basis, ensemble.scale)
+    values = np.vstack([X, U, ensemble.derivatives]).T.tolist()
+    write_table(path, "ensemble", header, [t + v for t, v in zip(_tag_fields(basis), values)])
+    _write_sidecar(path, basis, dt=ensemble.dt, scale=ensemble.scale)
 
 
 def read_ensemble(path) -> SnapshotEnsemble:
+    """The ensemble of a file whose rows are the rank-ensuring pairs of its
+    sidecar's layout at its ``scale``, in feature order.
+
+    ``P`` is built from that layout, not from the rows.  A missing, extra,
+    reordered or edited row, that is a ``kind``, ``tag``, ``xbar`` or
+    ``ubar`` field other than the pair's, raises :class:`SchemaError`
+    naming its line.
+    """
     basis, sidecar = _read_sidecar(path, dt=None, scale=1.0)
-    _, texts, values = _read_table(
-        path, "ensemble", text_fields=2, width=2 + 2 * basis.n + basis.n_u
-    )
-    pairs = []
-    for lineno, ((kind, tag), row) in enumerate(zip(texts, values), start=3):
-        try:
-            provenance = _provenance(kind, tag)
-        except ValueError as exc:
-            message = f"{path}: pair kind {kind!r}, tag {tag!r}: {exc}"
-            raise SchemaError(message, line=lineno) from None
-        pairs.append(
-            RankEnsuringPair(
-                state=row[: basis.n],
-                inp=row[basis.n : basis.n + basis.n_u],
-                provenance=provenance,
-                scale=sidecar["scale"],
-            )
-        )
-    pairs = tuple(pairs)
+    width = basis.n + basis.n_u
+    _, texts, values = _read_table(path, "ensemble", text_fields=2, width=2 + width + basis.n)
+    X, U = rank_ensuring_pairs(basis, sidecar["scale"])
+    expected = _tag_fields(basis)
+    m = min(len(values), basis.n_f)
+    wrong = np.any(values[:m, :width] != np.vstack([X, U]).T[:m], axis=1)
+    wrong |= [fields != want for fields, want in zip(texts, expected)]
+    if wrong.any():
+        s = int(np.argmax(wrong))
+        (kind, tag), pair = texts[s], ",".join(expected[s])
+        message = f"expected the rank-ensuring pair {pair!r} at scale {sidecar['scale']!r}"
+        raise SchemaError(f"{path}: kind {kind!r}, tag {tag!r}, xbar/ubar: {message}", line=s + 3)
+    if len(values) != basis.n_f:
+        message = f"expected {basis.n_f} pair rows for the sidecar layout, got {len(values)}"
+        raise SchemaError(f"{path}: {message}", line=m + 3)
     return SnapshotEnsemble(
         basis=basis,
-        pairs=pairs,
         dt=sidecar["dt"],
-        P=pair_feature_matrix(pairs, basis),
-        derivatives=np.ascontiguousarray(values[:, basis.n + basis.n_u :].T),
+        P=feature_matrix(basis, X, U),
+        derivatives=np.ascontiguousarray(values[:, width:].T),
+        scale=sidecar["scale"],
     )

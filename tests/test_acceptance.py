@@ -47,7 +47,6 @@ from exactopinf.exact_opinf import (
     extend_ensemble,
     generate_ensemble,
     infer,
-    pair_feature_matrix,
     rank_ensuring_pairs,
     standard_opinf,
 )
@@ -58,7 +57,7 @@ from exactopinf.fom import (
 )
 from exactopinf.galerkin import intrusive_reduce
 from exactopinf.gappy_interp import GappyProblem, gappy_interpolate, interpolation_matrix
-from exactopinf.tensor_poly import MonomialBasis, compress_state, monomial_count
+from exactopinf.tensor_poly import MonomialBasis, compress_state, feature_matrix, monomial_count
 
 
 def _verdict(label, ok, detail):
@@ -173,8 +172,8 @@ def test_criterion_3_ice_exact_reconstruction(ice_sweep):
 
 
 def test_criterion_4_golden_snapshot_counts():
-    ci = len(rank_ensuring_pairs(14, (1, 2, 3), 1))
-    ice = len(rank_ensuring_pairs(7, (3, 8), 0))
+    ci = rank_ensuring_pairs(MonomialBasis(n=14, degree_set=(1, 2, 3), n_u=1))[0].shape[1]
+    ice = rank_ensuring_pairs(MonomialBasis(n=7, degree_set=(3, 8), n_u=0))[0].shape[1]
     ok = ci == 680 and ice == 3087
     assert _verdict(
         "4 golden snapshot counts",
@@ -236,7 +235,7 @@ def test_criterion_6_full_rank_sweep():
             for I in itertools.combinations(degrees_pool, r):
                 for n_u in (0, 1, 3):
                     basis = MonomialBasis(n=n, degree_set=I, n_u=n_u)
-                    P = pair_feature_matrix(rank_ensuring_pairs(n, I, n_u), basis)
+                    P = feature_matrix(basis, *rank_ensuring_pairs(basis))
                     svals = np.linalg.svd(P, compute_uv=False)
                     all_full_rank = all_full_rank and svals[-1] > 0
                     count += 1
@@ -396,7 +395,7 @@ def test_regression_pins(chafee_sweep, ice_sweep):
     # condition numbers are reported and pinned against this implementation's
     # own recorded values, not external targets
     basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-    P = pair_feature_matrix(rank_ensuring_pairs(2, (1, 2), 2), basis)
+    P = feature_matrix(basis, *rank_ensuring_pairs(basis))
     cond_small = np.linalg.cond(P)
     assert 5.0 < cond_small < 50.0
 

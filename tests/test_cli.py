@@ -196,6 +196,33 @@ class TestInferCommand:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_missing_row_exit_code(self, rng, tmp_path, capsys):
+        # the rows must be the pairs of the sidecar's layout, one per feature
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, np.eye(4)[:, :2], 0.01), epath)
+        lines = epath.read_text().splitlines()
+        epath.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        opath = tmp_path / "op.csv"
+        code = main(["infer", "--ensemble", str(epath), "--out", str(opath)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not opath.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_step_beyond_finite_range_exit_code(self, tmp_path, capsys):
+        vpath = tmp_path / "V.csv"
+        V = np.eye(BURGERS.N)[:, :3]
+        write_basis(PodBasis(V=V, singular_values=np.ones(3)), vpath, tmp_path / "sv.csv")
+        opath = tmp_path / "op.csv"
+        code = main(
+            ["infer", "--benchmark", "burgers", "--basis", str(vpath),
+             "--dt", "1e307", "--out", str(opath)]
+        )
+        assert code == 2
+        assert "left the finite range" in capsys.readouterr().err
+        assert not opath.exists()
+
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["infer", "--ensemble", str(tmp_path / "ens.csv"),
@@ -392,6 +419,30 @@ class TestDiagnoseCommand:
         assert report["energy_violation_scaled"] == expected
         assert expected < 1e-12
 
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            (np.ones((3, 3)), "operators use different feature layouts"),
+            (np.zeros((2, 2)), "relative error undefined"),
+        ],
+        ids=["other-layout", "all-zero"],
+    )
+    def test_bad_reference_exit_code(self, reference, message, rng, tmp_path, capsys):
+        from exactopinf.galerkin import AggregatedOperator
+        from exactopinf.tensor_poly import MonomialBasis
+
+        opath, rpath = tmp_path / "op.csv", tmp_path / "ref.csv"
+        basis = MonomialBasis(n=2, degree_set=(1,))
+        write_operator(AggregatedOperator(basis, rng.standard_normal((2, 2))), opath)
+        ref_basis = MonomialBasis(n=reference.shape[0], degree_set=(1,))
+        write_operator(AggregatedOperator(ref_basis, reference), rpath)
+        jpath = tmp_path / "report.json"
+        code = main(["diagnose", str(opath), "--reference", str(rpath), "--out", str(jpath)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(rpath) in err and message in err
+        assert not jpath.exists()
+
     def test_missing_sidecar_exit_code(self, tmp_path, capsys):
         bogus = tmp_path / "op.csv"
         bogus.write_text("# exactopinf-csv v1 operator\ncol_1\n0\n")
@@ -529,6 +580,28 @@ class TestExperimentCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [cfg, out]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_step_beyond_finite_range_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T = 0.05\n")
+        code = main(
+            ["experiment", "burgers", "--n-max", "2", "--dt", "1e307",
+             "--out", str(tmp_path / "r"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert "n=1: single step failed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_trajectory_exit_code(self, tmp_path, capsys):
+        # explicit Euler at 100 times the bundled step blows up within steps
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dt = 0.01\n")
+        out = tmp_path / "r"
+        code = main(["experiment", "burgers", "--out", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert "failed" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_n_max_beyond_snapshots_exit_code(self, tmp_path, capsys):

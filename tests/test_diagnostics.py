@@ -12,7 +12,7 @@ from exactopinf.diagnostics import (
     relative_operator_error,
     symmetry_violation,
 )
-from exactopinf.exact_opinf import SnapshotEnsemble, infer, rank_ensuring_pairs, standard_opinf
+from exactopinf.exact_opinf import SnapshotEnsemble, infer, standard_opinf
 from exactopinf.fom import SnapshotMatrix
 from exactopinf.galerkin import AggregatedOperator
 from exactopinf.tensor_poly import MonomialBasis, compress_state, monomial_count
@@ -54,7 +54,6 @@ def _square_cond(P):
     basis = MonomialBasis(n=P.shape[0], degree_set=(1,))
     ensemble = SnapshotEnsemble(
         basis=basis,
-        pairs=tuple(rank_ensuring_pairs(basis.n, (1,))),
         dt=1.0,
         P=P,
         derivatives=np.zeros((basis.n, basis.n_f)),

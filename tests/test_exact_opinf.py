@@ -16,7 +16,7 @@ from exactopinf.exact_opinf import (
     extend_ensemble,
     generate_ensemble,
     infer,
-    pair_feature_matrix,
+    pair_tags,
     rank_ensuring_pairs,
     solve_square,
     standard_opinf,
@@ -30,7 +30,7 @@ from exactopinf.fom import (
 )
 from exactopinf.galerkin import intrusive_reduce
 from exactopinf.pod import PodBasis, pod_basis
-from exactopinf.tensor_poly import MonomialBasis, monomial_count
+from exactopinf.tensor_poly import MonomialBasis, feature_matrix, monomial_count
 
 # The two-dimensional worked example with degrees {1, 2} and two inputs:
 # seven pairs whose feature vectors form this square integer matrix.
@@ -48,6 +48,12 @@ WORKED_EXAMPLE_P = np.array(
 )
 
 
+def pairs_P(n, degree_set, n_u=0, scale=1.0):
+    """The feature matrix of the rank-ensuring pairs of a layout."""
+    basis = MonomialBasis(n=n, degree_set=degree_set, n_u=n_u)
+    return feature_matrix(basis, *rank_ensuring_pairs(basis, scale))
+
+
 def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
     matrices = {
         i: scale * rng.standard_normal((N, monomial_count(N, i))) for i in degrees
@@ -57,20 +63,21 @@ def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
 
 
 class TestRankEnsuringStates:
-    # the states of the rank-ensuring pairs, read through rank_ensuring_pairs
+    # the states of the rank-ensuring pairs, the columns of rank_ensuring_pairs
     def test_two_vars_degrees_one_two(self):
-        states = [p.state for p in rank_ensuring_pairs(2, (1, 2))]
+        states, _ = rank_ensuring_pairs(MonomialBasis(n=2, degree_set=(1, 2)))
         expected = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        assert [tuple(s) for s in states] == expected
+        assert [tuple(s) for s in states.T] == expected
 
     def test_degree_zero_is_origin(self):
-        pairs = rank_ensuring_pairs(3, (0,))
-        assert len(pairs) == 1
-        assert pairs[0].provenance == ("state", 0, ())
-        np.testing.assert_array_equal(pairs[0].state, np.zeros(3))
+        basis = MonomialBasis(n=3, degree_set=(0,))
+        states, _ = rank_ensuring_pairs(basis)
+        assert states.shape[1] == 1
+        assert pair_tags(basis) == [("state", 0, ())]
+        np.testing.assert_array_equal(states[:, 0], np.zeros(3))
 
     def test_degree_two_in_three_vars(self):
-        states = [p.state for p in rank_ensuring_pairs(3, (2,))]
+        states = list(rank_ensuring_pairs(MonomialBasis(n=3, degree_set=(2,)))[0].T)
         assert len(states) == 6
         seen = {tuple(s) for s in states}
         assert len(seen) == 6
@@ -82,52 +89,57 @@ class TestRankEnsuringStates:
 
 class TestRankEnsuringPairs:
     def test_worked_example_pairs(self):
-        pairs = rank_ensuring_pairs(2, (1, 2), 2)
-        assert len(pairs) == 7
-        states = [tuple(p.state) for p in pairs[:5]]
-        assert states == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        for p in pairs[:5]:
-            assert np.all(p.inp == 0)
-            assert p.provenance[0] == "state"
-        for j, p in enumerate(pairs[5:], start=1):
-            assert np.all(p.state == 0)
-            assert p.provenance == ("input", j)
+        basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
+        states, inputs = rank_ensuring_pairs(basis)
+        tags = pair_tags(basis)
+        assert states.shape == (2, 7) and inputs.shape == (2, 7) and len(tags) == 7
+        assert [tuple(x) for x in states[:, :5].T] == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        for s in range(5):
+            assert np.all(inputs[:, s] == 0)
+            assert tags[s][0] == "state"
+        for j, s in enumerate(range(5, 7), start=1):
+            assert np.all(states[:, s] == 0)
+            assert tags[s] == ("input", j)
             expected = np.zeros(2)
             expected[j - 1] = 1.0
-            np.testing.assert_array_equal(p.inp, expected)
+            np.testing.assert_array_equal(inputs[:, s], expected)
 
     def test_golden_counts(self):
-        assert len(rank_ensuring_pairs(14, (1, 2, 3), 1)) == 680
-        assert len(rank_ensuring_pairs(7, (3, 8), 0)) == 3087
+        assert rank_ensuring_pairs(MonomialBasis(14, (1, 2, 3), 1))[0].shape[1] == 680
+        assert rank_ensuring_pairs(MonomialBasis(7, (3, 8), 0))[0].shape[1] == 3087
 
     def test_worked_example_feature_matrix(self):
-        basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        P = pair_feature_matrix(rank_ensuring_pairs(2, (1, 2), 2), basis)
+        P = pairs_P(2, (1, 2), 2)
         np.testing.assert_array_equal(P, WORKED_EXAMPLE_P)
 
     def test_column_order_matches_feature_layout(self):
-        # provenance of the s-th state pair is the s-th monomial tuple
+        # the tag of the s-th state pair is the s-th monomial tuple, and its
+        # state is the sum of the unit vectors that tuple names
         from exactopinf.tensor_poly import enumerate_monomials
 
         n, degrees = 3, (1, 3)
-        pairs = rank_ensuring_pairs(n, degrees, 0)
+        basis = MonomialBasis(n=n, degree_set=degrees)
         expected = [tup for i in degrees for tup in enumerate_monomials(n, i)]
-        assert [p.provenance[2] for p in pairs] == expected
+        assert [tag[2] for tag in pair_tags(basis)] == expected
+        states, _ = rank_ensuring_pairs(basis)
+        for tup, x in zip(expected, states.T):
+            np.testing.assert_array_equal(x, np.bincount(np.array(tup) - 1, minlength=n))
 
     def test_scale_multiplies_feature_rows_by_powers(self):
         # P(cS) = diag(c^i) P(S), exact for a power of two; inputs stay unit
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        pairs = rank_ensuring_pairs(2, (1, 2), 2, scale=8.0)
-        assert all(p.scale == 8.0 for p in pairs)
+        states, inputs = rank_ensuring_pairs(basis, scale=8.0)
+        np.testing.assert_array_equal(states, 8.0 * rank_ensuring_pairs(basis)[0])
+        np.testing.assert_array_equal(inputs, rank_ensuring_pairs(basis)[1])
         row_scale = np.array([8.0, 8.0, 64.0, 64.0, 64.0, 1.0, 1.0])
         np.testing.assert_array_equal(
-            pair_feature_matrix(pairs, basis), row_scale[:, None] * WORKED_EXAMPLE_P
+            pairs_P(2, (1, 2), 2, scale=8.0), row_scale[:, None] * WORKED_EXAMPLE_P
         )
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
     def test_scale_must_be_positive_and_finite(self, scale):
         with pytest.raises(ValueError):
-            rank_ensuring_pairs(2, (1, 2), 0, scale=scale)
+            rank_ensuring_pairs(MonomialBasis(n=2, degree_set=(1, 2)), scale=scale)
 
 
 class TestFullRankSweep:
@@ -143,9 +155,7 @@ class TestFullRankSweep:
                 for I in itertools.combinations(degrees_pool, r):
                     for n_u in (0, 1, 3):
                         basis = MonomialBasis(n=n, degree_set=I, n_u=n_u)
-                        P = pair_feature_matrix(
-                            rank_ensuring_pairs(n, I, n_u), basis
-                        )
+                        P = pairs_P(n, I, n_u)
                         assert P.shape == (basis.n_f, basis.n_f)
                         svals = np.linalg.svd(P, compute_uv=False)
                         assert svals[-1] > 0, (n, I, n_u)
@@ -214,8 +224,9 @@ class TestGenerateEnsemble:
         fom = random_dense_fom(rng, N, (1, 2))
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ens = generate_ensemble(fom, V, 1e-3)
-        for s, pair in enumerate(ens.pairs):
-            expected = V.T @ eval_rhs(fom, V @ pair.state, None)
+        states, _ = rank_ensuring_pairs(ens.basis)
+        for s, state in enumerate(states.T):
+            expected = V.T @ eval_rhs(fom, V @ state, None)
             scale = np.linalg.norm(expected)
             np.testing.assert_allclose(
                 ens.derivatives[:, s], expected, rtol=1e-10, atol=1e-12 * scale
@@ -236,13 +247,11 @@ class TestGenerateEnsemble:
         fom = random_dense_fom(rng, 6, (0, 1, 3), n_u=1)
         V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         ens = generate_ensemble(fom, V, 0.1, scale)
-        expected = rank_ensuring_pairs(V.shape[1], fom.degree_set, fom.n_u, scale)
-        assert [p.provenance for p in ens.pairs] == [p.provenance for p in expected]
-        assert [p.scale for p in ens.pairs] == [scale] * len(expected)
-        for got, want in zip(ens.pairs, expected):
-            np.testing.assert_array_equal(got.state, want.state)
-            np.testing.assert_array_equal(got.inp, want.inp)
-        assert ens.pairs[-1].provenance == ("input", 1)
+        layout = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
+        assert ens.basis == layout
+        assert ens.scale == scale
+        np.testing.assert_array_equal(ens.P, pairs_P(3, fom.degree_set, fom.n_u, scale))
+        assert pair_tags(ens.basis)[-1] == ("input", 1)
 
 
 class TestSolveSquare:
@@ -260,11 +269,9 @@ class TestSolveSquare:
 class TestInfer:
     def test_identity_data_matrix(self):
         basis = MonomialBasis(n=2, degree_set=(1,))
-        pairs = rank_ensuring_pairs(2, (1,), 0)
         derivs = np.array([[1.0, 2.0], [3.0, 4.0]])
         ens = SnapshotEnsemble(
             basis=basis,
-            pairs=tuple(pairs),
             dt=1.0,
             P=np.eye(2),
             derivatives=derivs,
@@ -277,7 +284,6 @@ class TestInfer:
         O = rng.standard_normal((2, 7))
         ens = SnapshotEnsemble(
             basis=basis,
-            pairs=tuple(rank_ensuring_pairs(2, (1, 2), 2)),
             dt=1.0,
             P=WORKED_EXAMPLE_P,
             derivatives=O @ WORKED_EXAMPLE_P,
@@ -291,7 +297,6 @@ class TestInfer:
         basis = MonomialBasis(n=2, degree_set=(1,))
         ens = SnapshotEnsemble(
             basis=basis,
-            pairs=tuple(rank_ensuring_pairs(2, (1,), 0)),
             dt=1.0,
             P=np.ones((2, 2)),
             derivatives=np.zeros((2, 2)),
@@ -331,7 +336,6 @@ def _square_ensemble(P, basis):
     """An ensemble with feature matrix ``P`` and zero derivatives."""
     return SnapshotEnsemble(
         basis=basis,
-        pairs=tuple(rank_ensuring_pairs(basis.n, basis.degree_set, basis.n_u)),
         dt=1.0,
         P=P,
         derivatives=np.zeros((basis.n, basis.n_f)),
@@ -352,8 +356,7 @@ class TestConditionNumber:
     @pytest.mark.parametrize("spec, n", _pair_matrix_cases())
     def test_matches_svd_on_pair_matrices(self, spec, n):
         basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
-        pairs = rank_ensuring_pairs(n, spec.degree_set, spec.n_u, spec.state_scale)
-        P = pair_feature_matrix(pairs, basis)
+        P = pairs_P(n, spec.degree_set, spec.n_u, spec.state_scale)
         cond = infer(_square_ensemble(P, basis)).cond_P
         assert cond == pytest.approx(np.linalg.cond(P), rel=1e-8)
 
@@ -385,7 +388,7 @@ class TestConditionNumber:
     def test_deterministic(self):
         spec = CHAFEE_INFANTE
         basis = MonomialBasis(n=6, degree_set=spec.degree_set, n_u=spec.n_u)
-        P = pair_feature_matrix(rank_ensuring_pairs(6, spec.degree_set, spec.n_u), basis)
+        P = pairs_P(6, spec.degree_set, spec.n_u)
         first = infer(_square_ensemble(P, basis)).cond_P
         second = infer(_square_ensemble(P, basis)).cond_P
         assert np.array_equal(first, second)
@@ -412,7 +415,7 @@ class TestConditionNumber:
         # the LU copy of P is 1.0 x P.nbytes; a temporary |P| would be another
         spec, n = CHAFEE_INFANTE, 14
         basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
-        P = pair_feature_matrix(rank_ensuring_pairs(n, spec.degree_set, spec.n_u), basis)
+        P = pairs_P(n, spec.degree_set, spec.n_u)
         ensemble = _square_ensemble(P, basis)
         tracemalloc.start()
         try:
@@ -580,7 +583,6 @@ class TestExtendEnsemble:
         basis = MonomialBasis(n=2, degree_set=(1,))
         ens = SnapshotEnsemble(
             basis=basis,
-            pairs=tuple(rank_ensuring_pairs(2, (1,), 0)),
             dt=1.0,
             P=np.eye(2),
             derivatives=np.zeros((2, 2)),

@@ -100,6 +100,13 @@ class TestExplicitEuler:
         with pytest.raises(ValueError):
             explicit_euler_step(fom, np.zeros(2), np.zeros(0), 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_rejects_non_finite_result(self):
+        # the right-hand side is finite; the step of size 1e307 is not
+        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=0, rhs=lambda x, u: 100.0 * x)
+        with pytest.raises(NonFiniteStateError, match="finite range"):
+            explicit_euler_step(fom, np.ones(1), np.zeros(0), 1e307)
+
 
 class TestImplicitEuler:
     def test_scalar_decay_closed_form(self):

@@ -12,7 +12,7 @@ from exactopinf.gappy_interp import (
     interpolation_matrix,
     univariate_specific,
 )
-from exactopinf.tensor_poly import MonomialBasis, compress_state
+from exactopinf.tensor_poly import MonomialBasis, compress_state, feature_matrix
 
 
 def _evaluate(n, degree_set, coeffs, x):
@@ -23,10 +23,8 @@ def _evaluate(n, degree_set, coeffs, x):
 
 class TestInterpolationMatrix:
     def test_matches_state_block_of_data_matrix(self):
-        from exactopinf.exact_opinf import pair_feature_matrix
-
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        P = pair_feature_matrix(rank_ensuring_pairs(2, (1, 2), 2), basis)
+        P = feature_matrix(basis, *rank_ensuring_pairs(basis))
         M = interpolation_matrix(2, (1, 2))
         np.testing.assert_array_equal(M, P[:5, :5])
 
@@ -132,12 +130,9 @@ class TestBlockTriangularStructure:
     def test_data_matrix_assembles_from_blocks(self):
         # full data matrix = [[state-node interpolation matrix, F], [0, I]]
         # where F holds the state monomials evaluated at the zero state
-        from exactopinf.exact_opinf import pair_feature_matrix
-        from exactopinf.tensor_poly import feature_matrix
-
         for n, I, n_u in [(2, (1, 2), 2), (3, (0, 2), 1), (2, (1, 3), 3)]:
             basis = MonomialBasis(n=n, degree_set=I, n_u=n_u)
-            P = pair_feature_matrix(rank_ensuring_pairs(n, I, n_u), basis)
+            P = feature_matrix(basis, *rank_ensuring_pairs(basis))
             top_left = interpolation_matrix(n, I)
             zero_cols = feature_matrix(
                 MonomialBasis(n=n, degree_set=I), np.zeros((n, n_u))

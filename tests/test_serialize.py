@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exactopinf.exact_opinf import generate_ensemble, infer
+from exactopinf.exact_opinf import generate_ensemble, infer, rank_ensuring_pairs
 from exactopinf.fom import SnapshotMatrix, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator
 from exactopinf.pod import PodBasis, pod_basis
@@ -21,6 +21,9 @@ from exactopinf.serialize import (
     write_snapshots,
 )
 from exactopinf.tensor_poly import MonomialBasis
+
+# an integer of more digits than Python converts to an int by default
+DIGITS_BEYOND_LIMIT = "1" + "0" * 5000
 
 
 class TestSnapshots:
@@ -153,6 +156,7 @@ class TestOperator:
             '{"n": 2, "degree_set": [1], "n_u": true}',
             '{"n": 0, "degree_set": [1], "n_u": 0}',
             '{"n": 1000000, "degree_set": [40], "n_u": 0}',
+            '{"n": ' + DIGITS_BEYOND_LIMIT + ', "degree_set": [1], "n_u": 0}',
         ],
         ids=[
             "malformed",
@@ -163,6 +167,7 @@ class TestOperator:
             "bool-n_u",
             "zero-n",
             "feature-count-overflow",
+            "n-beyond-digit-limit",
         ],
     )
     def test_bad_sidecar_rejected(self, text, rng, tmp_path):
@@ -208,10 +213,10 @@ class TestEnsemble:
         assert back.basis.degree_set == ens.basis.degree_set
         np.testing.assert_array_equal(back.derivatives, ens.derivatives)
         np.testing.assert_array_equal(back.P, ens.P)
-        for a, b in zip(back.pairs, ens.pairs):
-            assert a.provenance == b.provenance
-            np.testing.assert_array_equal(a.state, b.state)
-            np.testing.assert_array_equal(a.inp, b.inp)
+        # the pairs follow from the layout and the scale, so equal layouts
+        # and scales give equal pairs
+        assert back.basis == ens.basis
+        assert back.scale == ens.scale
 
     def test_scale_round_trip(self, rng, tmp_path):
         ens = self._make_ensemble(rng, scale=8.0)
@@ -219,18 +224,49 @@ class TestEnsemble:
         write_ensemble(ens, path)
         back = read_ensemble(path)
         assert back.scale == 8.0
-        assert all(pair.scale == 8.0 for pair in back.pairs)
+        # every state in the file is at amplitude 8
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        states = np.array([[float(v) for v in row[2 : 2 + back.basis.n]] for row in rows])
+        np.testing.assert_array_equal(states.T, rank_ensuring_pairs(back.basis, 8.0)[0])
         np.testing.assert_array_equal(back.P, ens.P)
 
-    def test_sidecar_without_scale_reads_as_unit(self, rng, tmp_path):
-        ens = self._make_ensemble(rng, scale=8.0)
-        path = tmp_path / "ens.csv"
-        write_ensemble(ens, path)
-        sidecar = tmp_path / "ens.csv.json"
+    @staticmethod
+    def _drop_scale(path):
+        sidecar = path.with_suffix(".csv.json")
         meta = json.loads(sidecar.read_text())
         meta.pop("scale", None)
         sidecar.write_text(json.dumps(meta))
+
+    def test_sidecar_without_scale_reads_as_unit(self, rng, tmp_path):
+        ens = self._make_ensemble(rng, scale=1.0)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        self._drop_scale(path)
         assert read_ensemble(path).scale == 1.0
+
+    def test_sidecar_without_scale_rejects_scaled_rows(self, rng, tmp_path):
+        # read as 1.0, the missing scale no longer matches the states at 8
+        ens = self._make_ensemble(rng, scale=8.0)
+        path = tmp_path / "ens.csv"
+        write_ensemble(ens, path)
+        self._drop_scale(path)
+        with pytest.raises(SchemaError, match="scale 1.0") as excinfo:
+            read_ensemble(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("key", ["dt", "scale"])
+    def test_integer_beyond_digit_limit_rejected(self, key, rng, tmp_path):
+        # json.loads raises a plain ValueError for such an integer, with no
+        # key or position, so the error names the sidecar
+        path = tmp_path / "ens.csv"
+        write_ensemble(self._make_ensemble(rng), path)
+        sidecar = tmp_path / "ens.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = 0
+        text = json.dumps(meta).replace(f'"{key}": 0', f'"{key}": {DIGITS_BEYOND_LIMIT}')
+        sidecar.write_text(text)
+        with pytest.raises(SchemaError, match="ens.csv.json"):
+            read_ensemble(path)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -304,6 +340,45 @@ class TestEnsemble:
         with pytest.raises(SchemaError, match=repr(tag)) as excinfo:
             read_ensemble(path)
         assert excinfo.value.line == row + 1
+
+    @staticmethod
+    def _set_field(row, column, value):
+        fields = row.split(",")
+        fields[column] = value
+        return ",".join(fields)
+
+    # each edit of the six data rows (pairs 1:1, 1:2, 2:1.1, 2:1.2, 2:2.2
+    # and input 1 on lines 3..8) and the line the reader must name
+    ROW_EDITS = {
+        "missing": (lambda rows: rows[:1] + rows[2:], 4),
+        "missing-last": (lambda rows: rows[:-1], 8),
+        "duplicated": (lambda rows: rows[:2] + rows[1:], 5),
+        "extra": (lambda rows: rows + rows[-1:], 9),
+        "reordered": (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
+        "edited-state": (
+            lambda rows: rows[:3] + [TestEnsemble._set_field(rows[3], 2, "1.5")] + rows[4:],
+            6,
+        ),
+        "edited-input": (
+            lambda rows: rows[:5] + [TestEnsemble._set_field(rows[5], 4, "2")],
+            8,
+        ),
+        "edited-tag": (
+            lambda rows: [TestEnsemble._set_field(rows[0], 1, "1:2")] + rows[1:],
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", list(ROW_EDITS))
+    def test_row_not_the_pair_reports_line(self, edit, rng, tmp_path):
+        path = tmp_path / "ens.csv"
+        write_ensemble(self._make_ensemble(rng), path)
+        lines = path.read_text().splitlines()
+        change, line = self.ROW_EDITS[edit]
+        path.write_text("\n".join(lines[:2] + change(lines[2:])) + "\n")
+        with pytest.raises(SchemaError) as excinfo:
+            read_ensemble(path)
+        assert excinfo.value.line == line
 
     def test_wrong_column_count_rejected(self, rng, tmp_path):
         ens = self._make_ensemble(rng)
