@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from .tensor_poly import compress_state, monomial_index_array
 
@@ -46,11 +47,13 @@ class PolynomialFOM:
 
     ``rhs(x, u)`` is always available.  ``multilinear`` optionally maps each
     degree ``i`` to a symmetric i-linear function of ``i`` vectors whose
-    diagonal reproduces the degree-``i`` part of ``rhs``; ``input_map``
-    optionally evaluates ``u -> B u``; ``jacobian(x, u)`` optionally returns
-    the state Jacobian of the rhs as a dense or a ``scipy.sparse`` array
-    (implicit stepping falls back to finite differences without it).
-    Evaluators must be pure and reentrant.
+    diagonal reproduces the degree-``i`` part of ``rhs``, acting column-wise
+    on ``(N,)`` or ``(N, m)`` arguments; ``input_map`` optionally evaluates
+    ``u -> B u``; ``jacobian(x, u)`` optionally returns the state Jacobian
+    of the rhs as a dense or a ``scipy.sparse`` array (implicit stepping
+    falls back to finite differences without it; a sparse one is solved as
+    the band between its outermost diagonals).  Evaluators must be pure and
+    reentrant.
     """
 
     dimension: int
@@ -138,15 +141,25 @@ def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> np.ndarray:
 
 
 def _solve_shifted(Jf, dt: float, r: np.ndarray) -> np.ndarray:
-    """Solve ``(I - dt * Jf) d = r``: sparse LU for a ``scipy.sparse`` ``Jf``."""
-    if sp.issparse(Jf):
-        # imported here so that `import exactopinf` does not load it
-        from scipy.sparse.linalg import spsolve
+    """Solve ``(I - dt * Jf) d = r``; a singular matrix raises :class:`NewtonError`.
 
-        M = sp.eye_array(Jf.shape[0], format="csc") - dt * sp.csc_array(Jf, dtype=float)
-        return spsolve(M, r)
-    Jf = np.asarray(Jf, dtype=float)
-    return np.linalg.solve(np.eye(Jf.shape[0]) - dt * Jf, r)
+    A ``scipy.sparse`` ``Jf`` takes a banded LU over the band between its
+    outermost diagonals, written into LAPACK band storage from its ``dia`` form.
+    """
+    n = r.shape[0]
+    try:
+        if not sp.issparse(Jf):
+            return np.linalg.solve(np.eye(n) - dt * np.asarray(Jf, dtype=float), r)
+        D = Jf.todia()
+        lower, upper = -int(D.offsets.min(initial=0)), int(D.offsets.max(initial=0))
+        data = D.data[:, :n]
+        ab = np.zeros((lower + upper + 1, n))
+        ab[upper - D.offsets, : data.shape[1]] = -dt * data
+        ab[upper] += 1.0
+        with np.errstate(divide="raise"):  # a 1x1 band is solved by one division
+            return solve_banded((lower, upper), ab, r, check_finite=False)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        raise NewtonError(f"Newton matrix I - dt*J is singular at dt = {dt:g}") from None
 
 
 def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
@@ -154,10 +167,10 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
 
     Each Newton iteration solves ``(I - dt * J) d = r`` with ``J`` from
     ``fom.jacobian`` when the model has one, and from forward finite
-    differences (dense) otherwise.  A ``scipy.sparse`` ``J`` is solved with a
-    sparse LU, a dense one with a dense LU.  Raises :class:`NewtonError` when
-    the residual norm does not drop below ``NEWTON_TOL * (1 + ||x||)`` within
-    ``NEWTON_MAX_ITER`` iterations.
+    differences (dense) otherwise.  A ``scipy.sparse`` ``J`` is solved by a
+    banded LU, a dense one by a dense LU.  Raises :class:`NewtonError` when
+    ``I - dt * J`` is singular or the residual norm does not drop below
+    ``NEWTON_TOL * (1 + ||x||)`` within ``NEWTON_MAX_ITER`` iterations.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -298,9 +311,9 @@ def from_dense_operators(
             if len(vs) != i:
                 raise ValueError(f"expected {i} arguments")
             vs = [np.asarray(v, dtype=float) for v in vs]
-            acc = np.zeros(idx.shape[0])
+            acc = np.zeros(idx.shape[:1] + vs[0].shape[1:])
             for perm in perms:
-                term = np.ones(idx.shape[0])
+                term = np.ones_like(acc)
                 for k, slot in enumerate(perm):
                     term = term * vs[k][idx[:, slot]]
                 acc += term

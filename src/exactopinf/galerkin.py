@@ -2,8 +2,9 @@
 
 The reduced right-hand side is a single matrix acting on the feature vector
 of the reduced state and input.  Reduction never materializes the
-full-order degree matrices: each operator column comes from one evaluation
-of the corresponding symmetric multilinear map on basis columns.
+full-order degree matrices: each chunk of operator columns comes from one
+evaluation of the corresponding symmetric multilinear map on stacks of
+basis columns, one stack per argument.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fom import PolynomialFOM
-from .tensor_poly import MonomialBasis, enumerate_monomials, multiplicity
+from .tensor_poly import MonomialBasis, enumerate_monomials, monomial_index_array, multiplicity
+
+COLUMN_CHUNK = 64  # monomial columns per multilinear-map call
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     projected multilinear map evaluated on the corresponding basis columns,
     scaled by the number of distinct orderings of the tuple.  That scaling
     accounts for the repeated cross terms of the full Kronecker power that
-    the compressed monomial carries only once.
+    the compressed monomial carries only once.  Each map is called once per
+    ``COLUMN_CHUNK`` columns, on stacks of their basis columns.
     """
     n = V.shape[1]
     if fom.multilinear is None:
@@ -81,14 +85,14 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     matrix = np.empty((n, basis.n_f))
     for i in basis.degree_set:
         block = matrix[:, basis.degree_slice(i)]
-        h = fom.multilinear[i]
-        for col, tup in enumerate(enumerate_monomials(n, i)):
-            args = [V[:, j - 1] for j in tup]
-            block[:, col] = multiplicity(tup) * (V.T @ h(*args))
+        idx = monomial_index_array(n, i)
+        counts = np.array([multiplicity(tup) for tup in enumerate_monomials(n, i)], dtype=float)
+        for start in range(0, len(idx), COLUMN_CHUNK):
+            cols = slice(start, start + COLUMN_CHUNK)
+            H = fom.multilinear[i](*(V[:, idx[cols, k]] for k in range(i)))  # (N,) at degree 0
+            block[:, cols] = (V.T @ H).reshape(n, -1) * counts[cols]
     if fom.n_u > 0:
-        block = matrix[:, basis.input_slice]
-        for j in range(fom.n_u):
-            e = np.zeros(fom.n_u)
-            e[j] = 1.0
-            block[:, j] = V.T @ fom.input_map(e)
+        matrix[:, basis.input_slice] = np.stack(
+            [V.T @ fom.input_map(e) for e in np.eye(fom.n_u)], axis=1
+        )
     return AggregatedOperator(basis=basis, matrix=matrix)

@@ -1,5 +1,7 @@
 """The three bundled PDE systems: stencils, structure, and config overrides."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from exactopinf.benchmarks import (
     build_shallow_ice,
     parse_config,
 )
-from exactopinf.fom import eval_rhs, homogeneous_part, polarize, simulate
+from exactopinf.fom import (
+    eval_rhs,
+    from_dense_operators,
+    homogeneous_part,
+    polarize,
+    simulate,
+)
+from exactopinf.tensor_poly import monomial_count
 
 
 class TestSpecs:
@@ -144,6 +153,34 @@ class TestShallowIce:
             polarize(fom, 3, *vs), fom.multilinear[3](*vs), rtol=1e-6, atol=1e-10
         )
 
+    def test_degree8_map_matches_explicit_role_sum(self):
+        # the reference kernel: the sum over the 56 ways to give three of
+        # the eight arguments the derivative role, term by term
+        spec = SHALLOW_ICE
+        fom, _, _ = build_shallow_ice(spec)
+        N, dxi = spec.N, 1000.0 / spec.N
+
+        def dx(v):
+            out = np.empty_like(v)
+            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dxi)
+            out[0] = (v[1] - v[0]) / (2.0 * dxi)
+            out[-1] = (v[-1] - v[-2]) / (2.0 * dxi)
+            return out
+
+        rng = np.random.default_rng(8)
+        vs = [rng.standard_normal(N) for _ in range(8)]
+        dvs = [dx(v) for v in vs]
+        role_sets = list(itertools.combinations(range(8), 3))
+        acc = np.zeros(N)
+        for roles in role_sets:
+            term = np.ones(N)
+            for k in range(8):
+                term = term * (dvs[k] if k in roles else vs[k])
+            acc += term
+        ref = (spec.c2 / len(role_sets)) * acc
+        got = fom.multilinear[8](*vs)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_analytic_jacobian_matches_finite_differences(self, rng):
         spec = apply_overrides(SHALLOW_ICE, {"N": 24})
         fom, _, _ = build_shallow_ice(spec)
@@ -233,3 +270,25 @@ class TestConfig:
         cfg.write_text("dt = fast\n")
         with pytest.raises(ValueError):
             parse_config(cfg)
+
+
+@pytest.mark.parametrize("name", [*sorted(SPECS), "dense"])
+def test_multilinear_maps_act_column_wise(name):
+    # intrusive reduction calls each map on (N, m) stacks of basis columns;
+    # every output column must be the map of the argument columns
+    rng = np.random.default_rng(11)
+    if name == "dense":
+        N = 6
+        fom = from_dense_operators(
+            {i: rng.standard_normal((N, monomial_count(N, i))) for i in (1, 2, 3)}
+        )
+    else:
+        fom, _, _ = build(SPECS[name])
+        N = fom.dimension
+    m = 5
+    for i, h in fom.multilinear.items():
+        stacks = [rng.standard_normal((N, m)) for _ in range(i)]
+        ref = np.stack([h(*(s[:, j] for s in stacks)) for j in range(m)], axis=1)
+        got = h(*stacks)
+        assert got.shape == (N, m), i
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref), i

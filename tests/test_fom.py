@@ -192,6 +192,46 @@ class TestImplicitEuler:
         expected = np.linalg.solve(np.eye(N) - 0.2 * A1, x)
         np.testing.assert_allclose(y, expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("fmt", ["dia", "csr"])
+    def test_banded_solve_matches_dense_solve(self, fmt):
+        # an asymmetric band, two diagonals below and one above: one Newton
+        # iteration of the linear model solves (I - dt*A) y = x
+        rng = np.random.default_rng(7)
+        N, dt = 9, 0.1
+        offsets = (-2, -1, 0, 1)
+        A = sum(np.diag(rng.standard_normal(N - abs(k)), k) for k in offsets)
+        A -= 5.0 * np.eye(N)
+        J = sp.dia_array(A) if fmt == "dia" else sp.csr_array(A)
+        assert sorted(sp.dia_array(J).offsets) == list(offsets)
+        fom = PolynomialFOM(
+            dimension=N,
+            degree_set=(1,),
+            n_u=0,
+            rhs=lambda x, u: A @ x,
+            jacobian=lambda x, u: J,
+        )
+        x = rng.standard_normal(N)
+        expected = np.linalg.solve(np.eye(N) - dt * A, x)
+        y = implicit_euler_step(fom, x, np.zeros(0), dt)
+        assert np.linalg.norm(y - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "N, jacobian",
+        [(3, np.eye), (3, sp.eye_array), (1, sp.eye_array)],
+        ids=["dense", "sparse", "sparse-1x1"],
+    )
+    def test_singular_newton_matrix_raises_newton_error(self, N, jacobian):
+        # x' = x with dt = 1: I - dt*J is zero
+        fom = PolynomialFOM(
+            dimension=N,
+            degree_set=(1,),
+            n_u=0,
+            rhs=lambda x, u: x,
+            jacobian=lambda x, u: jacobian(N),
+        )
+        with pytest.raises(NewtonError, match=r"I - dt\*J is singular"):
+            implicit_euler_step(fom, np.ones(N), np.zeros(0), 1.0)
+
     def test_newton_failure_raises(self):
         # rhs with no root of the implicit residual reachable: y = x + dt*(y^2+1)
         fom = PolynomialFOM(

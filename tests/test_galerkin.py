@@ -5,7 +5,29 @@ import pytest
 
 from exactopinf.fom import PolynomialFOM, eval_rhs, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator, MissingMultilinearAccess, intrusive_reduce
-from exactopinf.tensor_poly import MonomialBasis, compress_state, feature_vector, monomial_count
+from exactopinf.tensor_poly import (
+    MonomialBasis,
+    compress_state,
+    enumerate_monomials,
+    feature_vector,
+    monomial_count,
+    multiplicity,
+)
+
+
+def per_monomial_blocks(fom, V):
+    """The reference kernel: one multilinear-map call per monomial column."""
+    n = V.shape[1]
+    return {
+        i: np.stack(
+            [
+                multiplicity(tup) * (V.T @ fom.multilinear[i](*(V[:, j - 1] for j in tup)))
+                for tup in enumerate_monomials(n, i)
+            ],
+            axis=1,
+        )
+        for i in fom.degree_set
+    }
 
 
 class TestAggregatedOperator:
@@ -82,7 +104,7 @@ class TestIntrusiveReduce:
         # on the full basis V = I it is the model itself
         N = 6
         fom = from_dense_operators(
-            {i: rng.standard_normal((N, monomial_count(N, i))) for i in (1, 2)}
+            {i: rng.standard_normal((N, monomial_count(N, i))) for i in (0, 1, 2)}
         )
         V = np.eye(N) if full else np.linalg.qr(rng.standard_normal((N, 3)))[0]
         red = intrusive_reduce(fom, V)
@@ -94,3 +116,14 @@ class TestIntrusiveReduce:
                 rtol=1e-11,
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize(
+        "data, n", [("ice_data", 4), ("chafee_data", 14), ("burgers_data", 10)]
+    )
+    def test_chunked_matches_per_monomial_loop(self, request, data, n):
+        d = request.getfixturevalue(data)
+        V = d["pod"].matrix(n)
+        red = intrusive_reduce(d["fom"], V)
+        for i, ref in per_monomial_blocks(d["fom"], V).items():
+            got = red.degree_block(i)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), i

@@ -70,16 +70,19 @@ def _imported_modules(tree):
 
 
 def test_only_exact_opinf_imports_scipy_linalg():
-    # every dense square solve goes through exact_opinf.solve_square
-    importers = sorted(
-        {
-            path.name
-            for path in PACKAGE.glob("*.py")
+    # every dense square solve goes through exact_opinf.solve_square; fom
+    # takes the banded Newton solve, and nothing else, from scipy.linalg
+    importers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        modules = sorted(
+            module
             for module in _imported_modules(_tree(path.name))
             if module == "scipy.linalg" or module.startswith("scipy.linalg.")
-        }
-    )
-    assert importers == ["exact_opinf.py"]
+        )
+        if modules:
+            importers[path.name] = modules
+    assert sorted(importers) == ["exact_opinf.py", "fom.py"]
+    assert importers["fom.py"] == ["scipy.linalg", "scipy.linalg.solve_banded"]
 
 
 def test_only_pod_calls_an_svd():
@@ -99,7 +102,7 @@ def test_only_pod_calls_an_svd():
 
 
 def test_import_does_not_load_sparse_linalg():
-    # fom imports spsolve only inside the sparse Newton branch, and the
+    # the sparse Newton branch solves a band with scipy.linalg, and the
     # condition-number estimate needs no scipy.sparse.linalg solver
     code = (
         "import sys, exactopinf, exactopinf.cli; "
