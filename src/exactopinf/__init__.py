@@ -37,9 +37,7 @@ from .fom import (
     eval_rhs,
     explicit_euler_step,
     from_dense_operators,
-    homogeneous_part,
     implicit_euler_step,
-    polarize,
     simulate,
 )
 from .galerkin import AggregatedOperator, intrusive_reduce
@@ -52,10 +50,8 @@ from .gappy_interp import (
 from .pod import PodBasis, pod_basis
 from .tensor_poly import (
     MonomialBasis,
-    compress_state,
     enumerate_monomials,
     feature_matrix,
-    feature_vector,
     monomial_count,
 )
 

@@ -111,6 +111,15 @@ BURGERS = BenchmarkSpec(
 
 SPECS = {spec.name: spec for spec in (CHAFEE_INFANTE, SHALLOW_ICE, BURGERS)}
 
+# config key: the ``BenchmarkSpec`` field it overrides and its type
+CONFIG_KEYS = {
+    "N": ("N", int),
+    "dt": ("dt_pod", float),
+    "T": ("T", float),
+    "c1": ("c1", float),
+    "c2": ("c2", float),
+}
+
 
 def parse_config(path) -> dict:
     """Read ``key = value`` overrides; '#' starts a comment.
@@ -119,7 +128,6 @@ def parse_config(path) -> dict:
     keys, a value that does not parse or is not finite, and a non-positive
     N, dt or T raise a ``ValueError`` naming the line.
     """
-    allowed = {"N": int, "dt": float, "T": float, "c1": float, "c2": float}
     positive = ("N", "dt", "T")
     overrides = {}
     with open(path) as fh:
@@ -130,12 +138,13 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in allowed:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            kind = CONFIG_KEYS[key][1]
             try:
-                number = allowed[key](value)
+                number = kind(value)
             except ValueError:
-                wording = "an integer" if allowed[key] is int else "a number"
+                wording = "an integer" if kind is int else "a number"
                 raise ValueError(
                     f"{path}:{lineno}: {key} must be {wording}, got {value!r}"
                 ) from None
@@ -153,11 +162,10 @@ def apply_overrides(spec: BenchmarkSpec, overrides: dict) -> BenchmarkSpec:
     without those coefficients) raises a ``ValueError`` naming the key:
     the system's builder would not read it.
     """
-    mapping = {"N": "N", "dt": "dt_pod", "T": "T", "c1": "c1", "c2": "c2"}
     for key in overrides:
-        if getattr(spec, mapping[key]) is None:
+        if getattr(spec, CONFIG_KEYS[key][0]) is None:
             raise ValueError(f"{spec.name} has no parameter {key!r} to override")
-    return replace(spec, **{mapping[k]: v for k, v in overrides.items()})
+    return replace(spec, **{CONFIG_KEYS[k][0]: v for k, v in overrides.items()})
 
 
 def build(spec: BenchmarkSpec):

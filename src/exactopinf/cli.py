@@ -19,8 +19,8 @@ beyond the documented range without --force, a negative
 an infer --n beyond the basis, a pod --n or experiment --n-max beyond
 the snapshot count, an experiment trajectory too short or too flat to
 estimate a time step, a trajectory or single step that leaves the finite
-range or whose Newton iteration fails, or a diagnose --reference of
-another feature layout or all zero),
+range or whose Newton iteration fails, a diagnose --reference of another
+feature layout or all zero, or an output path that cannot be written),
 3 rank deficiency / singular system.
 """
 
@@ -53,7 +53,6 @@ from .fom import NewtonError, NonFiniteStateError, SnapshotMatrix, simulate
 from .galerkin import intrusive_reduce
 from .pod import RankDeficiencyError, pod_basis
 from .serialize import (
-    SchemaError,
     read_ensemble,
     read_matrix,
     read_operator,
@@ -68,7 +67,6 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_SCHEMA = 2
 EXIT_RANK = 3
-STEP_FAILURES = (NonFiniteStateError, NewtonError)  # a trajectory or a single step
 
 # file, CSV kind and column of the per-n table of a structure metric,
 # written when the benchmark's spec bounds that metric
@@ -105,34 +103,21 @@ def cmd_experiment(args) -> int:
     name = args.benchmark
     spec = SPECS[name]
     if args.config:
-        try:
-            spec = apply_overrides(spec, parse_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_SCHEMA
+        spec = apply_overrides(spec, parse_config(args.config))
     n_max = args.n_max if args.n_max is not None else max(spec.n_sweep)
     if n_max > max(spec.n_sweep) and not args.force:
-        print(
+        raise ValueError(
             f"n_max {n_max} exceeds the documented range (max "
-            f"{max(spec.n_sweep)}); pass --force to run anyway",
-            file=sys.stderr,
+            f"{max(spec.n_sweep)}); pass --force to run anyway"
         )
-        return EXIT_SCHEMA
     out = Path(args.out if args.out else Path("results") / name)
     out.mkdir(parents=True, exist_ok=True)
     bounded = {t.metric for t in spec.thresholds}
 
     fom, signal, x0 = build(spec)
-    try:
-        snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
-        pod = pod_basis(snaps, n_max)
-        dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
-    except RankDeficiencyError as exc:
-        print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
-        return EXIT_RANK
-    except (ValueError, *STEP_FAILURES) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
+    snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
+    pod = pod_basis(snaps, n_max)
+    dt_est = estimate_dt(snaps, pod, spec.degree_set, spec.n_u)
     dt_used = args.dt if args.dt is not None else dt_est
     write_table(
         out / "dt_estimate.csv",
@@ -154,12 +139,8 @@ def cmd_experiment(args) -> int:
             else:
                 ensemble = extend_ensemble(ensemble, fom, V)
             result = infer(ensemble)
-        except SingularDataMatrixError as exc:
-            print(json.dumps({"error": "singular-data-matrix", "n": n, "detail": str(exc)}))
-            return EXIT_RANK
-        except STEP_FAILURES as exc:
-            print(f"n={n}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+        except (SingularDataMatrixError, NonFiniteStateError, NewtonError) as exc:
+            raise type(exc)(f"n={n}: {exc}") from exc
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
@@ -242,65 +223,35 @@ def _check_thresholds(spec, reports):
 
 
 def cmd_infer(args) -> int:
-    try:
-        if args.ensemble:
-            ensemble = read_ensemble(args.ensemble)
-        else:
-            spec = SPECS[args.benchmark]
-            fom, _, _ = build(spec)
-            V = read_matrix(args.basis, "basis")
-            if V.shape[0] != fom.dimension:
-                print(
-                    f"basis has {V.shape[0]} rows, model dimension is {fom.dimension}",
-                    file=sys.stderr,
-                )
-                return EXIT_SCHEMA
-            if args.n is not None:
-                if args.n > V.shape[1]:
-                    print(
-                        f"--n {args.n} exceeds the basis's {V.shape[1]} columns", file=sys.stderr
-                    )
-                    return EXIT_SCHEMA
-                V = V[:, : args.n]
-            ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
-        result = infer(ensemble)
-    except (OSError, SchemaError, *STEP_FAILURES) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
-    except SingularDataMatrixError as exc:
-        print(json.dumps({"error": "singular-data-matrix", "detail": str(exc)}))
-        return EXIT_RANK
+    if args.ensemble:
+        ensemble = read_ensemble(args.ensemble)
+    else:
+        spec = SPECS[args.benchmark]
+        fom, _, _ = build(spec)
+        V = read_matrix(args.basis, "basis")
+        if V.shape[0] != fom.dimension:
+            raise ValueError(f"basis has {V.shape[0]} rows, model dimension is {fom.dimension}")
+        if args.n is not None:
+            if args.n > V.shape[1]:
+                raise ValueError(f"--n {args.n} exceeds the basis's {V.shape[1]} columns")
+            V = V[:, : args.n]
+        ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
+    result = infer(ensemble)
     write_operator(result.operator, args.out)
     print(json.dumps({"out": str(args.out), "cond_P": result.cond_P, "residual": result.residual}))
     return EXIT_OK
 
 
 def cmd_pod(args) -> int:
-    try:
-        snaps = read_snapshots(args.snapshots)
-    except (OSError, SchemaError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        basis = pod_basis(snaps, args.n)
-    except RankDeficiencyError as exc:
-        print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
-        return EXIT_RANK
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
+    basis = pod_basis(read_snapshots(args.snapshots), args.n)
     write_basis(basis, args.out_basis, args.out_singular_values)
     print(json.dumps({"out_basis": str(args.out_basis), "n": args.n}))
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        op = read_operator(args.operator)
-        reference = read_operator(args.reference) if args.reference else None
-    except (OSError, SchemaError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
+    op = read_operator(args.operator)
+    reference = read_operator(args.reference) if args.reference else None
     report = {
         "n": op.basis.n,
         "degree_set": list(op.basis.degree_set),
@@ -316,15 +267,14 @@ def cmd_diagnose(args) -> int:
         try:  # another layout, or a zero reference
             report["relative_operator_error"] = relative_operator_error(op, reference)
         except ValueError as exc:
-            print(f"{args.reference}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+            raise ValueError(f"{args.reference}: {exc}") from exc
         report["block_errors"] = {
             str(k): v for k, v in block_errors(op, reference).items()
         }
     text = json.dumps(report, indent=2)
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
+    print(text)
     return EXIT_OK
 
 
@@ -384,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place exceptions become exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "infer":
@@ -392,7 +343,17 @@ def main(argv=None) -> int:
         for option in ("basis", "n", "dt"):
             if args.ensemble is not None and getattr(args, option) is not None:
                 parser.error(f"--{option} cannot be used with --ensemble")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RankDeficiencyError as exc:  # a ValueError, so caught first
+        print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
+        return EXIT_RANK
+    except SingularDataMatrixError as exc:
+        print(json.dumps({"error": "singular-data-matrix", "detail": str(exc)}))
+        return EXIT_RANK
+    except (OSError, ValueError, NonFiniteStateError, NewtonError) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

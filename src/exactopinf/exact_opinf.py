@@ -91,24 +91,19 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     """Time step estimate from the dominant mode of the training trajectory.
 
     Takes the largest ratio between the projected difference quotient and
-    the feature norm of the projected state (dimension one), and returns its
+    the norm of the feature vector (layout of dimension one, ``degree_set``
+    and ``n_u`` inputs) of the projected state and input, and returns its
     reciprocal.  Quotients with vanishing feature norm are skipped; if all
-    are skipped the estimate is undefined and a ``ValueError`` is raised.
+    are skipped the estimate is undefined and a ``ValueError`` is raised, as
+    it is for inputs with other than ``n_u`` rows.
     """
     if pod_snapshots.states.shape[1] < 2:
         raise ValueError("need at least two snapshot columns")
-    v1 = basis.matrix(1)[:, 0]
-    X = pod_snapshots.states
-    times = pod_snapshots.times
-    U = pod_snapshots.inputs
-    s = v1 @ X  # projected scalar states
-    num = np.abs(np.diff(s) / np.diff(times))
-    degrees = tuple(sorted(set(int(i) for i in degree_set)))
-    den_sq = np.zeros(X.shape[1] - 1)
-    for i in degrees:
-        den_sq += s[:-1] ** (2 * i)
-    den_sq += np.sum(U[:, :-1] ** 2, axis=0)
-    den = np.sqrt(den_sq)
+    s = basis.matrix(1)[:, 0] @ pod_snapshots.states  # projected scalar states
+    num = np.abs(np.diff(s) / np.diff(pod_snapshots.times))
+    layout = MonomialBasis(n=1, degree_set=tuple(degree_set), n_u=n_u)
+    features = feature_matrix(layout, s[None, :-1], pod_snapshots.inputs[:, :-1])
+    den = np.linalg.norm(features, axis=0)
     valid = den > 1e-300
     if not np.any(valid):
         raise ValueError("all feature norms vanish; cannot estimate a time step")

@@ -3,7 +3,7 @@
 A model is represented by a black-box right-hand side (all that inference
 needs) plus optional structured access: symmetric multilinear maps, one per
 polynomial degree, and a linear input map.  The structured access is what
-intrusive reduction consumes; it is cross-checked against the black box via
+intrusive reduction consumes; the tests check it against the black box by
 polarization.  An input signal is a plain function ``t -> u`` that
 :func:`simulate` holds constant over each time step.
 """
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from .tensor_poly import compress_state, monomial_index_array
+from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array
 
 NEWTON_TOL = 1e-10  # implicit Euler's Newton residual tolerance, times 1 + ||x||
 NEWTON_MAX_ITER = 50
@@ -80,8 +80,8 @@ class SnapshotMatrix:
         states = np.asarray(self.states, dtype=float)
         times = np.asarray(self.times, dtype=float)
         inputs = np.asarray(self.inputs, dtype=float)
-        if states.ndim != 2:
-            raise ValueError("states must be a 2-d array")
+        if states.ndim != 2 or inputs.ndim != 2:
+            raise ValueError("states and inputs must be 2-d arrays")
         if times.shape != (states.shape[1],):
             raise ValueError("times must have one entry per state column")
         if inputs.shape[1] != states.shape[1]:
@@ -95,10 +95,6 @@ class SnapshotMatrix:
     @property
     def dimension(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[1] - 1
 
 
 def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
@@ -229,48 +225,6 @@ def simulate(
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 
 
-def homogeneous_part(fom: PolynomialFOM, i: int, x) -> np.ndarray:
-    """Degree-``i`` contribution of the rhs at ``x`` (zero input).
-
-    Isolates the term from the black box by evaluating the rhs at scaled
-    states ``t*x`` for the integer nodes ``t = 1, ..., |degree set|`` and
-    solving the resulting Vandermonde system in the degrees present.
-    """
-    x = np.asarray(x, dtype=float)
-    degrees = fom.degree_set
-    if i not in degrees:
-        return np.zeros(fom.dimension)
-    nodes = np.arange(1, len(degrees) + 1, dtype=float)
-    u0 = np.zeros(fom.n_u)
-    samples = np.stack([eval_rhs(fom, t * x, u0) for t in nodes])
-    vand = np.array([[t**d for d in degrees] for t in nodes])
-    parts = np.linalg.solve(vand, samples)
-    return parts[degrees.index(i)]
-
-
-def polarize(fom: PolynomialFOM, i: int, *vectors) -> np.ndarray:
-    """Symmetric multilinear map of degree ``i`` recovered from the black box.
-
-    Uses the polarization identity
-    ``H(v_1,...,v_i) = 1/i! * sum_{S != {}} (-1)^(i-|S|) f_i(sum_{j in S} v_j)``
-    where ``f_i`` is the degree-``i`` homogeneous part of the rhs.  Cost is
-    2^i - 1 homogeneous-part evaluations, so only intended for small ``i``.
-    """
-    if len(vectors) != i:
-        raise ValueError(f"expected {i} vectors, got {len(vectors)}")
-    if i == 0:
-        return homogeneous_part(fom, 0, np.zeros(fom.dimension))
-    if i > 8:
-        raise ValueError("polarization limited to degree <= 8")
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    acc = np.zeros(fom.dimension)
-    for size in range(1, i + 1):
-        sign = (-1.0) ** (i - size)
-        for subset in itertools.combinations(range(i), size):
-            acc += sign * homogeneous_part(fom, i, sum(vectors[j] for j in subset))
-    return acc / math.factorial(i)
-
-
 def from_dense_operators(
     matrices: dict[int, np.ndarray],
     input_matrix: np.ndarray | None = None,
@@ -278,8 +232,10 @@ def from_dense_operators(
     """Build a model from explicit dense degree matrices (and input matrix).
 
     ``matrices[i]`` has shape (N, C(N+i-1, i)) and acts on the compressed
-    degree-``i`` power of the state.  Multilinear access is derived by
-    symmetrizing over argument permutations, so keep the degrees small.
+    degree-``i`` power of the state; the right-hand side is one product of
+    ``[A_i ... | B]`` with the feature vector.  Multilinear access is
+    derived by symmetrizing over argument permutations, so keep the degrees
+    small.
     """
     degrees = tuple(sorted(matrices))
     first = next(iter(matrices.values()))
@@ -292,14 +248,11 @@ def from_dense_operators(
         if A.shape != expected:
             raise ValueError(f"degree-{i} matrix has shape {A.shape}, expected {expected}")
     B = None if input_matrix is None else np.asarray(input_matrix, dtype=float)
+    layout = MonomialBasis(n=N, degree_set=degrees, n_u=n_u)
+    O = np.hstack([mats[i] for i in degrees] + ([] if B is None else [B]))
 
     def rhs(x, u):
-        out = np.zeros(N)
-        for i, A in mats.items():
-            out += A @ compress_state(x, i)
-        if B is not None:
-            out += B @ u
-        return out
+        return O @ feature_matrix(layout, x[:, None], u[:, None])[:, 0]
 
     def make_h(i, A):
         if i == 0:

@@ -41,10 +41,6 @@ class AggregatedOperator:
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def n(self) -> int:
-        return self.basis.n
-
     def degree_block(self, i: int) -> np.ndarray:
         """The (n, n_i) column block acting on the degree-``i`` monomials."""
         return self.matrix[:, self.basis.degree_slice(i)]

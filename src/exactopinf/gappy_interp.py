@@ -31,8 +31,8 @@ class GappyProblem:
         basis = MonomialBasis(n=self.n, degree_set=self.degree_set)
         object.__setattr__(self, "degree_set", basis.degree_set)
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (basis.n_p,):
-            raise ValueError(f"expected {basis.n_p} values, got shape {values.shape}")
+        if values.shape != (basis.n_f,):
+            raise ValueError(f"expected {basis.n_f} values, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
@@ -43,7 +43,7 @@ class GappyProblem:
 
 
 def interpolation_matrix(n: int, degree_set) -> np.ndarray:
-    """Square (n_p, n_p) matrix whose column j stacks the monomials of node j.
+    """Square (n_f, n_f) matrix whose column j stacks the monomials of node j.
 
     The single-step data matrix of the state pairs, built by the same call.
     """

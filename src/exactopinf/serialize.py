@@ -58,9 +58,9 @@ def write_table(path, kind, header, rows):
 def _read_table(path, kind, text_fields=0, width=None):
     """Column names, leading text fields and float values of a versioned CSV.
 
-    Checks the header line, ``width`` columns (when given), one field per
-    column on every row and a finite float in every field after the first
-    ``text_fields``; a violation raises :class:`SchemaError` with its line.
+    Checks the header line, at least one column, ``width`` columns (when
+    given), one field per column on every row and a finite float in every
+    field after the first ``text_fields``; a violation raises :class:`SchemaError` with its line.
     Data row ``k`` is on line ``k + 3``.
     """
     expected = f"# exactopinf-csv v{FORMAT_VERSION} {kind}"
@@ -73,6 +73,8 @@ def _read_table(path, kind, text_fields=0, width=None):
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: missing column header", line=2) from None
+        if not header:
+            raise SchemaError(f"{path}: no columns", line=2)
         if width is not None and len(header) != width:
             raise SchemaError(f"{path}: expected {width} columns, got {len(header)}", line=2)
         texts, values = [], []

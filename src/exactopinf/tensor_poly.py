@@ -1,4 +1,4 @@
-"""Canonical monomial indexing, compressed state powers and feature vectors.
+"""Canonical monomial indexing, compressed state powers and feature matrices.
 
 The degree-``i`` "compressed power" of a vector ``x`` of length ``n`` lists
 every distinct product of ``i`` entries of ``x`` exactly once.  Entries are
@@ -67,16 +67,6 @@ def monomial_index_array(n: int, i: int) -> np.ndarray:
     return arr - 1
 
 
-def compress_state(x, i: int) -> np.ndarray:
-    """Compressed degree-``i`` power of ``x``: one entry per distinct monomial.
-
-    The one-column case of :func:`compress_states`; degree 0 yields the
-    length-1 vector ``[1.0]``.
-    """
-    x = np.asarray(x, dtype=float)
-    return compress_states(x[:, None], i)[:, 0]
-
-
 def compress_states(X, i: int, out=None) -> np.ndarray:
     """Compressed degree-``i`` powers of the columns of an (n, K) matrix.
 
@@ -126,12 +116,8 @@ class MonomialBasis:
         return tuple(monomial_count(self.n, i) for i in self.degree_set)
 
     @property
-    def n_p(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
     def n_f(self) -> int:
-        return self.n_p + self.n_u
+        return sum(self.block_sizes) + self.n_u
 
     def degree_slice(self, i: int) -> slice:
         """Index range of the degree-``i`` block inside the feature vector."""
@@ -144,27 +130,15 @@ class MonomialBasis:
 
     @property
     def input_slice(self) -> slice:
-        return slice(self.n_p, self.n_f)
-
-
-def feature_vector(basis: MonomialBasis, x, u=None) -> np.ndarray:
-    """Feature vector of one state and input: the one-column
-    :func:`feature_matrix`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({basis.n},)")
-    if u is None:
-        u = np.zeros(basis.n_u)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (basis.n_u,):
-        raise ValueError(f"input has shape {u.shape}, expected ({basis.n_u},)")
-    return feature_matrix(basis, x[:, None], u[:, None])[:, 0]
+        return slice(self.n_f - self.n_u, self.n_f)
 
 
 def feature_matrix(basis: MonomialBasis, X, U=None) -> np.ndarray:
     """Feature vectors of (n, K) states and (n_u, K) inputs as columns.
 
     Each column stacks the compressed powers per degree, then the input.
+    The package's one view of the feature layout: a single feature vector
+    is the one-column case.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != basis.n:

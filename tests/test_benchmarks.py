@@ -18,14 +18,9 @@ from exactopinf.benchmarks import (
     build_shallow_ice,
     parse_config,
 )
-from exactopinf.fom import (
-    eval_rhs,
-    from_dense_operators,
-    homogeneous_part,
-    polarize,
-    simulate,
-)
+from exactopinf.fom import eval_rhs, from_dense_operators, simulate
 from exactopinf.tensor_poly import monomial_count
+from polarization import homogeneous_part, polarize
 
 
 class TestSpecs:

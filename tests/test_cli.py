@@ -15,7 +15,7 @@ from exactopinf.exact_opinf import (
     infer,
 )
 from exactopinf.fom import SnapshotMatrix, from_dense_operators, simulate
-from exactopinf.galerkin import intrusive_reduce
+from exactopinf.galerkin import AggregatedOperator, intrusive_reduce
 from exactopinf.pod import PodBasis, pod_basis
 from exactopinf.serialize import (
     read_basis,
@@ -25,7 +25,7 @@ from exactopinf.serialize import (
     write_operator,
     write_snapshots,
 )
-from exactopinf.tensor_poly import monomial_count
+from exactopinf.tensor_poly import MonomialBasis, monomial_count
 
 
 def _identity_snapshots(tmp_path, N=4):
@@ -258,6 +258,30 @@ class TestInferCommand:
         assert str(sidecar) in err and "key 'dt' must be positive and finite" in err
         assert not opath.exists()
 
+    def test_zero_column_basis_exit_code(self, tmp_path, capsys):
+        vpath = tmp_path / "V.csv"
+        vpath.write_text("# exactopinf-csv v1 basis\n" + "\n" * (1 + CHAFEE_INFANTE.N))
+        opath = tmp_path / "op.csv"
+        code = main(
+            ["infer", "--benchmark", "chafee-infante", "--basis", str(vpath),
+             "--dt", "1e-5", "--out", str(opath)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(vpath) in err and "line 2" in err
+        assert not opath.exists()
+
+    def test_unwritable_out_exit_code(self, rng, tmp_path, capsys):
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, np.eye(4)[:, :2], 0.01), epath)
+        opath = tmp_path / "missing" / "op.csv"
+        code = main(["infer", "--ensemble", str(epath), "--out", str(opath)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(opath) in captured.err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -443,6 +467,16 @@ class TestDiagnoseCommand:
         assert str(rpath) in err and message in err
         assert not jpath.exists()
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        opath = tmp_path / "op.csv"
+        write_operator(AggregatedOperator(MonomialBasis(n=2, degree_set=(1,)), np.eye(2)), opath)
+        jpath = tmp_path / "missing" / "report.json"
+        code = main(["diagnose", str(opath), "--out", str(jpath)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(jpath) in captured.err
+
     def test_missing_sidecar_exit_code(self, tmp_path, capsys):
         bogus = tmp_path / "op.csv"
         bogus.write_text("# exactopinf-csv v1 operator\ncol_1\n0\n")
@@ -484,6 +518,15 @@ class TestExperimentCommand:
         assert main(["experiment", "burgers", "--n-max", "2", "--out", str(b)]) == 0
         for fname in ("operator_errors.csv", "cond_P.csv", "spectra.csv"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.write_text("")
+        code = main(["experiment", "burgers", "--n-max", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
 
     def test_out_of_range_n_requires_force(self, tmp_path, capsys):
         code = main(

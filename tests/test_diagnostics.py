@@ -15,7 +15,7 @@ from exactopinf.diagnostics import (
 from exactopinf.exact_opinf import SnapshotEnsemble, infer, standard_opinf
 from exactopinf.fom import SnapshotMatrix
 from exactopinf.galerkin import AggregatedOperator
-from exactopinf.tensor_poly import MonomialBasis, compress_state, monomial_count
+from exactopinf.tensor_poly import MonomialBasis, compress_states, monomial_count
 
 
 def _op(n, degrees, matrix, n_u=0):
@@ -104,7 +104,7 @@ class TestQuadraticTensor:
             x = rng.standard_normal(n)
             np.testing.assert_allclose(
                 np.einsum("ijk,j,k->i", h, x, x),
-                A2 @ compress_state(x, 2),
+                A2 @ compress_states(x[:, None], 2)[:, 0],
                 rtol=1e-12,
             )
 
@@ -141,7 +141,7 @@ class TestEnergyViolation:
         A2 = np.stack(cols, axis=1)
         for _ in range(5):
             x = rng.standard_normal(n)
-            assert abs(x @ (A2 @ compress_state(x, 2))) < 1e-12
+            assert abs(x @ (A2 @ compress_states(x[:, None], 2)[:, 0])) < 1e-12
         assert energy_violation(A2) < 1e-12
 
     def test_representation_invariance(self, rng):

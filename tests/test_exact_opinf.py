@@ -203,6 +203,18 @@ class TestEstimateDt:
         # num = 2, den = sqrt(0 + 3^2) = 3
         assert estimate_dt(snaps, basis, (1,), 1) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("n_u", [0, 2])
+    def test_input_count_must_match(self, n_u):
+        # the snapshots carry one input row; the layout is read, not ignored
+        snaps = SnapshotMatrix(
+            states=np.array([[0.0, 2.0], [0.0, 0.0]]),
+            times=np.array([0.0, 1.0]),
+            inputs=np.full((1, 2), 3.0),
+        )
+        basis = PodBasis(V=np.eye(2)[:, :1], singular_values=np.array([1.0]))
+        with pytest.raises(ValueError, match="inputs have shape"):
+            estimate_dt(snaps, basis, (1,), n_u)
+
 
 class TestGenerateEnsemble:
     def test_zero_rhs_zero_derivatives(self):

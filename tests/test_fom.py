@@ -15,12 +15,16 @@ from exactopinf.fom import (
     eval_rhs,
     explicit_euler_step,
     from_dense_operators,
-    homogeneous_part,
     implicit_euler_step,
-    polarize,
     simulate,
 )
-from exactopinf.tensor_poly import compress_state, monomial_count
+from exactopinf.tensor_poly import compress_states, monomial_count
+from polarization import homogeneous_part, polarize
+
+
+def compress_column(x, i):
+    """Compressed degree-``i`` power of one state vector."""
+    return compress_states(np.asarray(x)[:, None], i)[:, 0]
 
 
 def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
@@ -36,7 +40,7 @@ class TestEvalRhs:
         N = 5
         fom, mats, _ = random_dense_fom(rng, N, (1, 2))
         x = rng.standard_normal(N)
-        expected = mats[1] @ x + mats[2] @ compress_state(x, 2)
+        expected = mats[1] @ x + mats[2] @ compress_column(x, 2)
         np.testing.assert_allclose(eval_rhs(fom, x, None), expected, rtol=1e-13)
 
     def test_rhs_matches_multilinear_diagonal(self, rng):
@@ -90,7 +94,9 @@ class TestExplicitEuler:
         fom, mats, _ = random_dense_fom(rng, 4, (1, 2))
         x = rng.standard_normal(4)
         dt = 0.3
-        expected = x + dt * (mats[1] @ x + mats[2] @ compress_state(x, 2))
+        # the model is [A_1 | A_2] on the feature vector [x; x^(2)]
+        f = np.hstack([mats[1], mats[2]]) @ np.concatenate([x, compress_column(x, 2)])
+        expected = x + dt * f
         np.testing.assert_allclose(
             explicit_euler_step(fom, x, np.zeros(0), dt), expected, rtol=1e-15
         )
@@ -315,7 +321,12 @@ class TestSnapshotMatrix:
             inputs=np.zeros((1, 3)),
         )
         assert snaps.dimension == 4
-        assert snaps.n_steps == 2
+        assert snaps.states.shape[1] - 1 == 2
+
+    @pytest.mark.parametrize("inputs", [np.zeros(3), np.zeros((1, 3, 1))], ids=["1-d", "3-d"])
+    def test_inputs_must_be_2d(self, inputs):
+        with pytest.raises(ValueError, match="2-d"):
+            SnapshotMatrix(states=np.zeros((4, 3)), times=np.arange(3.0), inputs=inputs)
 
 
 class TestHomogeneousPart:
@@ -332,7 +343,7 @@ class TestHomogeneousPart:
         x = rng.standard_normal(5)
         np.testing.assert_allclose(homogeneous_part(fom, 1, x), mats[1] @ x, rtol=1e-10)
         np.testing.assert_allclose(
-            homogeneous_part(fom, 3, x), mats[3] @ compress_state(x, 3), rtol=1e-10
+            homogeneous_part(fom, 3, x), mats[3] @ compress_column(x, 3), rtol=1e-10
         )
 
     def test_zero_state(self, rng):
@@ -359,7 +370,7 @@ class TestPolarize:
         # polarization for i=2 at v=v reduces to (f2(2v) - 2 f2(v)) / 2
         fom, mats, _ = random_dense_fom(rng, 3, (2,))
         v = rng.standard_normal(3)
-        f2 = lambda y: mats[2] @ compress_state(y, 2)
+        f2 = lambda y: mats[2] @ compress_column(y, 2)
         expected = (f2(2 * v) - 2 * f2(v)) / 2
         np.testing.assert_allclose(polarize(fom, 2, v, v), expected, rtol=1e-9)
         np.testing.assert_allclose(polarize(fom, 2, v, v), f2(v), rtol=1e-9)

@@ -7,9 +7,9 @@ from exactopinf.fom import PolynomialFOM, eval_rhs, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator, MissingMultilinearAccess, intrusive_reduce
 from exactopinf.tensor_poly import (
     MonomialBasis,
-    compress_state,
+    compress_states,
     enumerate_monomials,
-    feature_vector,
+    feature_matrix,
     monomial_count,
     multiplicity,
 )
@@ -81,8 +81,8 @@ class TestIntrusiveReduce:
         red = intrusive_reduce(fom, V)
         for _ in range(20):
             xt = rng.standard_normal(n)
-            lhs = red.degree_block(2) @ compress_state(xt, 2)
-            rhs = V.T @ (A2 @ compress_state(V @ xt, 2))
+            lhs = red.degree_block(2) @ compress_states(xt[:, None], 2)[:, 0]
+            rhs = V.T @ (A2 @ compress_states((V @ xt)[:, None], 2)[:, 0])
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_input_block(self, rng):
@@ -111,7 +111,7 @@ class TestIntrusiveReduce:
         for _ in range(10):
             xt = rng.standard_normal(V.shape[1])
             np.testing.assert_allclose(
-                red.matrix @ feature_vector(red.basis, xt),
+                red.matrix @ feature_matrix(red.basis, xt[:, None])[:, 0],
                 V.T @ eval_rhs(fom, V @ xt, None),
                 rtol=1e-11,
                 atol=1e-12,

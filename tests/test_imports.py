@@ -1,7 +1,8 @@
 """Package hygiene: modules use each other's public names only and read
-every name they import, the CLI names no benchmark, one module holds the
-dense square solve, one module takes an SVD, and importing the package
-leaves the sparse solvers unloaded."""
+every name they import, the CLI names no benchmark and maps exceptions to
+exit codes in ``main`` alone, one module holds the dense square solve, one
+module takes an SVD, and importing the package leaves the sparse solvers
+unloaded."""
 
 import ast
 import os
@@ -57,6 +58,29 @@ def test_cli_names_no_benchmark():
         if isinstance(node, ast.Constant) and node.value in SPECS
     ]
     assert names == []
+
+
+def test_exit_codes_decided_in_main_alone():
+    # the subcommands raise; main maps each exception to its exit code
+    tree = _tree("cli.py")
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    in_main = {id(node) for node in ast.walk(main)}
+    definitions = {
+        id(target)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    }
+    stray = [
+        f"cli.py:{node.lineno}: {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in ("EXIT_SCHEMA", "EXIT_RANK")
+        and id(node) not in in_main | definitions
+    ]
+    assert stray == []
 
 
 def _imported_modules(tree):

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from exactopinf.tensor_poly import (
     MonomialBasis,
-    compress_state,
     compress_states,
     enumerate_monomials,
     feature_matrix,
-    feature_vector,
     monomial_count,
     monomial_index_array,
     multiplicity,
@@ -96,19 +94,24 @@ class TestMultiplicity:
         assert multiplicity(tup) == len(set(itertools.permutations(tup)))
 
 
+def compress_column(x, i):
+    """Compressed degree-``i`` power of one state vector."""
+    return compress_states(np.asarray(x)[:, None], i)[:, 0]
+
+
 class TestCompressState:
     def test_ones_squared(self):
-        assert np.array_equal(compress_state(np.array([1.0, 1.0]), 2), [1.0, 1.0, 1.0])
+        assert np.array_equal(compress_column(np.array([1.0, 1.0]), 2), [1.0, 1.0, 1.0])
 
     def test_unit_times_two_squared(self):
-        assert np.array_equal(compress_state(np.array([2.0, 0.0]), 2), [4.0, 0.0, 0.0])
+        assert np.array_equal(compress_column(np.array([2.0, 0.0]), 2), [4.0, 0.0, 0.0])
 
     def test_degree_zero(self):
-        assert np.array_equal(compress_state(np.array([5.0, -3.0]), 0), [1.0])
+        assert np.array_equal(compress_column(np.array([5.0, -3.0]), 0), [1.0])
 
     def test_degree_one_identity(self):
         x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(compress_state(x, 1), x)
+        assert np.array_equal(compress_column(x, 1), x)
 
     def test_matches_kronecker_dedup(self, rng):
         # oracle: the Kronecker cube at the slots whose index tuple is
@@ -121,13 +124,13 @@ class TestCompressState:
             for k, t in enumerate(itertools.product(range(n), repeat=3))
             if t[0] <= t[1] <= t[2]
         ]
-        np.testing.assert_allclose(compress_state(x, 3), kron[slots], rtol=1e-14)
+        np.testing.assert_allclose(compress_column(x, 3), kron[slots], rtol=1e-14)
 
     def test_compress_states_columnwise(self, rng):
         X = rng.standard_normal((4, 6))
         stacked = compress_states(X, 2)
         for k in range(6):
-            np.testing.assert_array_equal(stacked[:, k], compress_state(X[:, k], 2))
+            np.testing.assert_array_equal(stacked[:, k], compress_column(X[:, k], 2))
 
     def test_compress_states_memory_does_not_grow_with_degree(self, rng):
         # one index slot at a time: the block and one slot's factors, never
@@ -167,7 +170,7 @@ class TestMonomialBasis:
     def test_layout_sizes(self):
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
         assert basis.block_sizes == (2, 3)
-        assert basis.n_p == 5
+        assert sum(basis.block_sizes) == 5
         assert basis.n_f == 7
 
     def test_degree_set_normalized(self):
@@ -199,17 +202,18 @@ class TestMonomialBasis:
 class TestFeatureVector:
     def test_worked_example_column_one(self):
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        p = feature_vector(basis, np.array([1.0, 0.0]), np.zeros(2))
+        p = feature_matrix(basis, np.array([[1.0], [0.0]]), np.zeros((2, 1)))[:, 0]
         np.testing.assert_array_equal(p, [1, 0, 1, 0, 0, 0, 0])
 
     def test_worked_example_input_column(self):
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        p = feature_vector(basis, np.zeros(2), np.array([1.0, 0.0]))
+        p = feature_matrix(basis, np.zeros((2, 1)), np.array([[1.0], [0.0]]))[:, 0]
         np.testing.assert_array_equal(p, [0, 0, 0, 0, 0, 1, 0])
 
     def test_degree_zero_only(self):
         basis = MonomialBasis(n=3, degree_set=(0,), n_u=2)
-        p = feature_vector(basis, np.array([7.0, -2.0, 1.0]), np.array([3.0, 4.0]))
+        X, U = np.array([[7.0, -2.0, 1.0]]).T, np.array([[3.0, 4.0]]).T
+        p = feature_matrix(basis, X, U)[:, 0]
         np.testing.assert_array_equal(p, [1, 3, 4])
 
     def test_feature_matrix_columnwise(self, rng):
@@ -218,14 +222,16 @@ class TestFeatureVector:
         U = rng.standard_normal((1, 5))
         P = feature_matrix(basis, X, U)
         for k in range(5):
-            np.testing.assert_array_equal(P[:, k], feature_vector(basis, X[:, k], U[:, k]))
+            np.testing.assert_array_equal(P[:, [k]], feature_matrix(basis, X[:, [k]], U[:, [k]]))
 
     def test_shape_validation(self):
         basis = MonomialBasis(n=2, degree_set=(1,), n_u=1)
         with pytest.raises(ValueError):
-            feature_vector(basis, np.zeros(3))
+            feature_matrix(basis, np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            feature_vector(basis, np.zeros(2), np.zeros(2))
+            feature_matrix(basis, np.zeros(2))
+        with pytest.raises(ValueError):
+            feature_matrix(basis, np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 @settings(max_examples=30)
@@ -236,5 +242,5 @@ def test_compress_scaling_homogeneity(n, i, seed):
     x = rng.standard_normal(n)
     t = 1.0 + rng.random()
     np.testing.assert_allclose(
-        compress_state(t * x, i), t**i * compress_state(x, i), rtol=1e-12
+        compress_column(t * x, i), t**i * compress_column(x, i), rtol=1e-12
     )
