@@ -11,11 +11,11 @@ from .benchmarks import (
     build_shallow_ice,
 )
 from .diagnostics import (
-    DiagnosticsReport,
     build_report,
     diffusion_spectrum,
     energy_violation,
     relative_operator_error,
+    structure_metrics,
     symmetry_violation,
 )
 from .exact_opinf import (

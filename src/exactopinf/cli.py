@@ -38,8 +38,7 @@ from .diagnostics import (
     build_report,
     diffusion_spectrum,
     relative_operator_error,
-    scaled_energy_violation,
-    symmetry_violation,
+    structure_metrics,
 )
 from .exact_opinf import (
     SingularDataMatrixError,
@@ -73,6 +72,13 @@ EXIT_RANK = 3
 STRUCTURE_TABLES = {
     "energy_violation": ("energy_violation.csv", "energy-violation", "energy_violation_scaled"),
     "symmetry_violation": ("symmetry_violation.csv", "symmetry-violation", "symmetry_violation"),
+}
+
+# diagnose's JSON name of each structure metric it reports
+DIAGNOSE_KEYS = {
+    "symmetry_violation": "symmetry_violation",
+    "diffusion_spectrum": "diffusion_spectrum",
+    "energy_violation": "energy_violation_scaled",
 }
 
 
@@ -144,7 +150,7 @@ def cmd_experiment(args) -> int:
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
-            inferred_eigs = reports[-1].diffusion_eigenvalues
+            inferred_eigs = reports[-1]["diffusion_spectrum"]
             for k in range(n):
                 spectra_rows.append(
                     [n, k + 1, float(intrusive_eigs[k]), float(inferred_eigs[k])]
@@ -166,9 +172,9 @@ def cmd_experiment(args) -> int:
         "operator-errors",
         ["n", "relative_error"] + degree_cols + input_cols,
         [
-            [rep.n, rep.relative_operator_error]
-            + [float(rep.block_errors[i]) for i in spec.degree_set]
-            + ([float(rep.block_errors["input"])] if spec.n_u else [])
+            [rep["n"], rep["relative_operator_error"]]
+            + [float(rep["block_errors"][i]) for i in spec.degree_set]
+            + ([float(rep["block_errors"]["input"])] if spec.n_u else [])
             for rep in reports
         ],
     )
@@ -176,11 +182,11 @@ def cmd_experiment(args) -> int:
         out / "cond_P.csv",
         "cond-p",
         ["n", "cond_P", "ensemble_size"],
-        [[rep.n, rep.cond_P, rep.ensemble_size] for rep in reports],
+        [[rep["n"], rep["cond_P"], rep["ensemble_size"]] for rep in reports],
     )
     for metric, (fname, kind, column) in STRUCTURE_TABLES.items():
         if metric in bounded:
-            rows = [[rep.n, rep.metrics()[metric]] for rep in reports]
+            rows = [[rep["n"], rep[metric]] for rep in reports]
             write_table(out / fname, kind, ["n", column], rows)
     if "diffusion_spectrum_min" in bounded:
         write_table(
@@ -207,15 +213,14 @@ def _check_thresholds(spec, reports):
     ensemble size against the feature count ``n_f``."""
     failures = []
     for rep in reports:
-        metrics = rep.metrics()
         checks = [
-            (t.metric, metrics[t.metric], t.bound, t.holds(metrics[t.metric]))
-            for t in spec.thresholds
+            (t.metric, rep[t.metric], t.bound, t.holds(rep[t.metric])) for t in spec.thresholds
         ]
-        n_f = MonomialBasis(n=rep.n, degree_set=spec.degree_set, n_u=spec.n_u).n_f
-        checks.append(("ensemble_size", rep.ensemble_size, n_f, rep.ensemble_size == n_f))
+        n_f = MonomialBasis(n=rep["n"], degree_set=spec.degree_set, n_u=spec.n_u).n_f
+        size = rep["ensemble_size"]
+        checks.append(("ensemble_size", size, n_f, size == n_f))
         failures += [
-            {"metric": metric, "n": rep.n, "value": value, "threshold": bound}
+            {"metric": metric, "n": rep["n"], "value": value, "threshold": bound}
             for metric, value, bound, ok in checks
             if not ok
         ]
@@ -257,12 +262,10 @@ def cmd_diagnose(args) -> int:
         "degree_set": list(op.basis.degree_set),
         "n_u": op.basis.n_u,
     }
-    if 1 in op.basis.degree_set:
-        A1 = op.degree_block(1)
-        report["symmetry_violation"] = symmetry_violation(A1)
-        report["diffusion_spectrum"] = [float(v) for v in diffusion_spectrum(A1)]
-    if 2 in op.basis.degree_set:
-        report["energy_violation_scaled"] = scaled_energy_violation(op)
+    structure = structure_metrics(op)
+    report.update(
+        {name: structure[key] for key, name in DIAGNOSE_KEYS.items() if key in structure}
+    )
     if reference is not None:
         try:  # another layout, or a zero reference
             report["relative_operator_error"] = relative_operator_error(op, reference)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .galerkin import AggregatedOperator
@@ -66,21 +64,6 @@ def energy_violation(A2: np.ndarray) -> float:
     return float(np.sum(np.abs(total)))
 
 
-def scaled_energy_violation(operator: AggregatedOperator) -> float:
-    """:func:`energy_violation` of the quadratic block over the block's norm.
-
-    A numerically vanishing quadratic block (at most 1e-12 of the whole
-    operator) would make the block-relative scaling 0/0, so it is measured
-    against the whole-operator norm instead.
-    """
-    A2 = operator.degree_block(2)
-    norm = np.linalg.norm(A2)
-    total_norm = np.linalg.norm(operator.matrix)
-    if norm <= 1e-12 * total_norm:
-        norm = total_norm
-    return float(energy_violation(A2) / norm) if norm > 0 else 0.0
-
-
 def symmetry_violation(A1: np.ndarray) -> float:
     """Relative Frobenius asymmetry ``|A - A^T| / |A|`` of a square block."""
     A1 = np.asarray(A1, dtype=float)
@@ -100,31 +83,33 @@ def diffusion_spectrum(A1: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(-0.5 * (A1 + A1.T))
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Collected metrics of one inferred operator against its reference."""
+def structure_metrics(operator: AggregatedOperator) -> dict:
+    """The structure checks the operator's layout admits, by name.
 
-    n: int
-    relative_operator_error: float
-    cond_P: float
-    ensemble_size: int
-    block_errors: dict
-    energy_violation: float | None = None
-    symmetry_violation: float | None = None
-    diffusion_eigenvalues: np.ndarray | None = None
-    quadratic_block_fraction: float | None = None
-
-    def metrics(self) -> dict:
-        """The scalar metrics this report has, by name (those a spec may bound)."""
-        spectrum = self.diffusion_eigenvalues
-        found = {
-            "relative_operator_error": self.relative_operator_error,
-            "quadratic_block_fraction": self.quadratic_block_fraction,
-            "energy_violation": self.energy_violation,
-            "symmetry_violation": self.symmetry_violation,
-            "diffusion_spectrum_min": None if spectrum is None else float(spectrum.min()),
-        }
-        return {name: value for name, value in found.items() if value is not None}
+    A linear block gives its :func:`symmetry_violation` and its
+    :func:`diffusion_spectrum` (a list) with that spectrum's minimum.  A
+    quadratic block gives its :func:`energy_violation` over the block's norm
+    and the block's share of the operator's norm.  A numerically vanishing
+    quadratic block (at most 1e-12 of the whole operator) would make the
+    block-relative scaling 0/0, so its violation is measured against the
+    whole-operator norm instead.
+    """
+    metrics = {}
+    degrees = operator.basis.degree_set
+    if 1 in degrees:
+        A1 = operator.degree_block(1)
+        spectrum = diffusion_spectrum(A1)
+        metrics["symmetry_violation"] = symmetry_violation(A1)
+        metrics["diffusion_spectrum"] = spectrum.tolist()
+        metrics["diffusion_spectrum_min"] = float(spectrum.min())
+    if 2 in degrees:
+        A2 = operator.degree_block(2)
+        norm = np.linalg.norm(A2)
+        total = np.linalg.norm(operator.matrix)
+        scale = total if norm <= 1e-12 * total else norm
+        metrics["energy_violation"] = float(energy_violation(A2) / scale) if scale > 0 else 0.0
+        metrics["quadratic_block_fraction"] = float(norm / total) if total else 0.0
+    return metrics
 
 
 def build_report(
@@ -132,28 +117,15 @@ def build_report(
     reference: AggregatedOperator,
     cond_P: float,
     ensemble_size: int,
-) -> DiagnosticsReport:
-    """Assemble the standard report; structure metrics where applicable."""
-    basis = inferred.basis
-    energy = None
-    symmetry = None
-    spectrum = None
-    fraction = None
-    if 2 in basis.degree_set:
-        energy = scaled_energy_violation(inferred)
-        total = np.linalg.norm(inferred.matrix)
-        fraction = float(np.linalg.norm(inferred.degree_block(2)) / total) if total else 0.0
-    if 1 in basis.degree_set:
-        symmetry = symmetry_violation(inferred.degree_block(1))
-        spectrum = diffusion_spectrum(inferred.degree_block(1))
-    return DiagnosticsReport(
-        n=basis.n,
-        relative_operator_error=relative_operator_error(inferred, reference),
-        cond_P=cond_P,
-        ensemble_size=ensemble_size,
-        block_errors=block_errors(inferred, reference),
-        energy_violation=energy,
-        symmetry_violation=symmetry,
-        diffusion_eigenvalues=spectrum,
-        quadratic_block_fraction=fraction,
-    )
+) -> dict:
+    """The metrics of one reduced dimension, by name: accuracy against
+    ``reference``, the data matrix's condition and size, and
+    :func:`structure_metrics`."""
+    return {
+        "n": inferred.basis.n,
+        "cond_P": cond_P,
+        "ensemble_size": ensemble_size,
+        "relative_operator_error": relative_operator_error(inferred, reference),
+        "block_errors": block_errors(inferred, reference),
+        **structure_metrics(inferred),
+    }

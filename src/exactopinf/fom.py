@@ -28,17 +28,9 @@ NEWTON_MAX_ITER = 50
 class NonFiniteStateError(RuntimeError):
     """Right-hand side or integrator produced NaN/inf values."""
 
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
 
 class NewtonError(RuntimeError):
     """Newton iteration for an implicit step failed to converge."""
-
-    def __init__(self, message, residual_norm=None):
-        super().__init__(message)
-        self.residual_norm = residual_norm
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
         raise ValueError(f"input has shape {u.shape}, expected ({fom.n_u},)")
     out = np.asarray(fom.rhs(x, u), dtype=float)
     if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError("right-hand side returned non-finite values", state=x)
+        raise NonFiniteStateError("right-hand side returned non-finite values")
     return out
 
 
@@ -120,7 +112,7 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = x + dt * eval_rhs(fom, x, u)
     if not np.all(np.isfinite(y)):
-        raise NonFiniteStateError(f"step of size {dt:g} left the finite range", state=x)
+        raise NonFiniteStateError(f"step of size {dt:g} left the finite range")
     return y
 
 
@@ -186,8 +178,7 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
         y = y - _solve_shifted(Jf, dt, residual)
     raise NewtonError(
         f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(last residual {res_norm:.3e})",
-        residual_norm=res_norm,
+        f"(last residual {res_norm:.3e})"
     )
 
 

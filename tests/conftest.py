@@ -1,4 +1,5 @@
-"""Shared fixtures: the three benchmark pipelines, computed once per session."""
+"""Shared fixtures: the three benchmark pipelines, computed once per session,
+and a generator seeded afresh for each test."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,6 @@ def ice_data():
     return {"spec": spec, "fom": model, "x0": x0, "snaps": snaps, "pod": basis}
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

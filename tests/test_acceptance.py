@@ -130,8 +130,8 @@ def test_criterion_2_burgers_exact_and_structured(burgers_sweep):
     for n, r in burgers_sweep.items():
         worst_err = max(worst_err, relative_operator_error(r["inferred"], r["intrusive"]))
         rep = build_report(r["inferred"], r["intrusive"], r["cond_P"], r["size"])
-        worst_energy = max(worst_energy, rep.energy_violation)
-        worst_sym = max(worst_sym, rep.symmetry_violation)
+        worst_energy = max(worst_energy, rep["energy_violation"])
+        worst_sym = max(worst_sym, rep["symmetry_violation"])
         eig_inf = diffusion_spectrum(r["inferred"].degree_block(1))
         eig_int = diffusion_spectrum(r["intrusive"].degree_block(1))
         worst_eig = min(worst_eig, eig_inf.min())

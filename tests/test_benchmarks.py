@@ -45,7 +45,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_thresholds_name_reported_metrics(self, name):
-        # the metrics a report of this degree set carries (DiagnosticsReport.metrics)
+        # the metrics build_report's mapping carries for this degree set
         spec = SPECS[name]
         available = {"relative_operator_error"}
         if 1 in spec.degree_set:

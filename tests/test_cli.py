@@ -433,7 +433,7 @@ class TestDiagnoseCommand:
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
         result = exact_opinf(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
         ref = intrusive_reduce(chafee_data["fom"], pod.matrix(n))
-        expected = build_report(result.operator, ref, result.cond_P, n).energy_violation
+        expected = build_report(result.operator, ref, result.cond_P, n)["energy_violation"]
         from exactopinf.serialize import write_operator
 
         opath = tmp_path / "op.csv"

@@ -200,27 +200,28 @@ class TestBuildReport:
         basis = MonomialBasis(n=2, degree_set=(1, 2))
         ref = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 5)))
         rep = build_report(ref, ref, 12.5, 5)
-        assert rep.relative_operator_error == 0.0
-        assert rep.cond_P == 12.5
-        assert rep.ensemble_size == 5
-        assert rep.symmetry_violation is not None
-        assert rep.energy_violation is not None
-        assert rep.diffusion_eigenvalues.shape == (2,)
+        assert rep["relative_operator_error"] == 0.0
+        assert rep["cond_P"] == 12.5
+        assert rep["ensemble_size"] == 5
+        assert rep["symmetry_violation"] is not None
+        assert rep["energy_violation"] is not None
+        assert len(rep["diffusion_spectrum"]) == 2
 
     def test_metrics_by_degree_set(self, rng):
         for degrees, names in [
-            ((1, 2), {"quadratic_block_fraction", "energy_violation",
-                      "symmetry_violation", "diffusion_spectrum_min"}),
+            ((1, 2), {"quadratic_block_fraction", "energy_violation", "symmetry_violation",
+                      "diffusion_spectrum", "diffusion_spectrum_min"}),
             ((3, 8), set()),
         ]:
             basis = MonomialBasis(n=2, degree_set=degrees)
             op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, basis.n_f)))
             rep = build_report(op, op, 1.0, basis.n_f)
-            metrics = rep.metrics()
-            assert set(metrics) == {"relative_operator_error"} | names
+            assert set(rep) == {
+                "n", "cond_P", "ensemble_size", "relative_operator_error", "block_errors"
+            } | names
             if degrees == (1, 2):
-                assert metrics["diffusion_spectrum_min"] == rep.diffusion_eigenvalues[0]
-                assert metrics["quadratic_block_fraction"] == pytest.approx(
+                assert rep["diffusion_spectrum_min"] == rep["diffusion_spectrum"][0]
+                assert rep["quadratic_block_fraction"] == pytest.approx(
                     np.linalg.norm(op.degree_block(2)) / np.linalg.norm(op.matrix)
                 )
 
@@ -231,4 +232,4 @@ class TestBuildReport:
         M = np.array([[10.0, 1e-16]])
         op = AggregatedOperator(basis=basis, matrix=M)
         rep = build_report(op, op, 1.0, 2)
-        assert rep.energy_violation < 1e-12
+        assert rep["energy_violation"] < 1e-12

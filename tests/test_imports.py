@@ -1,8 +1,8 @@
 """Package hygiene: modules use each other's public names only and read
-every name they import, the CLI names no benchmark and maps exceptions to
-exit codes in ``main`` alone, one module holds the dense square solve, one
-module takes an SVD, and importing the package leaves the sparse solvers
-unloaded."""
+every name they import, the CLI names no benchmark, maps exceptions to
+exit codes in ``main`` alone and chooses no structure check, one module
+holds the dense square solve, one module takes an SVD, and importing the
+package leaves the sparse solvers unloaded."""
 
 import ast
 import os
@@ -82,6 +82,22 @@ def test_exit_codes_decided_in_main_alone():
     ]
     assert stray == []
 
+
+
+def test_structure_checks_chosen_outside_cli():
+    # diagnostics.structure_metrics alone decides which structure metrics a
+    # layout gets; the CLI tests no degree set for membership
+    tests = [
+        f"cli.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(_tree("cli.py"))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "degree_set"
+            for side in node.comparators
+        )
+    ]
+    assert tests == []
 
 def _imported_modules(tree):
     """Absolute module names an import statement binds or reads from."""
