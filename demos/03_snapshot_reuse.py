@@ -1,20 +1,22 @@
 """Growing the reduced dimension without discarding old snapshots.
 
 The one-step starting states for dimension n are a subset of those for
-n + 1 (padded with a zero), so an ensemble can be extended instead of
-regenerated: only the new feature columns cost additional full-order
-steps.
+n + 1 (padded with a zero), so ``nested_ensembles`` builds the ensembles of
+a whole sweep of dimensions from one basis: each dimension steps only the
+pairs it adds, and the sweep takes as many full-order steps as the largest
+ensemble has pairs.  The demo counts the full-order right-hand-side calls.
 
 Run:  python3 demos/03_snapshot_reuse.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from exactopinf import (
-    extend_ensemble,
-    generate_ensemble,
     infer,
     intrusive_reduce,
+    nested_ensembles,
     relative_operator_error,
     from_dense_operators,
 )
@@ -25,25 +27,27 @@ def main():
     rng = np.random.default_rng(21)
     N = 16
     degrees = (1, 2)
-    fom = from_dense_operators(
+    model = from_dense_operators(
         {i: rng.standard_normal((N, monomial_count(N, i))) for i in degrees}
     )
+    calls = []
+
+    def counted_rhs(x, u):
+        calls.append(1)
+        return model.rhs(x, u)
+
+    fom = dataclasses.replace(model, rhs=counted_rhs)
     V = np.linalg.qr(rng.standard_normal((N, 6)))[0]
     dt = 0.01
 
-    ensemble = generate_ensemble(fom, V[:, :1], dt)
-    total_runs = ensemble.size
+    total_runs = 0
     print(f"{'n':>3} {'ensemble':>9} {'new runs':>9} {'operator err':>14}")
-    for n in range(1, 7):
-        if n > 1:
-            before = ensemble.size
-            ensemble = extend_ensemble(ensemble, fom, V[:, :n])
-            new_runs = ensemble.size - before
-            total_runs += new_runs
-        else:
-            new_runs = ensemble.size
+    for ensemble in nested_ensembles(fom, V, dt):
+        n = ensemble.basis.n
+        new_runs = len(calls) - total_runs
+        total_runs = len(calls)
         err = relative_operator_error(
-            infer(ensemble).operator, intrusive_reduce(fom, V[:, :n])
+            infer(ensemble).operator, intrusive_reduce(model, V[:, :n])
         )
         print(f"{n:>3} {ensemble.size:>9} {new_runs:>9} {err:>14.3e}")
     print(f"total full-order runs: {total_runs} "

@@ -24,9 +24,9 @@ from .exact_opinf import (
     SnapshotEnsemble,
     estimate_dt,
     exact_opinf,
-    extend_ensemble,
     generate_ensemble,
     infer,
+    nested_ensembles,
     pair_tags,
     rank_ensuring_pairs,
     standard_opinf,

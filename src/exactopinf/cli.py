@@ -43,9 +43,9 @@ from .diagnostics import (
 from .exact_opinf import (
     SingularDataMatrixError,
     estimate_dt,
-    extend_ensemble,
     generate_ensemble,
     infer,
+    nested_ensembles,
     standard_opinf,
 )
 from .fom import NewtonError, NonFiniteStateError, SnapshotMatrix, simulate
@@ -135,18 +135,14 @@ def cmd_experiment(args) -> int:
     reports = []
     spectra_rows = []
     baseline_rows = []
-    ensemble = None
-    for n in range(1, n_max + 1):
+    for ensemble in nested_ensembles(fom, pod.matrix(n_max), dt_used, spec.state_scale):
+        n = ensemble.basis.n
         V = pod.matrix(n)
         ref = intrusive_reduce(fom, V)
         try:
-            if ensemble is None:
-                ensemble = generate_ensemble(fom, V, dt_used, spec.state_scale)
-            else:
-                ensemble = extend_ensemble(ensemble, fom, V)
             result = infer(ensemble)
-        except (SingularDataMatrixError, NonFiniteStateError, NewtonError) as exc:
-            raise type(exc)(f"n={n}: {exc}") from exc
+        except SingularDataMatrixError as exc:
+            raise SingularDataMatrixError(f"n={n}: {exc}") from exc
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))

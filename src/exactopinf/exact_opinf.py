@@ -69,9 +69,7 @@ class SnapshotEnsemble:
 
     ``P`` is the (n_f, K) feature matrix, ``derivatives`` the (n, K) matrix
     of projected difference quotients, column ``s`` of both from the pair
-    ``s`` of ``rank_ensuring_pairs(basis, scale)``.  ``fom_quotients`` keeps
-    the full-order quotients ``(x_1 - x_0)/dt`` so the data can be reused
-    when the basis is extended; it is ``None`` for ensembles loaded from disk.
+    ``s`` of ``rank_ensuring_pairs(basis, scale)``.
     """
 
     basis: MonomialBasis
@@ -79,8 +77,6 @@ class SnapshotEnsemble:
     P: np.ndarray
     derivatives: np.ndarray
     scale: float = 1.0
-    fom_quotients: np.ndarray | None = None
-    V: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -119,30 +115,29 @@ def _build_ensemble(
     """The ensemble of the rank-ensuring pairs of ``V``'s width and the model.
 
     A pair whose tag ``known`` maps to a full-order quotient takes that
-    quotient; every other pair is lifted and stepped once.  A state pair
-    lifts to the basis columns its tag names, added in that order, times
-    ``scale``; degree-0 and input pairs start at zero.  Unlike ``V @ x``,
-    whose rounding depends on how BLAS blocks the sum over all ``n`` columns,
-    this does not depend on how many columns ``V`` has, so a step reused
-    after the basis grows is bitwise the step a fresh ensemble takes.
+    quotient; every other pair is lifted, stepped once and put in ``known``.
+    A state pair lifts to the basis columns its tag names, added in that
+    order, times ``scale``; degree-0 and input pairs start at zero.  Unlike
+    ``V @ x``, whose rounding depends on how BLAS blocks the sum over all
+    ``n`` columns, this does not depend on how many columns ``V`` has, so a
+    step reused by a wider basis is bitwise the step a fresh ensemble takes.
     """
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
     X, U = rank_ensuring_pairs(basis, scale)
     quotients = np.empty((fom.dimension, basis.n_f))
     for s, tag in enumerate(pair_tags(basis)):
-        if tag in known:
-            quotients[:, s] = known[tag]
-            continue
-        x0 = np.zeros(V.shape[0])
-        if tag[0] == "state":
-            for j in tag[2]:
-                x0 += V[:, j - 1]
-            x0 *= scale
-        try:
-            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
-        quotients[:, s] = (x1 - x0) / dt
+        if tag not in known:
+            x0 = np.zeros(V.shape[0])
+            if tag[0] == "state":
+                for j in tag[2]:
+                    x0 += V[:, j - 1]
+                x0 *= scale
+            try:
+                x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
+            known[tag] = (x1 - x0) / dt
+        quotients[:, s] = known[tag]
 
     return SnapshotEnsemble(
         basis=basis,
@@ -150,8 +145,6 @@ def _build_ensemble(
         P=feature_matrix(basis, X, U),
         derivatives=V.T @ quotients,
         scale=scale,
-        fom_quotients=quotients,
-        V=V,
     )
 
 
@@ -163,9 +156,24 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     count, at amplitude ``scale``.  Each is lifted to the full order with ``V``,
     stepped once, and the difference quotient projected back.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
     return _build_ensemble(fom, V, dt, scale, known={})
+
+
+def nested_ensembles(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
+    """Yield the ensemble of ``V[:, :n]`` for ``n = 1 .. V.shape[1]``.
+
+    Every rank-ensuring pair of width ``n`` is also one of width ``n + 1``,
+    under the same tag, so each width steps only the pairs it adds; each
+    ensemble is bitwise :func:`generate_ensemble`'s.  A failed step is
+    re-raised with its width, ``n={n}: ``, in front.
+    """
+    known = {}
+    for n in range(1, V.shape[1] + 1):
+        try:
+            ensemble = _build_ensemble(fom, V[:, :n], dt, scale, known)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(f"n={n}: {exc}") from exc
+        yield ensemble
 
 
 def _factor_square(P):
@@ -314,27 +322,6 @@ def exact_opinf(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> Inferen
     ``scale`` is the state amplitude of :func:`rank_ensuring_pairs`.
     """
     return infer(generate_ensemble(fom, V, dt, scale))
-
-
-def extend_ensemble(old: SnapshotEnsemble, fom: PolynomialFOM, V_plus) -> SnapshotEnsemble:
-    """Grow an ensemble to a larger reduced dimension, reusing old steps.
-
-    Every pair of the smaller dimension also occurs at the larger one, under
-    the same tag and at the same scale (its state zero-padded and
-    lifted by the same leading basis columns), so its full-order step is
-    reused verbatim; only the genuinely new pairs are simulated.  The
-    extended basis array must agree with the old one on its leading columns.
-    """
-    if old.fom_quotients is None or old.V is None:
-        raise ValueError("ensemble lacks full-order data; regenerate it from the model")
-    n_old = old.V.shape[1]
-    n_plus = V_plus.shape[1]
-    if n_plus <= n_old:
-        raise ValueError(f"extended dimension {n_plus} must exceed {n_old}")
-    if np.max(np.abs(V_plus[:, :n_old] - old.V)) > 1e-14:
-        raise ValueError("extended basis does not match the original leading columns")
-    known = dict(zip(pair_tags(old.basis), old.fom_quotients.T))
-    return _build_ensemble(fom, V_plus, old.dt, old.scale, known)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ from exactopinf.diagnostics import (
 from exactopinf.exact_opinf import (
     estimate_dt,
     exact_opinf,
-    extend_ensemble,
     generate_ensemble,
     infer,
+    nested_ensembles,
     rank_ensuring_pairs,
     standard_opinf,
 )
@@ -65,19 +65,15 @@ def _verdict(label, ok, detail):
     return ok
 
 
-def _sweep(data, n_values):
-    """Inferred and intrusive operators for every n, with nested ensembles."""
+def _sweep(data):
+    """Inferred and intrusive operators for every n of the sweep, with nested ensembles."""
     spec = data["spec"]
     fom = data["fom"]
     pod = data["pod"]
     dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
     results = {}
-    ensemble = None
-    for n in n_values:
-        if ensemble is None:
-            ensemble = generate_ensemble(fom, pod.matrix(n), dt, spec.state_scale)
-        else:
-            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
+    for ensemble in nested_ensembles(fom, pod.matrix(max(spec.n_sweep)), dt, spec.state_scale):
+        n = ensemble.basis.n
         res = infer(ensemble)
         results[n] = {
             "inferred": res.operator,
@@ -90,17 +86,17 @@ def _sweep(data, n_values):
 
 @pytest.fixture(scope="module")
 def chafee_sweep(chafee_data):
-    return _sweep(chafee_data, chafee_data["spec"].n_sweep)
+    return _sweep(chafee_data)
 
 
 @pytest.fixture(scope="module")
 def burgers_sweep(burgers_data):
-    return _sweep(burgers_data, burgers_data["spec"].n_sweep)
+    return _sweep(burgers_data)
 
 
 @pytest.fixture(scope="module")
 def ice_sweep(ice_data):
-    return _sweep(ice_data, ice_data["spec"].n_sweep)
+    return _sweep(ice_data)
 
 
 def test_criterion_1_chafee_exact_reconstruction(chafee_sweep):
@@ -311,10 +307,9 @@ def test_criterion_8_nested_ensemble_reuse(chafee_data, burgers_data, ice_data):
         fom = data["fom"]
         pod = data["pod"]
         dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
-        ensemble = generate_ensemble(fom, pod.matrix(spec.n_sweep[0]), dt, spec.state_scale)
-        for n in spec.n_sweep[1:]:
-            ensemble = extend_ensemble(ensemble, fom, pod.matrix(n))
-            fresh = generate_ensemble(fom, pod.matrix(n), dt, spec.state_scale)
+        V = pod.matrix(max(spec.n_sweep))
+        for ensemble in nested_ensembles(fom, V, dt, spec.state_scale):
+            fresh = generate_ensemble(fom, V[:, : ensemble.basis.n], dt, spec.state_scale)
             a = infer(ensemble).operator.matrix
             b = infer(fresh).operator.matrix
             worst = max(worst, float(np.linalg.norm(a - b) / np.linalg.norm(b)))

@@ -17,19 +17,13 @@ SWEEP = """
 import hashlib
 import numpy as np
 from exactopinf.benchmarks import BURGERS, CHAFEE_INFANTE, build
-from exactopinf.exact_opinf import extend_ensemble, generate_ensemble, infer
+from exactopinf.exact_opinf import infer, nested_ensembles
 
 digest = hashlib.sha256()
 for spec, dt in ((BURGERS, 0.1), (CHAFEE_INFANTE, 2e-4)):
     fom, _, _ = build(spec)
     Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((spec.N, 8)))
-    ensemble = None
-    for n in range(1, 9):
-        V = np.ascontiguousarray(Q[:, :n])
-        if ensemble is None:
-            ensemble = generate_ensemble(fom, V, dt, spec.state_scale)
-        else:
-            ensemble = extend_ensemble(ensemble, fom, V)
+    for ensemble in nested_ensembles(fom, Q, dt, spec.state_scale):
         result = infer(ensemble)
         digest.update(result.operator.matrix.tobytes())
         digest.update(repr(result.cond_P).encode())

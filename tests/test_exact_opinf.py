@@ -1,5 +1,6 @@
 """Single-step ensembles and the square inference solve."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,16 @@ from exactopinf.exact_opinf import (
     SnapshotEnsemble,
     estimate_dt,
     exact_opinf,
-    extend_ensemble,
     generate_ensemble,
     infer,
+    nested_ensembles,
     pair_tags,
     rank_ensuring_pairs,
     solve_square,
     standard_opinf,
 )
 from exactopinf.fom import (
+    NonFiniteStateError,
     PolynomialFOM,
     SnapshotMatrix,
     eval_rhs,
@@ -516,92 +518,81 @@ class TestExactRecovery:
         assert exact_better >= 45, f"exact inference better in only {exact_better}/50"
 
 
+def counting(fom):
+    """``fom`` with a right-hand side that appends to the returned list per call."""
+    calls = []
+
+    def rhs(x, u):
+        calls.append(1)
+        return fom.rhs(x, u)
+
+    return dataclasses.replace(fom, rhs=rhs), calls
+
+
 class TestExtendEnsemble:
+    # nested_ensembles extends the ensemble of each width to the next
     def test_reuse_count_linear(self, rng):
-        fom = random_dense_fom(rng, 5, (1,))
-        V = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-        counter = {"calls": 0}
-        original_rhs = fom.rhs
-
-        def counting_rhs(x, u):
-            counter["calls"] += 1
-            return original_rhs(x, u)
-
-        counted = PolynomialFOM(
-            dimension=5, degree_set=(1,), n_u=0, rhs=counting_rhs,
-        )
-        ens1 = generate_ensemble(counted, V[:, :1], 0.1)
-        before = counter["calls"]
-        assert before == 1
-        extend_ensemble(ens1, counted, V[:, :2])
-        assert counter["calls"] - before == 1  # reuses 1 of 2
+        fom, calls = counting(random_dense_fom(rng, 5, (1,)))
+        V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+        counts = []
+        for _ in nested_ensembles(fom, V, 0.1):
+            counts.append(len(calls) - sum(counts))
+        assert counts == [1, 1]  # width 2 reuses 1 of 2
 
     def test_reuse_count_quadratic(self, rng):
-        fom = random_dense_fom(rng, 6, (1, 2))
+        fom, calls = counting(random_dense_fom(rng, 6, (1, 2)))
         V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        counter = {"calls": 0}
-        original_rhs = fom.rhs
-
-        counted = PolynomialFOM(
-            dimension=6,
-            degree_set=(1, 2),
-            n_u=0,
-            rhs=lambda x, u: (counter.__setitem__("calls", counter["calls"] + 1), original_rhs(x, u))[1],
-        )
-        ens2 = generate_ensemble(counted, V[:, :2], 0.1)
-        assert counter["calls"] == 5
-        ens3 = extend_ensemble(ens2, counted, V)
-        assert counter["calls"] == 5 + 4  # 9 pairs at n=3, reuses 5
-        assert ens3.size == 9
+        ensembles = list(nested_ensembles(fom, V, 0.1))
+        assert len(calls) == 9  # 9 pairs at n=3: 2 + 3 + 4 steps, reusing 5
+        assert [ens.size for ens in ensembles] == [2, 5, 9]
 
     def test_extension_equals_fresh_inference(self, rng):
-        fom = random_dense_fom(rng, 8, (1, 2), n_u=1)
+        # every width, at unit and scaled amplitude: bitwise the fresh
+        # inference, after stepping only the pairs the width adds
+        model = random_dense_fom(rng, 8, (1, 2), n_u=1)
+        fom, calls = counting(model)
         V = np.linalg.qr(rng.standard_normal((8, 4)))[0]
-        ens3 = generate_ensemble(fom, V[:, :3], 0.05)
-        grown = extend_ensemble(ens3, fom, V)
-        fresh = generate_ensemble(fom, V, 0.05)
-        a = infer(grown).operator.matrix
-        b = infer(fresh).operator.matrix
-        assert np.max(np.abs(a - b)) < 1e-12
+        for scale in (1.0, 8.0):
+            n_f = 0
+            for ensemble in nested_ensembles(fom, V, 0.05, scale):
+                n = ensemble.basis.n
+                assert len(calls) == ensemble.basis.n_f - n_f
+                calls.clear()
+                n_f = ensemble.basis.n_f
+                grown = infer(ensemble)
+                fresh = infer(generate_ensemble(model, V[:, :n], 0.05, scale))
+                assert np.array_equal(grown.operator.matrix, fresh.operator.matrix)
+                assert grown.cond_P == fresh.cond_P
 
     @pytest.mark.parametrize("grow", [1, 2])
     @pytest.mark.parametrize("scale", [1.0, 8.0])
     def test_reused_steps_are_bitwise_fresh_steps(self, scale, grow):
-        # a reused quotient must be the very step a fresh ensemble takes, when
-        # the basis grows by one column (n 4 -> 5) or by two (n 3 -> 5); a
-        # lift by V @ state rounds differently once V has more columns, for
-        # states with three or more nonzero entries
+        # the ensemble of width n = 5 - grow, from a sweep over a basis grow
+        # columns wider, must be the very data a fresh ensemble of V[:, :n]
+        # as its own array gives; a lift by V @ state rounds differently
+        # once V has more columns, for states with three or more nonzero
+        # entries
         rng = np.random.default_rng(7)
         N, degrees = 10, (1, 2, 3)
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
         n = 5 - grow
-        small = generate_ensemble(fom, V[:, :n], 0.01, scale)
-        grown = extend_ensemble(small, fom, V)
-        fresh = generate_ensemble(fom, V, 0.01, scale)
+        grown = list(nested_ensembles(fom, V, 0.01, scale))[n - 1]
+        fresh = generate_ensemble(fom, np.ascontiguousarray(V[:, :n]), 0.01, scale)
         assert grown.scale == scale
-        assert np.array_equal(grown.fom_quotients, fresh.fom_quotients)
+        assert np.array_equal(grown.P, fresh.P)
+        assert np.array_equal(grown.derivatives, fresh.derivatives)
 
-    def test_mismatched_basis_rejected(self, rng):
-        fom = random_dense_fom(rng, 5, (1,))
-        V = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-        ens = generate_ensemble(fom, V[:, :2], 0.1)
-        W = V.copy()
-        W[:, 0] = -W[:, 0]
-        with pytest.raises(ValueError):
-            extend_ensemble(ens, fom, W)
-
-    def test_requires_full_order_data(self):
-        basis = MonomialBasis(n=2, degree_set=(1,))
-        ens = SnapshotEnsemble(
-            basis=basis,
-            dt=1.0,
-            P=np.eye(2),
-            derivatives=np.zeros((2, 2)),
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_step_names_its_width(self):
+        # only the pair the second width adds steps out of the finite range
+        fom = PolynomialFOM(
+            dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x * [1.0, 1e308]
         )
-        fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x)
-        with pytest.raises(ValueError):
-            extend_ensemble(ens, fom, np.eye(2))
+        ensembles = nested_ensembles(fom, np.eye(2), 10.0)
+        next(ensembles)
+        with pytest.raises(NonFiniteStateError, match=r"^n=2: single step failed for pair"):
+            next(ensembles)
 
 
 class TestStandardOpinf:
