@@ -21,7 +21,7 @@ from .fom import PolynomialFOM
 
 @dataclass(frozen=True)
 class Threshold:
-    """A bound on one per-``n`` metric of a sweep (see ``DiagnosticsReport.metrics``).
+    """A bound on one per-``n`` metric of a sweep (a key of ``build_report``'s mapping).
 
     An upper bound holds when ``value < bound``, a lower bound when
     ``value >= bound``; NaN holds neither.
@@ -176,10 +176,10 @@ def build(spec: BenchmarkSpec):
 def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
     """Reaction-diffusion system with cubic decay on (0, 1).
 
-    Unknowns sit at cell centers; the left boundary value enters the first
-    node's second-difference stencil through the input, the right boundary
-    is homogeneous Neumann.  Degree 2 is carried in the degree set with a
-    zero operator.
+    Unknowns sit at cell centers; the left boundary value ``u`` enters the
+    first node's second difference through the Dirichlet ghost ``2u - x_1``,
+    the right boundary is homogeneous Neumann.  Degree 2 is carried in the
+    degree set with a zero operator.
 
     Returns ``(fom, signal, x0)``.
     """
@@ -192,11 +192,12 @@ def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
     A1[idx, idx] = -2.0 * inv2
     A1[idx[:-1], idx[:-1] + 1] = inv2
     A1[idx[1:], idx[1:] - 1] = inv2
+    A1[0, 0] = -3.0 * inv2  # Dirichlet ghost 2u - x_1 half a cell left of the wall
     A1[N - 1, N - 1] = -inv2  # Neumann ghost mirrors the last node
     A1 += np.eye(N)  # linear growth term
 
     B = np.zeros((N, 1))
-    B[0, 0] = inv2
+    B[0, 0] = 2.0 * inv2
 
     def rhs(x, u):
         return A1 @ x - x**3 + B @ u

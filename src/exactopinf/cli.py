@@ -82,6 +82,13 @@ DIAGNOSE_KEYS = {
 }
 
 
+def _dumps(document, **kwargs) -> str:
+    """``json.dumps`` as strict JSON: the tokens it writes for non-finite
+    floats become the strings ``float`` reads back, as in the CSV tables."""
+    words = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
+    return json.dumps(json.loads(json.dumps(document), parse_constant=words.get), **kwargs)
+
+
 def _positive(kind, or_zero=False):
     """Argparse type: ``kind(text)``, rejected unless finite and positive
     (or zero, with ``or_zero``)."""
@@ -198,9 +205,9 @@ def cmd_experiment(args) -> int:
 
     failures = _check_thresholds(spec, reports)
     if failures:
-        print(json.dumps({"benchmark": name, "failures": failures}, indent=2))
+        print(_dumps({"benchmark": name, "failures": failures}, indent=2))
         return EXIT_THRESHOLD
-    print(json.dumps({"benchmark": name, "failures": [], "n_max": n_max, "out": str(out)}))
+    print(_dumps({"benchmark": name, "failures": [], "n_max": n_max, "out": str(out)}))
     return EXIT_OK
 
 
@@ -239,14 +246,14 @@ def cmd_infer(args) -> int:
         ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
     result = infer(ensemble)
     write_operator(result.operator, args.out)
-    print(json.dumps({"out": str(args.out), "cond_P": result.cond_P, "residual": result.residual}))
+    print(_dumps({"out": str(args.out), "cond_P": result.cond_P, "residual": result.residual}))
     return EXIT_OK
 
 
 def cmd_pod(args) -> int:
     basis = pod_basis(read_snapshots(args.snapshots), args.n)
     write_basis(basis, args.out_basis, args.out_singular_values)
-    print(json.dumps({"out_basis": str(args.out_basis), "n": args.n}))
+    print(_dumps({"out_basis": str(args.out_basis), "n": args.n}))
     return EXIT_OK
 
 
@@ -270,7 +277,7 @@ def cmd_diagnose(args) -> int:
         report["block_errors"] = {
             str(k): v for k, v in block_errors(op, reference).items()
         }
-    text = json.dumps(report, indent=2)
+    text = _dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -345,10 +352,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RankDeficiencyError as exc:  # a ValueError, so caught first
-        print(json.dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
+        print(_dumps({"error": "rank-deficiency", "numerical_rank": exc.numerical_rank}))
         return EXIT_RANK
     except SingularDataMatrixError as exc:
-        print(json.dumps({"error": "singular-data-matrix", "detail": str(exc)}))
+        print(_dumps({"error": "singular-data-matrix", "detail": str(exc)}))
         return EXIT_RANK
     except (OSError, ValueError, NonFiniteStateError, NewtonError) as exc:
         print(str(exc), file=sys.stderr)

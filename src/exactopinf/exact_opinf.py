@@ -115,30 +115,33 @@ def _build_ensemble(
     """The ensemble of the rank-ensuring pairs of ``V``'s width and the model.
 
     A pair whose tag ``known`` maps to a full-order quotient takes that
-    quotient; every other pair is lifted, stepped once and put in ``known``.
-    A state pair lifts to the basis columns its tag names, added in that
-    order, times ``scale``; degree-0 and input pairs start at zero.  Unlike
-    ``V @ x``, whose rounding depends on how BLAS blocks the sum over all
-    ``n`` columns, this does not depend on how many columns ``V`` has, so a
-    step reused by a wider basis is bitwise the step a fresh ensemble takes.
+    quotient; every other pair is lifted and stepped once, and ``known``
+    then maps every tag to its quotient.  A state pair lifts to the basis
+    columns its tag names, added in that order, times ``scale``; degree-0
+    and input pairs start at zero.  Unlike ``V @ x``, whose rounding depends
+    on how BLAS blocks the sum over all ``n`` columns, this does not depend
+    on how many columns ``V`` has, so a step reused by a wider basis is
+    bitwise the step a fresh ensemble takes.
     """
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
     X, U = rank_ensuring_pairs(basis, scale)
     quotients = np.empty((fom.dimension, basis.n_f))
-    for s, tag in enumerate(pair_tags(basis)):
-        if tag not in known:
-            x0 = np.zeros(V.shape[0])
-            if tag[0] == "state":
-                for j in tag[2]:
-                    x0 += V[:, j - 1]
-                x0 *= scale
-            try:
-                x1 = explicit_euler_step(fom, x0, U[:, s], dt)
-            except NonFiniteStateError as exc:
-                raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
-            known[tag] = (x1 - x0) / dt
-        quotients[:, s] = known[tag]
-
+    tags = pair_tags(basis)
+    for s, tag in enumerate(tags):
+        if tag in known:
+            quotients[:, s] = known[tag]
+            continue
+        x0 = np.zeros(V.shape[0])
+        if tag[0] == "state":
+            for j in tag[2]:
+                x0 += V[:, j - 1]
+            x0 *= scale
+        try:
+            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
+        quotients[:, s] = (x1 - x0) / dt
+    known.update(zip(tags, quotients.T))  # views, so only the newest array is kept
     return SnapshotEnsemble(
         basis=basis,
         dt=dt,

@@ -247,16 +247,20 @@ def read_ensemble(path) -> SnapshotEnsemble:
     sidecar's layout at its ``scale``, in feature order.
 
     ``P`` is built from that layout, not from the rows.  A missing, extra,
-    reordered or edited row, that is a ``kind``, ``tag``, ``xbar`` or
-    ``ubar`` field other than the pair's, raises :class:`SchemaError`
-    naming its line.
+    reordered or edited row, that is a ``kind``, ``tag``, ``xbar`` or ``ubar``
+    field other than the pair's, raises :class:`SchemaError` naming its line;
+    fewer than half the layout's rows, before any pair is built.
     """
     basis, sidecar = _read_sidecar(path, dt=None, scale=1.0)
     width = basis.n + basis.n_u
     _, texts, values = _read_table(path, "ensemble", text_fields=2, width=2 + width + basis.n)
+    m = min(len(values), basis.n_f)
+    message = f"expected {basis.n_f} pair rows for the sidecar layout, got {len(values)}"
+    count_error = SchemaError(f"{path}: {message}", line=m + 3)
+    if basis.n_f > 2 * len(values):  # so the pairs built never outgrow the file
+        raise count_error
     X, U = rank_ensuring_pairs(basis, sidecar["scale"])
     expected = _tag_fields(basis)
-    m = min(len(values), basis.n_f)
     wrong = np.any(values[:m, :width] != np.vstack([X, U]).T[:m], axis=1)
     wrong |= [fields != want for fields, want in zip(texts, expected)]
     if wrong.any():
@@ -265,8 +269,7 @@ def read_ensemble(path) -> SnapshotEnsemble:
         message = f"expected the rank-ensuring pair {pair!r} at scale {sidecar['scale']!r}"
         raise SchemaError(f"{path}: kind {kind!r}, tag {tag!r}, xbar/ubar: {message}", line=s + 3)
     if len(values) != basis.n_f:
-        message = f"expected {basis.n_f} pair rows for the sidecar layout, got {len(values)}"
-        raise SchemaError(f"{path}: {message}", line=m + 3)
+        raise count_error
     return SnapshotEnsemble(
         basis=basis,
         dt=sidecar["dt"],

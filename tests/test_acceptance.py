@@ -19,14 +19,14 @@ Each criterion prints one PASS/FAIL line.
   settled here: the paper's formula for the estimate and its full-order
   setups are not in this repository, and ``estimate_dt`` matches its
   docstring and closed-form unit tests (5b, Burgers, is at ratio 1.03).
-  For 5a (ratio 6.2) the estimate is set by the first quotient, the zero
-  state driven by the input alone; the target needs a rate 6.2 times
-  larger than any quotient of the trajectory.  Leaving the input out of
-  the feature norm gives ratio 0.42, and a cell-centred Dirichlet ghost at
-  the left boundary gives 3.08.  For 5c (ratio 2.6e-3) the target needs a
-  rate 380 times below the largest quotient and 50 times below the median
-  one, so the model's time scale differs from the paper's by orders of
-  magnitude.  Both targets and windows stay as they are until the paper's
+  For 5a (ratio 3.08; 6.2 before the first node took the cell-centred
+  Dirichlet ghost at the left boundary) the estimate is set by the first
+  quotient, the zero state driven by the input alone; the target needs a
+  rate 3.08 times larger than any quotient of the trajectory.  Leaving the
+  input out of the feature norm gives ratio 0.79 (0.42 before the ghost).
+  For 5c (ratio 2.6e-3) the target needs a rate 380 times below the
+  largest quotient and 50 times below the median one, so the model's time
+  scale differs from the paper's by orders of magnitude.  Both targets and windows stay as they are until the paper's
   setup is available or a fault is located in the program.
 """
 

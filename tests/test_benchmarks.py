@@ -71,8 +71,23 @@ class TestChafeeInfante:
         dxi = 1.0 / CHAFEE_INFANTE.N
         u = np.array([7.0])
         r = eval_rhs(fom, np.zeros(fom.dimension), u)
-        assert r[0] == pytest.approx(7.0 / dxi**2)
+        assert r[0] == pytest.approx(14.0 / dxi**2)
         assert np.all(r[1:] == 0.0)
+
+    def test_laplacian_converges_at_second_order(self):
+        # the steady problem u'' = f with u(0) = 1, u'(1) = 0 and the exact
+        # solution u = 1 + sin(pi x / 2), solved with the model's linear and
+        # input parts (less the growth term) on ever finer grids
+        errors = []
+        for N in (32, 64, 128, 256, 512):
+            fom, _, _ = build_chafee_infante(apply_overrides(CHAFEE_INFANTE, {"N": N}))
+            laplacian = fom.multilinear[1](np.eye(N)) - np.eye(N)
+            x = (np.arange(N) + 0.5) / N
+            f = -((np.pi / 2) ** 2) * np.sin(np.pi * x / 2)
+            u = np.linalg.solve(laplacian, f - fom.input_map(np.array([1.0])))
+            errors.append(np.max(np.abs(u - 1.0 - np.sin(np.pi * x / 2))))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(orders >= 1.9), orders
 
     def test_quadratic_part_is_zero(self, rng):
         fom, _, _ = build_chafee_infante()

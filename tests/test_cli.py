@@ -209,6 +209,45 @@ class TestInferCommand:
         assert "line 3" in capsys.readouterr().err
         assert not opath.exists()
 
+    def test_infinite_cond_p_is_strict_json(self, rng, tmp_path, capsys):
+        # at amplitude 2**-30 the degree-3 rows of P are 2**-90 times the
+        # linear ones, so cond_P is infinite; it is written as "inf"
+        N, n = 6, 3
+        fom = from_dense_operators(
+            {i: rng.standard_normal((N, monomial_count(N, i))) for i in (1, 3)}
+        )
+        V = np.linalg.qr(rng.standard_normal((N, n)))[0]
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, V, 0.01, 2.0**-30), epath)
+        code = main(["infer", "--ensemble", str(epath), "--out", str(tmp_path / "op.csv")])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        document = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert document["cond_P"] == "inf" and float(document["cond_P"]) == np.inf
+
+    def test_huge_sidecar_layout_exit_code(self, tmp_path, capsys):
+        # one row against the 7.9e9 pairs of n = 30, degree 12: rejected as a
+        # row count, not by building 1.72 TiB of pairs
+        n = 30
+        epath = tmp_path / "ens.csv"
+        header = ["kind", "tag"] + [f"xbar_{j}" for j in range(1, n + 1)]
+        header += [f"xdot_{j}" for j in range(1, n + 1)]
+        row = ["state", "12:" + ".".join(["1"] * 12), "12"] + ["0"] * (2 * n - 1)
+        epath.write_text(
+            "# exactopinf-csv v1 ensemble\n" + ",".join(header) + "\n" + ",".join(row) + "\n"
+        )
+        sidecar = {"n": n, "degree_set": [12], "n_u": 0, "dt": 0.1, "scale": 1.0}
+        (tmp_path / "ens.csv.json").write_text(json.dumps(sidecar))
+        opath = tmp_path / "op.csv"
+        code = main(["infer", "--ensemble", str(epath), "--out", str(opath)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "got 1" in err
+        assert not opath.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_beyond_finite_range_exit_code(self, tmp_path, capsys):
         vpath = tmp_path / "V.csv"

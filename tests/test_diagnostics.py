@@ -83,7 +83,7 @@ class TestConditionNumber:
     def test_singular_is_inf(self):
         assert _baseline(np.ones((2, 2)))[1] == np.inf
 
-    def test_rank_and_condition_share_the_cutoff(self):
+    def test_baseline_lstsq_rank_and_cond_p(self):
         assert _baseline(np.ones((2, 2))) == (1, np.inf, True)
         assert _baseline(np.diag([1.0, 1e-3])) == (2, pytest.approx(1e3), False)
         assert _baseline(np.zeros((2, 3))) == (0, np.inf, True)

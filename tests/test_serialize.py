@@ -380,6 +380,22 @@ class TestEnsemble:
             read_ensemble(path)
         assert excinfo.value.line == line
 
+    def test_too_few_rows_rejected_before_pairs_are_built(self, rng, tmp_path, monkeypatch):
+        # two of the six rows: the pairs of the layout are never built, so a
+        # sidecar layout far larger than its file costs no memory
+        path = tmp_path / "ens.csv"
+        write_ensemble(self._make_ensemble(rng), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4]) + "\n")
+
+        def refuse(*args):
+            raise AssertionError("rank_ensuring_pairs called")
+
+        monkeypatch.setattr("exactopinf.serialize.rank_ensuring_pairs", refuse)
+        with pytest.raises(SchemaError, match="expected 6 pair rows") as excinfo:
+            read_ensemble(path)
+        assert excinfo.value.line == 5
+
     def test_wrong_column_count_rejected(self, rng, tmp_path):
         ens = self._make_ensemble(rng)
         path = tmp_path / "ens.csv"
