@@ -8,25 +8,18 @@ intrusive one to machine precision.  The states are stepped at the
 benchmark's amplitude ``state_scale``, so that the quadratic part of the
 data is not swamped by the much larger linear part.
 
-Run:  python3 demos/02_burgers_structure.py   (about half a minute)
+Run:  python3 demos/02_burgers_structure.py   (about 2 s)
 """
 
-import numpy as np
-
 from exactopinf import (
+    build_report,
     estimate_dt,
-    exact_opinf,
     intrusive_reduce,
     pod_basis,
-    relative_operator_error,
     simulate,
+    sweep,
 )
 from exactopinf.benchmarks import BURGERS, build_burgers
-from exactopinf.diagnostics import (
-    diffusion_spectrum,
-    energy_violation,
-    symmetry_violation,
-)
 
 
 def main():
@@ -39,23 +32,13 @@ def main():
     print(f"estimated single-step size: {dt:.4f}")
 
     print(f"{'n':>3} {'operator err':>14} {'energy':>10} {'symmetry':>10} {'min eig':>10}")
-    for n in range(1, 7):
-        V = pod.matrix(n)
-        ref = intrusive_reduce(fom, V)
-        res = exact_opinf(fom, V, dt, scale=spec.state_scale)
-        err = relative_operator_error(res.operator, ref)
-        A1 = res.operator.degree_block(1)
-        A2 = res.operator.degree_block(2)
-        # scale by the quadratic block norm, falling back to the whole
-        # operator when that block is numerically zero (n = 1)
-        scale = np.linalg.norm(A2)
-        total = np.linalg.norm(res.operator.matrix)
-        if scale <= 1e-12 * total:
-            scale = total
-        energy = energy_violation(A2) / scale
+    for ensemble, result in sweep(fom, pod.matrix(6), dt, spec.state_scale):
+        ref = intrusive_reduce(fom, pod.matrix(ensemble.basis.n))
+        rep = build_report(result.operator, ref, result.cond_P, ensemble.size)
         print(
-            f"{n:>3} {err:>14.3e} {energy:>10.2e} "
-            f"{symmetry_violation(A1):>10.2e} {diffusion_spectrum(A1).min():>10.2e}"
+            f"{rep['n']:>3} {rep['relative_operator_error']:>14.3e} "
+            f"{rep['energy_violation']:>10.2e} {rep['symmetry_violation']:>10.2e} "
+            f"{rep['diffusion_spectrum_min']:>10.2e}"
         )
 
 

@@ -1,10 +1,10 @@
 """Growing the reduced dimension without discarding old snapshots.
 
 The one-step starting states for dimension n are a subset of those for
-n + 1 (padded with a zero), so ``nested_ensembles`` builds the ensembles of
-a whole sweep of dimensions from one basis: each dimension steps only the
-pairs it adds, and the sweep takes as many full-order steps as the largest
-ensemble has pairs.  The demo counts the full-order right-hand-side calls.
+n + 1 (padded with a zero), so ``sweep`` infers the operators of a whole
+range of dimensions from one basis: each dimension steps only the pairs it
+adds, and the sweep takes as many full-order steps as the largest ensemble
+has pairs.  The demo counts the full-order right-hand-side calls.
 
 Run:  python3 demos/03_snapshot_reuse.py
 """
@@ -14,11 +14,10 @@ import dataclasses
 import numpy as np
 
 from exactopinf import (
-    infer,
-    intrusive_reduce,
-    nested_ensembles,
-    relative_operator_error,
     from_dense_operators,
+    intrusive_reduce,
+    relative_operator_error,
+    sweep,
 )
 from exactopinf.tensor_poly import monomial_count
 
@@ -42,13 +41,11 @@ def main():
 
     total_runs = 0
     print(f"{'n':>3} {'ensemble':>9} {'new runs':>9} {'operator err':>14}")
-    for ensemble in nested_ensembles(fom, V, dt):
+    for ensemble, result in sweep(fom, V, dt):
         n = ensemble.basis.n
         new_runs = len(calls) - total_runs
         total_runs = len(calls)
-        err = relative_operator_error(
-            infer(ensemble).operator, intrusive_reduce(model, V[:, :n])
-        )
+        err = relative_operator_error(result.operator, intrusive_reduce(model, V[:, :n]))
         print(f"{n:>3} {ensemble.size:>9} {new_runs:>9} {err:>14.3e}")
     print(f"total full-order runs: {total_runs} "
           f"(equals the final feature count {ensemble.size})")

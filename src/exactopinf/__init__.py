@@ -26,10 +26,10 @@ from .exact_opinf import (
     exact_opinf,
     generate_ensemble,
     infer,
-    nested_ensembles,
     pair_tags,
     rank_ensuring_pairs,
     standard_opinf,
+    sweep,
 )
 from .fom import (
     PolynomialFOM,

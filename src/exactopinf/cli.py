@@ -45,8 +45,8 @@ from .exact_opinf import (
     estimate_dt,
     generate_ensemble,
     infer,
-    nested_ensembles,
     standard_opinf,
+    sweep,
 )
 from .fom import NewtonError, NonFiniteStateError, SnapshotMatrix, simulate
 from .galerkin import intrusive_reduce
@@ -142,14 +142,10 @@ def cmd_experiment(args) -> int:
     reports = []
     spectra_rows = []
     baseline_rows = []
-    for ensemble in nested_ensembles(fom, pod.matrix(n_max), dt_used, spec.state_scale):
+    for ensemble, result in sweep(fom, pod.matrix(n_max), dt_used, spec.state_scale):
         n = ensemble.basis.n
         V = pod.matrix(n)
         ref = intrusive_reduce(fom, V)
-        try:
-            result = infer(ensemble)
-        except SingularDataMatrixError as exc:
-            raise SingularDataMatrixError(f"n={n}: {exc}") from exc
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
             intrusive_eigs = diffusion_spectrum(ref.degree_block(1))

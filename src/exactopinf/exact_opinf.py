@@ -162,23 +162,6 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     return _build_ensemble(fom, V, dt, scale, known={})
 
 
-def nested_ensembles(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
-    """Yield the ensemble of ``V[:, :n]`` for ``n = 1 .. V.shape[1]``.
-
-    Every rank-ensuring pair of width ``n`` is also one of width ``n + 1``,
-    under the same tag, so each width steps only the pairs it adds; each
-    ensemble is bitwise :func:`generate_ensemble`'s.  A failed step is
-    re-raised with its width, ``n={n}: ``, in front.
-    """
-    known = {}
-    for n in range(1, V.shape[1] + 1):
-        try:
-            ensemble = _build_ensemble(fom, V[:, :n], dt, scale, known)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(f"n={n}: {exc}") from exc
-        yield ensemble
-
-
 def _factor_square(P):
     """The LU factors of ``P.T`` for a square ``P``.
 
@@ -325,6 +308,26 @@ def exact_opinf(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> Inferen
     ``scale`` is the state amplitude of :func:`rank_ensuring_pairs`.
     """
     return infer(generate_ensemble(fom, V, dt, scale))
+
+
+def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
+    """Yield ``(ensemble, infer(ensemble))`` of ``V[:, :n]`` for ``n = 1 .. V.shape[1]``.
+
+    Every rank-ensuring pair of width ``n`` is also one of width ``n + 1``,
+    under the same tag, so each width steps only the pairs it adds; each
+    ensemble is bitwise :func:`generate_ensemble`'s.  A failed step or a
+    singular data matrix is re-raised with its width, ``n={n}: ``, in front.
+    Only the model's right-hand side is called, so the sweep runs on a
+    black-box model.
+    """
+    known = {}
+    for n in range(1, V.shape[1] + 1):
+        try:
+            ensemble = _build_ensemble(fom, V[:, :n], dt, scale, known)
+            result = infer(ensemble)
+        except (NonFiniteStateError, SingularDataMatrixError) as exc:
+            raise type(exc)(f"n={n}: {exc}") from exc
+        yield ensemble, result
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,6 @@ def write_basis(basis: PodBasis, path, singular_values_path):
     )
 
 
-def read_basis(path, singular_values_path) -> PodBasis:
-    V = read_matrix(path, "basis")
-    s = read_matrix(singular_values_path, "singular-values")[:, 0]
-    return PodBasis(V=V, singular_values=s)
-
-
 def _sidecar_path(path) -> Path:
     path = Path(path)
     return path.with_suffix(path.suffix + ".json")

@@ -7,40 +7,27 @@ import pytest
 from exactopinf import benchmarks, fom as fom_mod, pod as pod_mod
 
 
+def _pipeline(spec):
+    """The spec's model, its trajectory and the POD basis of its largest sweep width."""
+    model, signal, x0 = benchmarks.build(spec)
+    snaps = fom_mod.simulate(model, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
+    basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
+    return {"spec": spec, "fom": model, "snaps": snaps, "pod": basis}
+
+
 @pytest.fixture(scope="session")
 def burgers_data():
-    spec = benchmarks.BURGERS
-    model, _, x0 = benchmarks.build_burgers(spec)
-    snaps = fom_mod.simulate(model, x0, None, spec.dt_pod, spec.K_pod)
-    basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
-    return {"spec": spec, "fom": model, "x0": x0, "snaps": snaps, "pod": basis}
+    return _pipeline(benchmarks.BURGERS)
 
 
 @pytest.fixture(scope="session")
 def chafee_data():
-    spec = benchmarks.CHAFEE_INFANTE
-    model, signal, x0 = benchmarks.build_chafee_infante(spec)
-    snaps = fom_mod.simulate(model, x0, signal, spec.dt_pod, spec.K_pod)
-    basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
-    return {
-        "spec": spec,
-        "fom": model,
-        "signal": signal,
-        "x0": x0,
-        "snaps": snaps,
-        "pod": basis,
-    }
+    return _pipeline(benchmarks.CHAFEE_INFANTE)
 
 
 @pytest.fixture(scope="session")
 def ice_data():
-    spec = benchmarks.SHALLOW_ICE
-    model, _, x0 = benchmarks.build_shallow_ice(spec)
-    snaps = fom_mod.simulate(
-        model, x0, None, spec.dt_pod, spec.K_pod, scheme="implicit_euler"
-    )
-    basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
-    return {"spec": spec, "fom": model, "x0": x0, "snaps": snaps, "pod": basis}
+    return _pipeline(benchmarks.SHALLOW_ICE)
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ import math
 import numpy as np
 import pytest
 
+from exactopinf.cli import main
 from exactopinf.diagnostics import (
     build_report,
     diffusion_spectrum,
@@ -46,9 +47,9 @@ from exactopinf.exact_opinf import (
     exact_opinf,
     generate_ensemble,
     infer,
-    nested_ensembles,
     rank_ensuring_pairs,
     standard_opinf,
+    sweep,
 )
 from exactopinf.fom import (
     SnapshotMatrix,
@@ -57,6 +58,7 @@ from exactopinf.fom import (
 )
 from exactopinf.galerkin import intrusive_reduce
 from exactopinf.gappy_interp import GappyProblem, gappy_interpolate, interpolation_matrix
+from exactopinf.serialize import read_matrix
 from exactopinf.tensor_poly import MonomialBasis, feature_matrix, monomial_count
 
 
@@ -66,15 +68,14 @@ def _verdict(label, ok, detail):
 
 
 def _sweep(data):
-    """Inferred and intrusive operators for every n of the sweep, with nested ensembles."""
+    """Inferred and intrusive operators for every n of the sweep."""
     spec = data["spec"]
     fom = data["fom"]
     pod = data["pod"]
     dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
     results = {}
-    for ensemble in nested_ensembles(fom, pod.matrix(max(spec.n_sweep)), dt, spec.state_scale):
+    for ensemble, res in sweep(fom, pod.matrix(max(spec.n_sweep)), dt, spec.state_scale):
         n = ensemble.basis.n
-        res = infer(ensemble)
         results[n] = {
             "inferred": res.operator,
             "intrusive": intrusive_reduce(fom, pod.matrix(n)),
@@ -308,9 +309,9 @@ def test_criterion_8_nested_ensemble_reuse(chafee_data, burgers_data, ice_data):
         pod = data["pod"]
         dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
         V = pod.matrix(max(spec.n_sweep))
-        for ensemble in nested_ensembles(fom, V, dt, spec.state_scale):
+        for ensemble, result in sweep(fom, V, dt, spec.state_scale):
             fresh = generate_ensemble(fom, V[:, : ensemble.basis.n], dt, spec.state_scale)
-            a = infer(ensemble).operator.matrix
+            a = result.operator.matrix
             b = infer(fresh).operator.matrix
             worst = max(worst, float(np.linalg.norm(a - b) / np.linalg.norm(b)))
     ok = worst < 1e-12
@@ -384,6 +385,18 @@ def test_criterion_9_gapped_interpolation():
         f"unisolvence sweep: {unisolvent}, max interpolation residual "
         f"{worst_residual:.3e} < 1e-10, triangular composition (50 cases): {composition_ok}",
     )
+
+
+def test_cli_writes_the_sweep_the_gates_check(burgers_sweep, tmp_path):
+    # the experiment command runs the very sweep the criteria above check
+    out = tmp_path / "burgers"
+    assert main(["experiment", "burgers", "--out", str(out)]) == 0
+    errors = read_matrix(out / "operator_errors.csv", "operator-errors")[:, 1]
+    cond_P = read_matrix(out / "cond_P.csv", "cond-p")[:, 1]
+    assert errors.tolist() == [
+        relative_operator_error(r["inferred"], r["intrusive"]) for r in burgers_sweep.values()
+    ]
+    assert cond_P.tolist() == [r["cond_P"] for r in burgers_sweep.values()]
 
 
 def test_regression_pins(chafee_sweep, ice_sweep):

@@ -17,14 +17,13 @@ SWEEP = """
 import hashlib
 import numpy as np
 from exactopinf.benchmarks import BURGERS, CHAFEE_INFANTE, build
-from exactopinf.exact_opinf import infer, nested_ensembles
+from exactopinf.exact_opinf import sweep
 
 digest = hashlib.sha256()
 for spec, dt in ((BURGERS, 0.1), (CHAFEE_INFANTE, 2e-4)):
     fom, _, _ = build(spec)
     Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((spec.N, 8)))
-    for ensemble in nested_ensembles(fom, Q, dt, spec.state_scale):
-        result = infer(ensemble)
+    for _, result in sweep(fom, Q, dt, spec.state_scale):
         digest.update(result.operator.matrix.tobytes())
         digest.update(repr(result.cond_P).encode())
 print(digest.hexdigest())

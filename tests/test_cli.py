@@ -18,7 +18,7 @@ from exactopinf.fom import SnapshotMatrix, from_dense_operators, simulate
 from exactopinf.galerkin import AggregatedOperator, intrusive_reduce
 from exactopinf.pod import PodBasis, pod_basis
 from exactopinf.serialize import (
-    read_basis,
+    read_matrix,
     read_operator,
     write_basis,
     write_ensemble,
@@ -48,9 +48,10 @@ class TestPodCommand:
              "--out-basis", str(vpath), "--out-singular-values", str(spath)]
         )
         assert code == 0
-        basis = read_basis(vpath, spath)
-        np.testing.assert_allclose(basis.V.T @ basis.V, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(basis.singular_values[:4], np.ones(4), atol=1e-12)
+        V = read_matrix(vpath, "basis")
+        np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-12)
+        singular_values = read_matrix(spath, "singular-values")[:, 0]
+        np.testing.assert_allclose(singular_values[:4], np.ones(4), atol=1e-12)
 
     def test_matches_library(self, rng, tmp_path):
         X = rng.standard_normal((20, 50))
@@ -63,10 +64,11 @@ class TestPodCommand:
             ["pod", str(path), "--n", "6",
              "--out-basis", str(vpath), "--out-singular-values", str(spath)]
         ) == 0
-        back = read_basis(vpath, spath)
         ref = pod_basis(snaps, 6)
-        np.testing.assert_array_equal(back.V, ref.V)
-        np.testing.assert_array_equal(back.singular_values, ref.singular_values)
+        np.testing.assert_array_equal(read_matrix(vpath, "basis"), ref.V)
+        np.testing.assert_array_equal(
+            read_matrix(spath, "singular-values")[:, 0], ref.singular_values
+        )
 
     def test_rank_deficiency_exit_code(self, rng, tmp_path, capsys):
         X = np.outer(rng.standard_normal(5), rng.standard_normal(8))

@@ -16,11 +16,11 @@ from exactopinf.exact_opinf import (
     exact_opinf,
     generate_ensemble,
     infer,
-    nested_ensembles,
     pair_tags,
     rank_ensuring_pairs,
     solve_square,
     standard_opinf,
+    sweep,
 )
 from exactopinf.fom import (
     NonFiniteStateError,
@@ -529,20 +529,20 @@ def counting(fom):
     return dataclasses.replace(fom, rhs=rhs), calls
 
 
-class TestExtendEnsemble:
-    # nested_ensembles extends the ensemble of each width to the next
+class TestSweep:
+    # sweep extends the ensemble of each width to the next and solves it
     def test_reuse_count_linear(self, rng):
         fom, calls = counting(random_dense_fom(rng, 5, (1,)))
         V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
         counts = []
-        for _ in nested_ensembles(fom, V, 0.1):
+        for _ in sweep(fom, V, 0.1):
             counts.append(len(calls) - sum(counts))
         assert counts == [1, 1]  # width 2 reuses 1 of 2
 
     def test_reuse_count_quadratic(self, rng):
         fom, calls = counting(random_dense_fom(rng, 6, (1, 2)))
         V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        ensembles = list(nested_ensembles(fom, V, 0.1))
+        ensembles = [ensemble for ensemble, _ in sweep(fom, V, 0.1)]
         assert len(calls) == 9  # 9 pairs at n=3: 2 + 3 + 4 steps, reusing 5
         assert [ens.size for ens in ensembles] == [2, 5, 9]
 
@@ -554,12 +554,11 @@ class TestExtendEnsemble:
         V = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         for scale in (1.0, 8.0):
             n_f = 0
-            for ensemble in nested_ensembles(fom, V, 0.05, scale):
+            for ensemble, grown in sweep(fom, V, 0.05, scale):
                 n = ensemble.basis.n
                 assert len(calls) == ensemble.basis.n_f - n_f
                 calls.clear()
                 n_f = ensemble.basis.n_f
-                grown = infer(ensemble)
                 fresh = infer(generate_ensemble(model, V[:, :n], 0.05, scale))
                 assert np.array_equal(grown.operator.matrix, fresh.operator.matrix)
                 assert grown.cond_P == fresh.cond_P
@@ -577,7 +576,7 @@ class TestExtendEnsemble:
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
         n = 5 - grow
-        grown = list(nested_ensembles(fom, V, 0.01, scale))[n - 1]
+        grown, _ = list(sweep(fom, V, 0.01, scale))[n - 1]
         fresh = generate_ensemble(fom, np.ascontiguousarray(V[:, :n]), 0.01, scale)
         assert grown.scale == scale
         assert np.array_equal(grown.P, fresh.P)
@@ -589,10 +588,19 @@ class TestExtendEnsemble:
         fom = PolynomialFOM(
             dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x * [1.0, 1e308]
         )
-        ensembles = nested_ensembles(fom, np.eye(2), 10.0)
-        next(ensembles)
+        widths = sweep(fom, np.eye(2), 10.0)
+        next(widths)
         with pytest.raises(NonFiniteStateError, match=r"^n=2: single step failed for pair"):
-            next(ensembles)
+            next(widths)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_data_matrix_names_its_width(self, chafee_data):
+        # at amplitude 2^-400 the degree-3 features (2^-1200) underflow to
+        # zero, so P is singular from the first width on
+        pod = chafee_data["pod"]
+        widths = sweep(chafee_data["fom"], pod.matrix(2), 1e-4, 2.0**-400)
+        with pytest.raises(SingularDataMatrixError, match=r"^n=1: "):
+            next(widths)
 
 
 class TestStandardOpinf:
