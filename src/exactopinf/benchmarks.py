@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fom import PolynomialFOM
 
@@ -45,7 +44,7 @@ class BenchmarkSpec:
     T: float
     degree_set: tuple[int, ...]
     n_u: int
-    n_sweep: tuple[int, ...]
+    n_max: int
     scheme: str = "explicit_euler"
     c1: float | None = None
     c2: float | None = None
@@ -65,7 +64,7 @@ CHAFEE_INFANTE = BenchmarkSpec(
     T=0.1,
     degree_set=(1, 2, 3),
     n_u=1,
-    n_sweep=tuple(range(1, 15)),
+    n_max=14,
     thresholds=(
         Threshold("relative_operator_error", 1e-9),
         # this discretization has no genuine quadratic term
@@ -80,7 +79,7 @@ SHALLOW_ICE = BenchmarkSpec(
     T=2.0,
     degree_set=(3, 8),
     n_u=0,
-    n_sweep=tuple(range(1, 8)),
+    n_max=7,
     scheme="implicit_euler",
     c1=8.9e-13,
     c2=2.8e7,
@@ -94,7 +93,7 @@ BURGERS = BenchmarkSpec(
     T=1.0,
     degree_set=(1, 2),
     n_u=0,
-    n_sweep=tuple(range(1, 11)),
+    n_max=10,
     # at unit amplitude the linear term (|A1| ~ 1.4e4) swamps the quadratic
     # one (|A2| ~ 18) in the stepped data, and the rounding of the linear
     # part, about eps * |A1|, lands in the quadratic block; eight lifts the
@@ -228,8 +227,8 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     homogeneous-Neumann ghost values.  The degree-8 multilinear map
     symmetrizes over which three of the eight arguments take the derivative
     role; the degree-3 map over which one of three does.  The state
-    Jacobian is tridiagonal and returned as a ``scipy.sparse.dia_array`` of
-    its three diagonals.
+    Jacobian is tridiagonal and returned as its ``(1, 1)`` band, a ``(3, N)``
+    array of its three diagonals in LAPACK band storage.
 
     Returns ``(fom, None, x0)``.
     """
@@ -257,15 +256,15 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
         return c1 * x**2 * g + c2 * x**5 * g**3
 
     def jacobian(x, u):
-        # diag(a) + diag(b) @ dx; data[k, j] is the entry in column j of diagonal k - 1
+        # diag(a) + diag(b) @ dx; ab[1 + i - j, j] is the entry in row i, column j
         g = dx(x)
         a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
         b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
-        data = np.zeros((3, N))
-        data[0, :-1] = -off * b[1:]
-        data[1] = a + b * dx_diag
-        data[2, 1:] = off * b[:-1]
-        return sp.dia_array((data, (-1, 0, 1)), shape=(N, N))
+        ab = np.zeros((3, N))
+        ab[0, 1:] = off * b[:-1]
+        ab[1] = a + b * dx_diag
+        ab[2, :-1] = -off * b[1:]
+        return (1, 1), ab
 
     def h3(a, b, c):
         return (c1 / 3.0) * (a * b * dx(c) + a * dx(b) * c + dx(a) * b * c)

@@ -117,11 +117,11 @@ def cmd_experiment(args) -> int:
     spec = SPECS[name]
     if args.config:
         spec = apply_overrides(spec, parse_config(args.config))
-    n_max = args.n_max if args.n_max is not None else max(spec.n_sweep)
-    if n_max > max(spec.n_sweep) and not args.force:
+    n_max = args.n_max if args.n_max is not None else spec.n_max
+    if n_max > spec.n_max and not args.force:
         raise ValueError(
             f"n_max {n_max} exceeds the documented range (max "
-            f"{max(spec.n_sweep)}); pass --force to run anyway"
+            f"{spec.n_max}); pass --force to run anyway"
         )
     out = Path(args.out if args.out else Path("results") / name)
     out.mkdir(parents=True, exist_ok=True)

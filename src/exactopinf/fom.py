@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array
@@ -42,9 +41,9 @@ class PolynomialFOM:
     diagonal reproduces the degree-``i`` part of ``rhs``, acting column-wise
     on ``(N,)`` or ``(N, m)`` arguments; ``input_map`` optionally evaluates
     ``u -> B u``; ``jacobian(x, u)`` optionally returns the state Jacobian
-    of the rhs as a dense or a ``scipy.sparse`` array (implicit stepping
-    falls back to finite differences without it; a sparse one is solved as
-    the band between its outermost diagonals).  Evaluators must be pure and
+    of the rhs as its band ``((lower, upper), ab)`` in LAPACK band storage,
+    ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping falls back to a
+    finite-difference full band without it).  Evaluators must be pure and
     reentrant.
     """
 
@@ -54,7 +53,7 @@ class PolynomialFOM:
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     multilinear: dict[int, Callable] | None = None
     input_map: Callable[[np.ndarray], np.ndarray] | None = None
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray, np.ndarray], tuple[tuple[int, int], np.ndarray]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "degree_set", tuple(sorted(set(self.degree_set))))
@@ -116,34 +115,24 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     return y
 
 
-def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> np.ndarray:
-    """Forward finite-difference Jacobian of the rhs, step 1e-7*(1+|x_j|)."""
+def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> tuple[tuple[int, int], np.ndarray]:
+    """Forward finite-difference Jacobian of the rhs as a full band, step 1e-7*(1+|x_j|)."""
     N = fom.dimension
-    J = np.empty((N, N))
+    ab = np.zeros((2 * N - 1, N))
     for j in range(N):
         h = 1e-7 * (1.0 + abs(x[j]))
         xp = x.copy()
         xp[j] += h
-        J[:, j] = (eval_rhs(fom, xp, u) - f0) / h
-    return J
+        ab[N - 1 - j : 2 * N - 1 - j, j] = (eval_rhs(fom, xp, u) - f0) / h
+    return (N - 1, N - 1), ab
 
 
-def _solve_shifted(Jf, dt: float, r: np.ndarray) -> np.ndarray:
-    """Solve ``(I - dt * Jf) d = r``; a singular matrix raises :class:`NewtonError`.
-
-    A ``scipy.sparse`` ``Jf`` takes a banded LU over the band between its
-    outermost diagonals, written into LAPACK band storage from its ``dia`` form.
-    """
-    n = r.shape[0]
+def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
+    """Solve ``(I - dt * J) d = r`` over ``J``'s band; :class:`NewtonError` if singular."""
+    (lower, upper), ab = band
+    ab = -dt * ab
+    ab[upper] += 1.0
     try:
-        if not sp.issparse(Jf):
-            return np.linalg.solve(np.eye(n) - dt * np.asarray(Jf, dtype=float), r)
-        D = Jf.todia()
-        lower, upper = -int(D.offsets.min(initial=0)), int(D.offsets.max(initial=0))
-        data = D.data[:, :n]
-        ab = np.zeros((lower + upper + 1, n))
-        ab[upper - D.offsets, : data.shape[1]] = -dt * data
-        ab[upper] += 1.0
         with np.errstate(divide="raise"):  # a 1x1 band is solved by one division
             return solve_banded((lower, upper), ab, r, check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError):
@@ -153,12 +142,12 @@ def _solve_shifted(Jf, dt: float, r: np.ndarray) -> np.ndarray:
 def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One implicit Euler step: solve ``y = x + dt * f(y, u)`` by Newton.
 
-    Each Newton iteration solves ``(I - dt * J) d = r`` with ``J`` from
-    ``fom.jacobian`` when the model has one, and from forward finite
-    differences (dense) otherwise.  A ``scipy.sparse`` ``J`` is solved by a
-    banded LU, a dense one by a dense LU.  Raises :class:`NewtonError` when
-    ``I - dt * J`` is singular or the residual norm does not drop below
-    ``NEWTON_TOL * (1 + ||x||)`` within ``NEWTON_MAX_ITER`` iterations.
+    Each Newton iteration solves ``(I - dt * J) d = r`` by a banded LU over
+    ``J``'s band, from ``fom.jacobian`` when the model has one and from
+    forward finite differences (a full band) otherwise.  Raises
+    :class:`NewtonError` when ``I - dt * J`` is singular or the residual norm
+    does not drop below ``NEWTON_TOL * (1 + ||x||)`` within
+    ``NEWTON_MAX_ITER`` iterations.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -172,10 +161,10 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
         if res_norm < tol:
             return y
         if fom.jacobian is not None:
-            Jf = fom.jacobian(y, u)
+            band = fom.jacobian(y, u)
         else:
-            Jf = _fd_jacobian(fom, y, u, f)
-        y = y - _solve_shifted(Jf, dt, residual)
+            band = _fd_jacobian(fom, y, u, f)
+        y = y - _solve_shifted(band, dt, residual)
     raise NewtonError(
         f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last residual {res_norm:.3e})"

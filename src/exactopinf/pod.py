@@ -32,8 +32,8 @@ class PodBasis:
     def n_max(self) -> int:
         return self.V.shape[1]
 
-    def matrix(self, n: int | None = None) -> np.ndarray:
-        return self.V if n is None else self.V[:, :n]
+    def matrix(self, n: int) -> np.ndarray:
+        return self.V[:, :n]
 
 
 def pod_basis(snapshots: SnapshotMatrix, n_max: int) -> PodBasis:

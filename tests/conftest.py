@@ -11,7 +11,7 @@ def _pipeline(spec):
     """The spec's model, its trajectory and the POD basis of its largest sweep width."""
     model, signal, x0 = benchmarks.build(spec)
     snaps = fom_mod.simulate(model, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
-    basis = pod_mod.pod_basis(snaps, max(spec.n_sweep))
+    basis = pod_mod.pod_basis(snaps, spec.n_max)
     return {"spec": spec, "fom": model, "snaps": snaps, "pod": basis}
 
 

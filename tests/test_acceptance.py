@@ -74,7 +74,7 @@ def _sweep(data):
     pod = data["pod"]
     dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
     results = {}
-    for ensemble, res in sweep(fom, pod.matrix(max(spec.n_sweep)), dt, spec.state_scale):
+    for ensemble, res in sweep(fom, pod.matrix(spec.n_max), dt, spec.state_scale):
         n = ensemble.basis.n
         results[n] = {
             "inferred": res.operator,
@@ -308,7 +308,7 @@ def test_criterion_8_nested_ensemble_reuse(chafee_data, burgers_data, ice_data):
         fom = data["fom"]
         pod = data["pod"]
         dt = estimate_dt(data["snaps"], pod, spec.degree_set, spec.n_u)
-        V = pod.matrix(max(spec.n_sweep))
+        V = pod.matrix(spec.n_max)
         for ensemble, result in sweep(fom, V, dt, spec.state_scale):
             fresh = generate_ensemble(fom, V[:, : ensemble.basis.n], dt, spec.state_scale)
             a = result.operator.matrix

@@ -31,9 +31,9 @@ class TestSpecs:
         assert BURGERS.K_pod == 10000
 
     def test_sweep_ranges(self):
-        assert CHAFEE_INFANTE.n_sweep == tuple(range(1, 15))
-        assert SHALLOW_ICE.n_sweep == tuple(range(1, 8))
-        assert BURGERS.n_sweep == tuple(range(1, 11))
+        assert CHAFEE_INFANTE.n_max == 14
+        assert SHALLOW_ICE.n_max == 7
+        assert BURGERS.n_max == 10
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_build_returns_model_signal_state(self, name):
@@ -195,7 +195,9 @@ class TestShallowIce:
         spec = apply_overrides(SHALLOW_ICE, {"N": 24})
         fom, _, _ = build_shallow_ice(spec)
         x = 1.0 + 0.2 * rng.standard_normal(24)
-        J = fom.jacobian(x, None).toarray()
+        (lower, upper), ab = fom.jacobian(x, None)
+        assert (lower, upper) == (1, 1) and ab.shape == (3, 24)
+        J = np.diag(ab[0, 1:], 1) + np.diag(ab[1]) + np.diag(ab[2, :-1], -1)
         eps = 1e-6
         J_fd = np.empty_like(J)
         for j in range(24):

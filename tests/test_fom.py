@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from exactopinf.benchmarks import SHALLOW_ICE, apply_overrides, build_shallow_ice
 from exactopinf.fom import (
@@ -25,6 +24,25 @@ from polarization import homogeneous_part, polarize
 def compress_column(x, i):
     """Compressed degree-``i`` power of one state vector."""
     return compress_states(np.asarray(x)[:, None], i)[:, 0]
+
+
+def band(J, lower, upper):
+    """``J``'s band ``((lower, upper), ab)``: ``ab[upper + i - j, j] = J[i, j]``."""
+    N = J.shape[0]
+    ab = np.zeros((lower + upper + 1, N))
+    for k in range(-lower, upper + 1):  # diagonal k holds J[i, i + k]
+        ab[upper - k, max(k, 0) : N + min(k, 0)] = np.diagonal(J, k)
+    return (lower, upper), ab
+
+
+def dense(jacobian_band):
+    """The square matrix of a band ``((lower, upper), ab)``."""
+    (lower, upper), ab = jacobian_band
+    N = ab.shape[1]
+    J = np.zeros((N, N))
+    for k in range(-lower, upper + 1):
+        J += np.diag(ab[upper - k, max(k, 0) : N + min(k, 0)], k)
+    return J
 
 
 def random_dense_fom(rng, N, degrees, n_u=0, scale=1.0):
@@ -139,13 +157,13 @@ class TestImplicitEuler:
         y = implicit_euler_step(fom, x, u, dt)
         np.testing.assert_allclose(y, expected, rtol=1e-7)
 
-    def test_linear_direct_solve_oracle_sparse_jacobian(self, rng):
+    def test_linear_direct_solve_oracle_analytic_jacobian(self, rng):
         N = 4
         A1 = rng.standard_normal((N, N))
         A1 = A1 - 5.0 * np.eye(N)  # stable
         B = rng.standard_normal((N, 1))
         fom = dataclasses.replace(
-            from_dense_operators({1: A1}, B), jacobian=lambda x, u: sp.csr_array(A1)
+            from_dense_operators({1: A1}, B), jacobian=lambda x, u: band(A1, N - 1, N - 1)
         )
         x = rng.standard_normal(N)
         u = rng.standard_normal(1)
@@ -154,31 +172,33 @@ class TestImplicitEuler:
         y = implicit_euler_step(fom, x, u, dt)
         np.testing.assert_allclose(y, expected, rtol=1e-7)
 
-    def test_sparse_jacobian_matches_dense_twin(self):
-        # the shallow-ice Jacobian is tridiagonal and sparse; stepping with
-        # its dense copy must give the same states and Newton iterations
-        fom, _, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": 24}))
-        J0 = fom.jacobian(x0, None)
-        assert sp.issparse(J0) and J0.count_nonzero() <= 3 * 24 - 2
+    def test_tridiagonal_band_matches_full_band(self):
+        # the shallow-ice Jacobian is a tridiagonal band; stepping with the
+        # same Jacobian as a full band must give the same states and Newton
+        # iterations
+        N = 24
+        fom, _, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": N}))
+        (lower, upper), ab = fom.jacobian(x0, None)
+        assert (lower, upper) == (1, 1) and ab.shape == (3, N)
 
-        def counted(as_dense, calls):
+        def counted(as_full, calls):
             def jac(x, u):
                 calls.append(1)
                 J = fom.jacobian(x, u)
-                return J.toarray() if as_dense else J
+                return band(dense(J), N - 1, N - 1) if as_full else J
 
             return dataclasses.replace(fom, jacobian=jac)
 
-        sparse_calls, dense_calls = [], []
-        sparse_fom = counted(False, sparse_calls)
-        dense_fom = counted(True, dense_calls)
-        xs = xd = x0
+        tri_calls, full_calls = [], []
+        tri_fom = counted(False, tri_calls)
+        full_fom = counted(True, full_calls)
+        xt = xf = x0
         for _ in range(4):
-            xs = implicit_euler_step(sparse_fom, xs, None, SHALLOW_ICE.dt_pod)
-            xd = implicit_euler_step(dense_fom, xd, None, SHALLOW_ICE.dt_pod)
-            assert np.linalg.norm(xs - xd) <= 1e-14 * np.linalg.norm(xd)
-        assert len(sparse_calls) == len(dense_calls) > 0
-        assert np.linalg.norm(xs - x0) > 0
+            xt = implicit_euler_step(tri_fom, xt, None, SHALLOW_ICE.dt_pod)
+            xf = implicit_euler_step(full_fom, xf, None, SHALLOW_ICE.dt_pod)
+            assert np.linalg.norm(xt - xf) <= 1e-14 * np.linalg.norm(xf)
+        assert len(tri_calls) == len(full_calls) > 0
+        assert np.linalg.norm(xt - x0) > 0
 
     def test_analytic_jacobian_used(self, rng):
         N = 3
@@ -187,7 +207,7 @@ class TestImplicitEuler:
 
         def jac(x, u):
             calls.append(1)
-            return A1
+            return band(A1, N - 1, N - 1)
 
         fom = PolynomialFOM(
             dimension=N, degree_set=(1,), n_u=0, rhs=lambda x, u: A1 @ x, jacobian=jac
@@ -198,17 +218,18 @@ class TestImplicitEuler:
         expected = np.linalg.solve(np.eye(N) - 0.2 * A1, x)
         np.testing.assert_allclose(y, expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("fmt", ["dia", "csr"])
-    def test_banded_solve_matches_dense_solve(self, fmt):
-        # an asymmetric band, two diagonals below and one above: one Newton
-        # iteration of the linear model solves (I - dt*A) y = x
+    @pytest.mark.parametrize("lower, upper", [(2, 1), (8, 8)], ids=["2-1", "8-8"])
+    def test_banded_solve_matches_dense_solve(self, lower, upper):
+        # an asymmetric band, two diagonals below and one above, stored as
+        # its own band and as the full band: one Newton iteration of the
+        # linear model solves (I - dt*A) y = x
         rng = np.random.default_rng(7)
         N, dt = 9, 0.1
         offsets = (-2, -1, 0, 1)
         A = sum(np.diag(rng.standard_normal(N - abs(k)), k) for k in offsets)
         A -= 5.0 * np.eye(N)
-        J = sp.dia_array(A) if fmt == "dia" else sp.csr_array(A)
-        assert sorted(sp.dia_array(J).offsets) == list(offsets)
+        J = band(A, lower, upper)
+        np.testing.assert_array_equal(dense(J), A)
         fom = PolynomialFOM(
             dimension=N,
             degree_set=(1,),
@@ -222,18 +243,18 @@ class TestImplicitEuler:
         assert np.linalg.norm(y - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize(
-        "N, jacobian",
-        [(3, np.eye), (3, sp.eye_array), (1, sp.eye_array)],
-        ids=["dense", "sparse", "sparse-1x1"],
+        "N, lower, upper",
+        [(3, 2, 2), (3, 1, 1), (1, 0, 0)],
+        ids=["full", "tridiagonal", "1x1"],
     )
-    def test_singular_newton_matrix_raises_newton_error(self, N, jacobian):
+    def test_singular_newton_matrix_raises_newton_error(self, N, lower, upper):
         # x' = x with dt = 1: I - dt*J is zero
         fom = PolynomialFOM(
             dimension=N,
             degree_set=(1,),
             n_u=0,
             rhs=lambda x, u: x,
-            jacobian=lambda x, u: jacobian(N),
+            jacobian=lambda x, u: band(np.eye(N), lower, upper),
         )
         with pytest.raises(NewtonError, match=r"I - dt\*J is singular"):
             implicit_euler_step(fom, np.ones(N), np.zeros(0), 1.0)

@@ -1,8 +1,9 @@
 """Package hygiene: modules use each other's public names only and read
 every name they import, the CLI names no benchmark, maps exceptions to
 exit codes in ``main`` alone and chooses no structure check, one module
-holds the dense square solve, one module takes an SVD, and importing the
-package leaves the sparse solvers unloaded."""
+holds the dense square solve, one module takes an SVD, and neither
+importing the package, building the benchmarks nor an implicit step loads
+``scipy.sparse``."""
 
 import ast
 import os
@@ -142,11 +143,20 @@ def test_only_pod_calls_an_svd():
 
 
 def test_import_does_not_load_sparse_linalg():
-    # the sparse Newton branch solves a band with scipy.linalg, and the
-    # condition-number estimate needs no scipy.sparse.linalg solver
-    code = (
-        "import sys, exactopinf, exactopinf.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))"
+    # Jacobians are bands solved by scipy.linalg, and the condition-number
+    # estimate needs no scipy.sparse.linalg solver: no part of scipy.sparse
+    # is loaded by the package, the three builders or an implicit ice step
+    code = "\n".join(
+        [
+            "import sys, numpy as np, exactopinf, exactopinf.cli",
+            "from exactopinf.benchmarks import SHALLOW_ICE, SPECS, build",
+            "from exactopinf.fom import implicit_euler_step",
+            "models = {name: build(spec) for name, spec in SPECS.items()}",
+            "fom, _, x0 = models['shallow_ice']",
+            "y = implicit_euler_step(fom, x0, None, SHALLOW_ICE.dt_pod)",
+            "assert not np.array_equal(y, x0)",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+        ]
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     result = subprocess.run(
