@@ -4,6 +4,8 @@ Builds a small random polynomial system, projects it onto a random
 orthonormal basis intrusively, then recovers the very same reduced
 operator without touching the system's internals: only n_f single
 explicit-Euler steps started at carefully chosen reduced states.
+``generate_ensemble`` takes those steps and ``infer`` solves the square
+system they give.
 
 Run:  python3 demos/01_single_step_inference.py
 """
@@ -12,8 +14,9 @@ import numpy as np
 
 from exactopinf import (
     MonomialBasis,
-    exact_opinf,
     from_dense_operators,
+    generate_ensemble,
+    infer,
     intrusive_reduce,
     pair_tags,
     rank_ensuring_pairs,
@@ -52,7 +55,7 @@ def main():
     print("  ...")
 
     dt = 1.0 / np.linalg.norm(reference.matrix, 2)
-    result = exact_opinf(fom, V, dt)
+    result = infer(generate_ensemble(fom, V, dt))
     err = relative_operator_error(result.operator, reference)
     print(f"data-matrix condition number: {result.cond_P:.3e}")
     print(f"relative operator error vs intrusive reduction: {err:.3e}")

@@ -23,7 +23,6 @@ from .exact_opinf import (
     LeastSquaresResult,
     SnapshotEnsemble,
     estimate_dt,
-    exact_opinf,
     generate_ensemble,
     infer,
     pair_tags,

@@ -14,13 +14,14 @@ machine-readable JSON failure list on stdout), 2 invalid input or settings
 non-finite number or repeated snapshot times, a config file with an
 unknown key, a key the benchmark does not use or an out-of-range value,
 an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
-beyond the documented range without --force, a negative
---regularization, an infer --basis, --n or --dt given with --ensemble,
-an infer --n beyond the basis, a pod --n or experiment --n-max beyond
-the snapshot count, an experiment trajectory too short or too flat to
-estimate a time step, a trajectory or single step that leaves the finite
-range or whose Newton iteration fails, a diagnose --reference of another
-feature layout or all zero, or an output path that cannot be written),
+beyond the documented range without --force, a negative --regularization
+or one given without --baseline, an infer --basis, --n or --dt given with
+--ensemble, an infer --n beyond the basis, a pod --n or experiment
+--n-max beyond the snapshot count, an experiment trajectory too short or
+too flat to estimate a time step, a trajectory or single step that leaves
+the finite range or whose Newton iteration fails, a diagnose --reference
+of another feature layout or all zero, or an output path that cannot be
+written),
 3 rank deficiency / singular system.
 """
 
@@ -160,8 +161,7 @@ def cmd_experiment(args) -> int:
                 times=snaps.times,
                 inputs=snaps.inputs,
             )
-            layout = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
-            ls = standard_opinf(reduced, layout, regularization=args.regularization)
+            ls = standard_opinf(reduced, ensemble.basis, args.regularization or 0.0)
             baseline_rows.append([n, relative_operator_error(ls.operator, ref)])
 
     degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--regularization",
         type=_positive(float, or_zero=True),
-        default=0.0,
-        help="baseline Tikhonov weight",
+        default=None,
+        help="baseline Tikhonov weight (default 0; requires --baseline)",
     )
     exp.set_defaults(func=cmd_experiment)
 
@@ -339,6 +339,8 @@ def main(argv=None) -> int:
     """Run one subcommand; the one place exceptions become exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "experiment" and args.regularization is not None and not args.baseline:
+        parser.error("--regularization requires --baseline")
     if args.command == "infer":
         if args.benchmark is not None and (args.basis is None or args.dt is None):
             parser.error("--benchmark requires --basis and --dt")

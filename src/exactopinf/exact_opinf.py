@@ -109,46 +109,47 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     return 1.0 / rate
 
 
-def _build_ensemble(
-    fom: PolynomialFOM, V: np.ndarray, dt: float, scale: float, known: dict
-) -> SnapshotEnsemble:
-    """The ensemble of the rank-ensuring pairs of ``V``'s width and the model.
+def _ensembles(fom: PolynomialFOM, V, dt: float, scale: float, widths):
+    """Yield the ensemble of ``V[:, :n]`` for each ``n`` of the increasing ``widths``.
 
-    A pair whose tag ``known`` maps to a full-order quotient takes that
-    quotient; every other pair is lifted and stepped once, and ``known``
-    then maps every tag to its quotient.  A state pair lifts to the basis
-    columns its tag names, added in that order, times ``scale``; degree-0
-    and input pairs start at zero.  Unlike ``V @ x``, whose rounding depends
-    on how BLAS blocks the sum over all ``n`` columns, this does not depend
-    on how many columns ``V`` has, so a step reused by a wider basis is
-    bitwise the step a fresh ensemble takes.
+    A pair of the widest layout first appears at the largest basis index its
+    tag names (1 for degree 0 and inputs); width ``n`` has, in its own
+    feature order, the pairs that first appear at most at ``n``, so each
+    pair is stepped once, at the first width that has it.  A state pair
+    lifts to the basis columns its tag names, added in that order, times
+    ``scale``.  Unlike ``V @ x``, whose rounding depends on how BLAS blocks
+    the sum over all columns, this makes each width's data bitwise the same
+    whatever the widths before it or the width of ``V``.
     """
-    basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
-    X, U = rank_ensuring_pairs(basis, scale)
-    quotients = np.empty((fom.dimension, basis.n_f))
-    tags = pair_tags(basis)
-    for s, tag in enumerate(tags):
-        if tag in known:
-            quotients[:, s] = known[tag]
-            continue
-        x0 = np.zeros(V.shape[0])
-        if tag[0] == "state":
-            for j in tag[2]:
-                x0 += V[:, j - 1]
-            x0 *= scale
-        try:
-            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
-        quotients[:, s] = (x1 - x0) / dt
-    known.update(zip(tags, quotients.T))  # views, so only the newest array is kept
-    return SnapshotEnsemble(
-        basis=basis,
-        dt=dt,
-        P=feature_matrix(basis, X, U),
-        derivatives=V.T @ quotients,
-        scale=scale,
-    )
+    widest = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
+    X, U = rank_ensuring_pairs(widest, scale)
+    tags = pair_tags(widest)
+    first = np.array([max(tag[2], default=1) if tag[0] == "state" else 1 for tag in tags])
+    quotients = np.empty((fom.dimension, widest.n_f))
+    stepped = 0
+    for n in widths:
+        for s in np.flatnonzero((first > stepped) & (first <= n)):
+            x0 = np.zeros(V.shape[0])
+            if tags[s][0] == "state":
+                for j in tags[s][2]:
+                    x0 += V[:, j - 1]
+                x0 *= scale
+            try:
+                x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(f"single step failed for pair {tags[s]}: {exc}") from exc
+            quotients[:, s] = (x1 - x0) / dt
+        stepped = n
+        pairs = np.flatnonzero(first <= n)
+        basis = MonomialBasis(n=n, degree_set=fom.degree_set, n_u=fom.n_u)
+        # take keeps the copy C-ordered, and so the projection's BLAS path
+        yield SnapshotEnsemble(
+            basis=basis,
+            dt=dt,
+            P=feature_matrix(basis, X[:n, pairs], U[:, pairs]),
+            derivatives=V[:, :n].T @ quotients.take(pairs, axis=1),
+            scale=scale,
+        )
 
 
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
@@ -159,7 +160,7 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     count, at amplitude ``scale``.  Each is lifted to the full order with ``V``,
     stepped once, and the difference quotient projected back.
     """
-    return _build_ensemble(fom, V, dt, scale, known={})
+    return next(_ensembles(fom, V, dt, scale, [V.shape[1]]))
 
 
 def _factor_square(P):
@@ -302,28 +303,21 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     return InferenceResult(operator=operator, cond_P=cond, residual=residual)
 
 
-def exact_opinf(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> InferenceResult:
-    """Generate the minimal single-step ensemble and solve for the operator.
-
-    ``scale`` is the state amplitude of :func:`rank_ensuring_pairs`.
-    """
-    return infer(generate_ensemble(fom, V, dt, scale))
-
-
 def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
     """Yield ``(ensemble, infer(ensemble))`` of ``V[:, :n]`` for ``n = 1 .. V.shape[1]``.
 
     Every rank-ensuring pair of width ``n`` is also one of width ``n + 1``,
-    under the same tag, so each width steps only the pairs it adds; each
-    ensemble is bitwise :func:`generate_ensemble`'s.  A failed step or a
-    singular data matrix is re-raised with its width, ``n={n}: ``, in front.
-    Only the model's right-hand side is called, so the sweep runs on a
-    black-box model.
+    so the sweep steps each pair once, at the first width that has it: the
+    ``n_f`` steps of the widest layout in all.  Each ensemble is bitwise
+    :func:`generate_ensemble`'s.  A failed step or a singular data matrix is
+    re-raised with its width, ``n={n}: ``, in front.  Only the model's
+    right-hand side is called, so the sweep runs on a black-box model.
     """
-    known = {}
-    for n in range(1, V.shape[1] + 1):
+    widths = range(1, V.shape[1] + 1)
+    ensembles = _ensembles(fom, V, dt, scale, widths)
+    for n in widths:
         try:
-            ensemble = _build_ensemble(fom, V[:, :n], dt, scale, known)
+            ensemble = next(ensembles)
             result = infer(ensemble)
         except (NonFiniteStateError, SingularDataMatrixError) as exc:
             raise type(exc)(f"n={n}: {exc}") from exc

@@ -10,7 +10,6 @@ from exactopinf.cli import main
 from exactopinf.diagnostics import build_report, relative_operator_error
 from exactopinf.exact_opinf import (
     estimate_dt,
-    exact_opinf,
     generate_ensemble,
     infer,
 )
@@ -138,7 +137,9 @@ class TestInferCommand:
              "--n", "5", "--dt", str(dt), "--out", str(opath)]
         )
         assert code == 0
-        ref = exact_opinf(burgers_data["fom"], pod.matrix(5), dt, scale=spec.state_scale)
+        ref = infer(
+            generate_ensemble(burgers_data["fom"], pod.matrix(5), dt, scale=spec.state_scale)
+        )
         np.testing.assert_array_equal(
             read_operator(opath).matrix, ref.operator.matrix
         )
@@ -353,6 +354,18 @@ def test_negative_regularization_rejected_at_parse_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weight", ["5", "0"])
+def test_regularization_without_baseline_rejected(weight, tmp_path, capsys):
+    # without --baseline no fit would use the weight and no baseline table
+    # would be written; an explicit 0 is rejected too
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "burgers", "--regularization", weight, "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "--regularization requires --baseline" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -472,7 +485,9 @@ class TestDiagnoseCommand:
         spec = chafee_data["spec"]
         pod = chafee_data["pod"]
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
-        result = exact_opinf(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
+        result = infer(
+            generate_ensemble(chafee_data["fom"], pod.matrix(n), dt, scale=spec.state_scale)
+        )
         ref = intrusive_reduce(chafee_data["fom"], pod.matrix(n))
         expected = build_report(result.operator, ref, result.cond_P, n)["energy_violation"]
         from exactopinf.serialize import write_operator

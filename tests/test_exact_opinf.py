@@ -13,7 +13,6 @@ from exactopinf.exact_opinf import (
     SingularDataMatrixError,
     SnapshotEnsemble,
     estimate_dt,
-    exact_opinf,
     generate_ensemble,
     infer,
     pair_tags,
@@ -27,6 +26,7 @@ from exactopinf.fom import (
     PolynomialFOM,
     SnapshotMatrix,
     eval_rhs,
+    explicit_euler_step,
     from_dense_operators,
     simulate,
 )
@@ -342,7 +342,7 @@ class TestInfer:
         # degree set {0} with no inputs: P = [1], recover the constant column
         c = np.array([2.0, -1.0, 0.5])
         fom = from_dense_operators({0: c.reshape(3, 1)})
-        res = exact_opinf(fom, np.eye(3), 1.0)
+        res = infer(generate_ensemble(fom, np.eye(3), 1.0))
         np.testing.assert_allclose(res.operator.matrix[:, 0], c, rtol=1e-14)
 
 
@@ -446,14 +446,14 @@ class TestExactRecovery:
         fom = random_dense_fom(rng, N, (0, 1, 2), n_u=2)
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ref = intrusive_reduce(fom, V)
-        res = exact_opinf(fom, V, 1e-2)
+        res = infer(generate_ensemble(fom, V, 1e-2))
         assert relative_operator_error(res.operator, ref) < 1e-11
 
     def test_zero_fom(self):
         fom = PolynomialFOM(
             dimension=4, degree_set=(1, 2), n_u=0, rhs=lambda x, u: np.zeros(4)
         )
-        res = exact_opinf(fom, np.eye(4)[:, :2], 1.0)
+        res = infer(generate_ensemble(fom, np.eye(4)[:, :2], 1.0))
         np.testing.assert_allclose(res.operator.matrix, 0.0, atol=1e-15)
 
     def test_dt_invariance(self, rng):
@@ -462,8 +462,8 @@ class TestExactRecovery:
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ref = intrusive_reduce(fom, V)
         scale = 1.0 / np.linalg.norm(ref.matrix, 2)
-        a = exact_opinf(fom, V, scale)
-        b = exact_opinf(fom, V, 10 * scale)
+        a = infer(generate_ensemble(fom, V, scale))
+        b = infer(generate_ensemble(fom, V, 10 * scale))
         rel = np.linalg.norm(a.operator.matrix - b.operator.matrix) / np.linalg.norm(
             a.operator.matrix
         )
@@ -484,7 +484,7 @@ class TestExactRecovery:
             ref = intrusive_reduce(fom, V)
             norm = np.linalg.norm(ref.matrix, 2)
             dt = 1.0 / norm if norm > 0 else 1.0
-            res = exact_opinf(fom, V, dt)
+            res = infer(generate_ensemble(fom, V, dt))
             err_exact = relative_operator_error(res.operator, ref)
             assert err_exact < 1e-10, f"case {case}: exact inference error {err_exact}"
 
@@ -581,6 +581,21 @@ class TestSweep:
         assert grown.scale == scale
         assert np.array_equal(grown.P, fresh.P)
         assert np.array_equal(grown.derivatives, fresh.derivatives)
+
+    def test_first_width_matches_independent_steps(self, chafee_data):
+        # oracle outside the stepping loop: each width-1 pair lifted by one
+        # product with the first basis column, stepped on its own, and the
+        # quotients projected as one freshly stacked array
+        spec, pod = chafee_data["spec"], chafee_data["pod"]
+        fom, V = chafee_data["fom"], pod.matrix(spec.n_max)
+        dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
+        ensemble, _ = next(sweep(fom, V, dt, spec.state_scale))
+        X, U = rank_ensuring_pairs(ensemble.basis, spec.state_scale)
+        quotients = []
+        for s in range(X.shape[1]):
+            x0 = V[:, 0] * X[0, s]
+            quotients.append((explicit_euler_step(fom, x0, U[:, s], dt) - x0) / dt)
+        assert np.array_equal(V[:, :1].T @ np.column_stack(quotients), ensemble.derivatives)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failed_step_names_its_width(self):

@@ -1,14 +1,17 @@
 """Package hygiene: modules use each other's public names only and read
 every name they import, the CLI names no benchmark, maps exceptions to
 exit codes in ``main`` alone and chooses no structure check, one module
-holds the dense square solve, one module takes an SVD, and neither
-importing the package, building the benchmarks nor an implicit step loads
+holds the dense square solve, one module takes an SVD, no package
+attribute shadows the submodule of its name, and neither importing the
+package, building the benchmarks nor an implicit step loads
 ``scipy.sparse``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from exactopinf.benchmarks import SPECS
@@ -163,3 +166,17 @@ def test_import_does_not_load_sparse_linalg():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_submodules_are_not_shadowed():
+    # a name re-exported under its module's name would replace the module
+    # as the package attribute that ``import exactopinf.<name> as m`` binds
+    import exactopinf
+    import exactopinf.exact_opinf as m
+
+    assert isinstance(m, types.ModuleType)
+    names = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    for name in names:
+        importlib.import_module(f"exactopinf.{name}")
+    shadowed = [n for n in names if not isinstance(getattr(exactopinf, n), types.ModuleType)]
+    assert shadowed == []
