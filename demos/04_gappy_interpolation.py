@@ -12,7 +12,6 @@ Run:  python3 demos/04_gappy_interpolation.py
 import numpy as np
 
 from exactopinf.gappy_interp import (
-    GappyProblem,
     gappy_interpolate,
     interpolation_matrix,
     univariate_specific,
@@ -26,7 +25,7 @@ def main():
     print(f"condition number: {np.linalg.cond(M):.2f}\n")
 
     print("univariate fit on degrees {0, 2} (nodes x = 0 and x = 2):")
-    coeffs = gappy_interpolate(GappyProblem(n=1, degree_set=(0, 2), values=[1.0, 0.0]))
+    coeffs = gappy_interpolate(1, (0, 2), [1.0, 0.0])
     print(f"  p(x) = {coeffs[0]:g} + {coeffs[1]:g} x^2   "
           f"-> p(0) = {coeffs[0]:g}, p(2) = {coeffs[0] + 4 * coeffs[1]:g}\n")
 

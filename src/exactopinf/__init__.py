@@ -33,7 +33,6 @@ from .exact_opinf import (
 from .fom import (
     PolynomialFOM,
     SnapshotMatrix,
-    eval_rhs,
     explicit_euler_step,
     from_dense_operators,
     implicit_euler_step,
@@ -41,7 +40,6 @@ from .fom import (
 )
 from .galerkin import AggregatedOperator, intrusive_reduce
 from .gappy_interp import (
-    GappyProblem,
     gappy_interpolate,
     interpolation_matrix,
     univariate_specific,

@@ -162,7 +162,7 @@ def cmd_experiment(args) -> int:
                 inputs=snaps.inputs,
             )
             ls = standard_opinf(reduced, ensemble.basis, args.regularization or 0.0)
-            baseline_rows.append([n, relative_operator_error(ls.operator, ref)])
+            baseline_rows.append([n, relative_operator_error(ls.operator, ref), ls.rank, ls.cond_P])
 
     degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
     input_cols = ["err_input"] if spec.n_u else []
@@ -195,7 +195,7 @@ def cmd_experiment(args) -> int:
         write_table(
             out / "baseline_errors.csv",
             "baseline-errors",
-            ["n", "relative_error"],
+            ["n", "relative_error", "rank", "cond_P"],
             baseline_rows,
         )
 
@@ -233,8 +233,6 @@ def cmd_infer(args) -> int:
         spec = SPECS[args.benchmark]
         fom, _, _ = build(spec)
         V = read_matrix(args.basis, "basis")
-        if V.shape[0] != fom.dimension:
-            raise ValueError(f"basis has {V.shape[0]} rows, model dimension is {fom.dimension}")
         if args.n is not None:
             if args.n > V.shape[1]:
                 raise ValueError(f"--n {args.n} exceeds the basis's {V.shape[1]} columns")

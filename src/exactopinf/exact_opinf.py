@@ -119,8 +119,11 @@ def _ensembles(fom: PolynomialFOM, V, dt: float, scale: float, widths):
     lifts to the basis columns its tag names, added in that order, times
     ``scale``.  Unlike ``V @ x``, whose rounding depends on how BLAS blocks
     the sum over all columns, this makes each width's data bitwise the same
-    whatever the widths before it or the width of ``V``.
+    whatever the widths before it or the width of ``V``.  A ``V`` other than
+    2-D with ``fom.dimension`` rows is rejected with a ``ValueError``.
     """
+    if V.ndim != 2 or V.shape[0] != fom.dimension:
+        raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
     widest = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
     X, U = rank_ensuring_pairs(widest, scale)
     tags = pair_tags(widest)
@@ -160,7 +163,7 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     count, at amplitude ``scale``.  Each is lifted to the full order with ``V``,
     stepped once, and the difference quotient projected back.
     """
-    return next(_ensembles(fom, V, dt, scale, [V.shape[1]]))
+    return next(_ensembles(fom, V, dt, scale, [V.shape[-1]]))  # a 1-D V reaches the check
 
 
 def _factor_square(P):
@@ -313,7 +316,7 @@ def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
     re-raised with its width, ``n={n}: ``, in front.  Only the model's
     right-hand side is called, so the sweep runs on a black-box model.
     """
-    widths = range(1, V.shape[1] + 1)
+    widths = range(1, V.shape[-1] + 1)  # a 1-D V reaches the check of _ensembles
     ensembles = _ensembles(fom, V, dt, scale, widths)
     for n in widths:
         try:
@@ -326,12 +329,14 @@ def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Baseline trajectory-data inference with rank diagnostics."""
+    """Baseline trajectory-data inference with rank diagnostics.
+
+    The data matrix is rank deficient when ``rank < operator.basis.n_f``.
+    """
 
     operator: AggregatedOperator
     rank: int
     cond_P: float
-    rank_deficient: bool
 
 
 def standard_opinf(
@@ -345,7 +350,7 @@ def standard_opinf(
     forward difference quotients.  With positive ``regularization`` the
     Tikhonov-shifted normal equations are solved; with zero regularization
     and a rank-deficient feature matrix the minimum-norm solution is
-    returned and flagged.  The rank and the singular values come from the
+    returned.  The rank and the singular values come from the
     SVD inside :func:`numpy.linalg.lstsq`, whose ``rcond=None`` cutoff
     ``max(P.shape) * eps * sigma_1`` is that of :func:`_condition_number`;
     ``cond_P`` is infinite when the rank is below ``n_f``.
@@ -361,12 +366,11 @@ def standard_opinf(
     P = feature_matrix(basis, X[:, :-1], trajectory.inputs[:, :-1])
 
     O, _, rank, svals = np.linalg.lstsq(P.T, dXdt.T, rcond=None)
-    deficient = rank < basis.n_f
     # with fewer snapshots than features P has fewer singular values than
     # rows, so their ratio alone can look well conditioned
-    cond = float("inf") if deficient else float(svals[0] / svals[-1])
+    cond = float("inf") if rank < basis.n_f else float(svals[0] / svals[-1])
     if regularization > 0:
         G = P @ P.T + regularization * np.eye(basis.n_f)
         O = np.linalg.solve(G, P @ dXdt.T)
     operator = AggregatedOperator(basis=basis, matrix=O.T)
-    return LeastSquaresResult(operator, int(rank), cond, deficient)
+    return LeastSquaresResult(operator, int(rank), cond)

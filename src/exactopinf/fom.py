@@ -42,9 +42,8 @@ class PolynomialFOM:
     on ``(N,)`` or ``(N, m)`` arguments; ``input_map`` optionally evaluates
     ``u -> B u``; ``jacobian(x, u)`` optionally returns the state Jacobian
     of the rhs as its band ``((lower, upper), ab)`` in LAPACK band storage,
-    ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping falls back to a
-    finite-difference full band without it).  Evaluators must be pure and
-    reentrant.
+    ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping needs it).
+    Evaluators must be pure and reentrant.
     """
 
     dimension: int
@@ -104,27 +103,19 @@ def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
     return out
 
 
+def _check_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("time step must be positive and finite")
+
+
 def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One explicit Euler step ``x + dt * f(x, u)``, rejecting a non-finite one."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    _check_dt(dt)
     x = np.asarray(x, dtype=float)
     y = x + dt * eval_rhs(fom, x, u)
     if not np.all(np.isfinite(y)):
         raise NonFiniteStateError(f"step of size {dt:g} left the finite range")
     return y
-
-
-def _fd_jacobian(fom: PolynomialFOM, x, u, f0) -> tuple[tuple[int, int], np.ndarray]:
-    """Forward finite-difference Jacobian of the rhs as a full band, step 1e-7*(1+|x_j|)."""
-    N = fom.dimension
-    ab = np.zeros((2 * N - 1, N))
-    for j in range(N):
-        h = 1e-7 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        ab[N - 1 - j : 2 * N - 1 - j, j] = (eval_rhs(fom, xp, u) - f0) / h
-    return (N - 1, N - 1), ab
 
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
@@ -143,28 +134,23 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One implicit Euler step: solve ``y = x + dt * f(y, u)`` by Newton.
 
     Each Newton iteration solves ``(I - dt * J) d = r`` by a banded LU over
-    ``J``'s band, from ``fom.jacobian`` when the model has one and from
-    forward finite differences (a full band) otherwise.  Raises
-    :class:`NewtonError` when ``I - dt * J`` is singular or the residual norm
-    does not drop below ``NEWTON_TOL * (1 + ||x||)`` within
-    ``NEWTON_MAX_ITER`` iterations.
+    the band of ``fom.jacobian``; a model without a Jacobian is rejected
+    with a ``ValueError``.  Raises :class:`NewtonError` when ``I - dt * J``
+    is singular or the residual norm does not drop below
+    ``NEWTON_TOL * (1 + ||x||)`` within ``NEWTON_MAX_ITER`` iterations.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    _check_dt(dt)
+    if fom.jacobian is None:
+        raise ValueError("implicit Euler needs the model's jacobian")
     x = np.asarray(x, dtype=float)
     tol = NEWTON_TOL * (1.0 + np.linalg.norm(x))
     y = x.copy()
     for _ in range(NEWTON_MAX_ITER + 1):
-        f = eval_rhs(fom, y, u)
-        residual = y - x - dt * f
+        residual = y - x - dt * eval_rhs(fom, y, u)
         res_norm = np.linalg.norm(residual)
         if res_norm < tol:
             return y
-        if fom.jacobian is not None:
-            band = fom.jacobian(y, u)
-        else:
-            band = _fd_jacobian(fom, y, u, f)
-        y = y - _solve_shifted(band, dt, residual)
+        y = y - _solve_shifted(fom.jacobian(y, u), dt, residual)
     raise NewtonError(
         f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last residual {res_norm:.3e})"
@@ -217,17 +203,19 @@ def from_dense_operators(
     derived by symmetrizing over argument permutations, so keep the degrees
     small.
     """
+    if not matrices:
+        raise ValueError("need at least one degree matrix")
     degrees = tuple(sorted(matrices))
-    first = next(iter(matrices.values()))
-    N = first.shape[0]
-    n_u = 0 if input_matrix is None else input_matrix.shape[1]
-
     mats = {i: np.asarray(A, dtype=float) for i, A in matrices.items()}
+    N = next(iter(mats.values())).shape[0]
     for i, A in mats.items():
         expected = (N, math.comb(N + i - 1, i))
         if A.shape != expected:
             raise ValueError(f"degree-{i} matrix has shape {A.shape}, expected {expected}")
     B = None if input_matrix is None else np.asarray(input_matrix, dtype=float)
+    if B is not None and (B.ndim != 2 or B.shape[0] != N):
+        raise ValueError(f"input matrix has shape {B.shape}, expected ({N}, n_u)")
+    n_u = 0 if B is None else B.shape[1]
     layout = MonomialBasis(n=N, degree_set=degrees, n_u=n_u)
     O = np.hstack([mats[i] for i in degrees] + ([] if B is None else [B]))
 

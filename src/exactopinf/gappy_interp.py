@@ -10,36 +10,10 @@ polynomials used to stitch degree blocks together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exact_opinf import SingularDataMatrixError, rank_ensuring_pairs, solve_square
 from .tensor_poly import MonomialBasis, feature_matrix
-
-
-@dataclass(frozen=True)
-class GappyProblem:
-    """Interpolation of given finite values at the canonical unit-vector-sum
-    nodes."""
-
-    n: int
-    degree_set: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        basis = MonomialBasis(n=self.n, degree_set=self.degree_set)
-        object.__setattr__(self, "degree_set", basis.degree_set)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (basis.n_f,):
-            raise ValueError(f"expected {basis.n_f} values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def nodes(self) -> list[np.ndarray]:
-        return list(rank_ensuring_pairs(MonomialBasis(n=self.n, degree_set=self.degree_set))[0].T)
 
 
 def interpolation_matrix(n: int, degree_set) -> np.ndarray:
@@ -51,16 +25,22 @@ def interpolation_matrix(n: int, degree_set) -> np.ndarray:
     return feature_matrix(basis, *rank_ensuring_pairs(basis))
 
 
-def gappy_interpolate(problem: GappyProblem) -> np.ndarray:
-    """Coefficients (canonical monomial order) interpolating the given values.
+def gappy_interpolate(n: int, degree_set, values) -> np.ndarray:
+    """Coefficients (canonical monomial order) interpolating ``values`` at the nodes.
 
-    Solves with the inference solve, :func:`solve_square`, and verifies the
-    residual at the nodes.
+    The nodes are the states of the rank-ensuring pairs, one finite value
+    each.  Solves with the inference solve, :func:`solve_square`, and
+    verifies the residual at the nodes.
     """
-    M = interpolation_matrix(problem.n, problem.degree_set)
-    coeffs = solve_square(M, problem.values)
-    residual = np.max(np.abs(M.T @ coeffs - problem.values))
-    bound = 1e-10 * (1.0 + np.max(np.abs(problem.values), initial=0.0))
+    M = interpolation_matrix(n, degree_set)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (M.shape[0],):
+        raise ValueError(f"expected {M.shape[0]} values, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    coeffs = solve_square(M, values)
+    residual = np.max(np.abs(M.T @ coeffs - values))
+    bound = 1e-10 * (1.0 + np.max(np.abs(values), initial=0.0))
     if not residual <= bound:
         raise SingularDataMatrixError(
             f"interpolation residual {residual:.3e} exceeds {bound:.3e}"

@@ -5,13 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from exactopinf.benchmarks import BURGERS, CHAFEE_INFANTE, build_burgers
+from exactopinf.benchmarks import (
+    BURGERS,
+    CHAFEE_INFANTE,
+    apply_overrides,
+    build,
+    build_burgers,
+    parse_config,
+)
 from exactopinf.cli import main
 from exactopinf.diagnostics import build_report, relative_operator_error
 from exactopinf.exact_opinf import (
     estimate_dt,
     generate_ensemble,
     infer,
+    standard_opinf,
 )
 from exactopinf.fom import SnapshotMatrix, from_dense_operators, simulate
 from exactopinf.galerkin import AggregatedOperator, intrusive_reduce
@@ -187,6 +195,19 @@ class TestInferCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "30" in err and "4 columns" in err
+        assert not opath.exists()
+
+    def test_basis_rows_must_match_model_exit_code(self, tmp_path, capsys):
+        vpath = tmp_path / "V.csv"
+        V = np.eye(BURGERS.N + 1)[:, :3]
+        write_basis(PodBasis(V=V, singular_values=np.ones(3)), vpath, tmp_path / "sv.csv")
+        opath = tmp_path / "op.csv"
+        code = main(
+            ["infer", "--benchmark", "burgers", "--basis", str(vpath),
+             "--dt", "1e-3", "--out", str(opath)]
+        )
+        assert code == 2
+        assert f"model dimension is {BURGERS.N}" in capsys.readouterr().err
         assert not opath.exists()
 
     def test_bad_pair_tag_exit_code(self, rng, tmp_path, capsys):
@@ -727,3 +748,15 @@ class TestExperimentCommand:
         assert code == 0
         lines = (out / "baseline_errors.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
+        assert lines[1] == "n,relative_error,rank,cond_P"
+        # the rank and cond_P of standard_opinf on the same basis
+        spec = apply_overrides(BURGERS, parse_config(cfg))
+        fom, signal, x0 = build(spec)
+        snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
+        pod = pod_basis(snaps, 2)
+        for n, line in enumerate(lines[2:], start=1):
+            V = pod.matrix(n)
+            reduced = SnapshotMatrix(states=V.T @ snaps.states, times=snaps.times, inputs=snaps.inputs)
+            ls = standard_opinf(reduced, MonomialBasis(n=n, degree_set=spec.degree_set))
+            row = line.split(",")
+            assert (int(row[0]), int(row[2]), float(row[3])) == (n, ls.rank, ls.cond_P)

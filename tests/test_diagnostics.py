@@ -67,7 +67,7 @@ def _baseline(P):
     states = np.hstack([P, np.zeros((n, 1))])
     traj = SnapshotMatrix(states=states, times=np.arange(K + 1.0), inputs=np.zeros((0, K + 1)))
     result = standard_opinf(traj, MonomialBasis(n=n, degree_set=(1,)))
-    return result.rank, result.cond_P, result.rank_deficient
+    return result.rank, result.cond_P, result.rank < result.operator.basis.n_f
 
 
 class TestConditionNumber:

@@ -267,6 +267,17 @@ class TestGenerateEnsemble:
         np.testing.assert_array_equal(ens.P, pairs_P(3, fom.degree_set, fom.n_u, scale))
         assert pair_tags(ens.basis)[-1] == ("input", 1)
 
+    @pytest.mark.parametrize("shape", [(4,), (5, 2), (3, 2)], ids=["1-d", "5-rows", "3-rows"])
+    @pytest.mark.parametrize(
+        "build",
+        [generate_ensemble, lambda *args: next(sweep(*args))],
+        ids=["generate_ensemble", "sweep"],
+    )
+    def test_basis_must_match_model(self, rng, build, shape):
+        fom = random_dense_fom(rng, 4, (1, 2))
+        with pytest.raises(ValueError, match=r"basis has shape .*model dimension is 4"):
+            build(fom, np.ones(shape), 0.1)
+
 
 class TestSolveSquare:
     def test_solves_from_the_right(self, rng):
@@ -639,7 +650,7 @@ class TestStandardOpinf:
             states=X, times=dt * np.arange(31), inputs=np.zeros((0, 31))
         )
         res = standard_opinf(traj, basis)
-        assert not res.rank_deficient
+        assert res.rank == basis.n_f
         np.testing.assert_allclose(res.operator.matrix, A, atol=1e-10)
 
     def test_single_step_rank_deficient_flag(self, rng):
@@ -649,8 +660,7 @@ class TestStandardOpinf:
             states=X, times=np.array([0.0, 1.0]), inputs=np.zeros((0, 2))
         )
         res = standard_opinf(traj, basis)
-        assert res.rank_deficient
-        assert res.rank <= 1
+        assert res.rank <= 1 < basis.n_f
         assert res.cond_P == np.inf
 
     def test_tikhonov_shrinks_solution(self, rng):

@@ -135,27 +135,38 @@ class TestExplicitEuler:
 class TestImplicitEuler:
     def test_scalar_decay_closed_form(self):
         # y = x + dt*(-y)  =>  y = x/(1+dt); x=1, dt=1 gives 1/2
-        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=0, rhs=lambda x, u: -x)
+        fom = PolynomialFOM(
+            dimension=1,
+            degree_set=(1,),
+            n_u=0,
+            rhs=lambda x, u: -x,
+            jacobian=lambda x, u: band(-np.eye(1), 0, 0),
+        )
         y = implicit_euler_step(fom, np.array([1.0]), np.zeros(0), 1.0)
         np.testing.assert_allclose(y, [0.5], atol=1e-9)
 
     def test_zero_rhs_returns_state(self):
-        fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros(3))
+        fom = PolynomialFOM(
+            dimension=3,
+            degree_set=(1,),
+            n_u=0,
+            rhs=lambda x, u: np.zeros(3),
+            jacobian=lambda x, u: band(np.zeros((3, 3)), 0, 0),
+        )
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(implicit_euler_step(fom, x, np.zeros(0), 2.0), x)
 
-    def test_linear_direct_solve_oracle(self, rng):
-        N = 4
-        A1 = rng.standard_normal((N, N))
-        A1 = A1 - 5.0 * np.eye(N)  # stable
-        B = rng.standard_normal((N, 1))
-        fom = from_dense_operators({1: A1}, B)
-        x = rng.standard_normal(N)
-        u = rng.standard_normal(1)
-        dt = 0.1
-        expected = np.linalg.solve(np.eye(N) - dt * A1, x + dt * (B @ u))
-        y = implicit_euler_step(fom, x, u, dt)
-        np.testing.assert_allclose(y, expected, rtol=1e-7)
+    def test_model_without_jacobian_rejected(self):
+        calls = []
+
+        def rhs(x, u):
+            calls.append(1)
+            return -x
+
+        fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=rhs)
+        with pytest.raises(ValueError, match="jacobian"):
+            implicit_euler_step(fom, np.ones(2), np.zeros(0), 0.1)
+        assert calls == []  # rejected before the first Newton iteration
 
     def test_linear_direct_solve_oracle_analytic_jacobian(self, rng):
         N = 4
@@ -262,10 +273,30 @@ class TestImplicitEuler:
     def test_newton_failure_raises(self):
         # rhs with no root of the implicit residual reachable: y = x + dt*(y^2+1)
         fom = PolynomialFOM(
-            dimension=1, degree_set=(0, 2), n_u=0, rhs=lambda x, u: x**2 + 1.0
+            dimension=1,
+            degree_set=(0, 2),
+            n_u=0,
+            rhs=lambda x, u: x**2 + 1.0,
+            jacobian=lambda x, u: band(np.diag(2.0 * x), 0, 0),
         )
         with pytest.raises((NewtonError, NonFiniteStateError)):
             implicit_euler_step(fom, np.array([0.0]), np.zeros(0), 10.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "step", [explicit_euler_step, implicit_euler_step], ids=["explicit", "implicit"]
+)
+def test_steppers_reject_non_finite_dt(step, dt):
+    fom = PolynomialFOM(
+        dimension=2,
+        degree_set=(1,),
+        n_u=0,
+        rhs=lambda x, u: -x,
+        jacobian=lambda x, u: band(-np.eye(2), 0, 0),
+    )
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        step(fom, np.ones(2), np.zeros(0), dt)
 
 
 class TestSimulate:
@@ -426,3 +457,14 @@ class TestFromDenseOperators:
     def test_shape_check(self, rng):
         with pytest.raises(ValueError):
             from_dense_operators({2: rng.standard_normal((3, 5))})
+
+    def test_no_matrices_rejected(self):
+        with pytest.raises(ValueError, match="at least one degree matrix"):
+            from_dense_operators({})
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (2, 1), (4, 1)], ids=["1-d", "too-few-rows", "too-many-rows"]
+    )
+    def test_input_matrix_shape_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match=r"input matrix has shape .*expected \(3, n_u\)"):
+            from_dense_operators({1: rng.standard_normal((3, 3))}, np.ones(shape))

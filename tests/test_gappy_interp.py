@@ -7,7 +7,6 @@ import pytest
 
 from exactopinf.exact_opinf import rank_ensuring_pairs
 from exactopinf.gappy_interp import (
-    GappyProblem,
     gappy_interpolate,
     interpolation_matrix,
     univariate_specific,
@@ -57,42 +56,37 @@ class TestInterpolationMatrix:
 
 class TestGappyInterpolate:
     def test_constant_only(self):
-        coeffs = gappy_interpolate(GappyProblem(n=1, degree_set=(0,), values=[1.0]))
+        coeffs = gappy_interpolate(1, (0,), [1.0])
         np.testing.assert_array_equal(coeffs, [1.0])
 
     def test_univariate_even_gap(self):
         # 1 at the origin, 0 at the degree-two node x = 2: p(x) = 1 - x^2/4
-        coeffs = gappy_interpolate(
-            GappyProblem(n=1, degree_set=(0, 2), values=[1.0, 0.0])
-        )
+        coeffs = gappy_interpolate(1, (0, 2), [1.0, 0.0])
         np.testing.assert_allclose(coeffs, [1.0, -0.25], rtol=1e-14)
 
     def test_univariate_odd_gap(self):
         # nodes x = 1 (degree-one) and x = 3 (degree-three):
         # p(x) = (9/8) x - (1/8) x^3 hits 1 at 1 and 0 at 3
-        coeffs = gappy_interpolate(
-            GappyProblem(n=1, degree_set=(1, 3), values=[1.0, 0.0])
-        )
+        coeffs = gappy_interpolate(1, (1, 3), [1.0, 0.0])
         np.testing.assert_allclose(coeffs, [9.0 / 8.0, -1.0 / 8.0], rtol=1e-13)
 
     def test_values_reproduced_at_nodes(self, rng):
         for n, I in [(2, (1, 2)), (3, (0, 2)), (3, (1, 3)), (2, (0, 1, 3))]:
             basis = MonomialBasis(n=n, degree_set=I)
             values = rng.standard_normal(basis.n_f)
-            problem = GappyProblem(n=n, degree_set=I, values=values)
-            coeffs = gappy_interpolate(problem)
-            for node, target in zip(problem.nodes, values):
+            coeffs = gappy_interpolate(n, I, values)
+            for node, target in zip(rank_ensuring_pairs(basis)[0].T, values):
                 got = _evaluate(n, I, coeffs, node)
                 assert abs(got - target) < 1e-10 * (1 + abs(target))
 
     def test_value_count_validated(self):
-        with pytest.raises(ValueError):
-            GappyProblem(n=2, degree_set=(1, 2), values=[1.0, 2.0])
+        with pytest.raises(ValueError, match="expected 5 values"):
+            gappy_interpolate(2, (1, 2), [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            GappyProblem(n=1, degree_set=(0, 2), values=[1.0, bad])
+            gappy_interpolate(1, (0, 2), [1.0, bad])
 
 
 class TestUnivariateSpecific:
