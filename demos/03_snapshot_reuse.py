@@ -2,9 +2,11 @@
 
 The one-step starting states for dimension n are a subset of those for
 n + 1 (padded with a zero), so ``sweep`` infers the operators of a whole
-range of dimensions from one basis: each dimension steps only the pairs it
-adds, and the sweep takes as many full-order steps as the largest ensemble
-has pairs.  The demo counts the full-order right-hand-side calls.
+range of dimensions from one basis: it steps the pairs of the largest
+dimension once, before the first operator, and cuts every smaller ensemble
+from that one (``narrow``).  The demo counts the full-order right-hand-side
+calls: all of them happen before the first row, and their total is the
+largest ensemble's pair count.
 
 Run:  python3 demos/03_snapshot_reuse.py
 """

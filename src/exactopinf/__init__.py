@@ -25,6 +25,7 @@ from .exact_opinf import (
     estimate_dt,
     generate_ensemble,
     infer,
+    narrow,
     pair_tags,
     rank_ensuring_pairs,
     standard_opinf,

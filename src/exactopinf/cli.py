@@ -15,13 +15,13 @@ non-finite number or repeated snapshot times, a config file with an
 unknown key, a key the benchmark does not use or an out-of-range value,
 an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
 beyond the documented range without --force, a negative --regularization
-or one given without --baseline, an infer --basis, --n or --dt given with
---ensemble, an infer --n beyond the basis, a pod --n or experiment
---n-max beyond the snapshot count, an experiment trajectory too short or
-too flat to estimate a time step, a trajectory or single step that leaves
-the finite range or whose Newton iteration fails, a diagnose --reference
-of another feature layout or all zero, or an output path that cannot be
-written),
+or one given without --baseline, an infer --basis or --dt given with
+--ensemble, an infer --n beyond the basis or the ensemble's width, a pod
+--n or experiment --n-max beyond the snapshot count, an experiment
+trajectory too short or too flat to estimate a time step, a trajectory or
+single step that leaves the finite range or whose Newton iteration
+fails, a diagnose --reference of another feature layout or all zero, or
+an output path that cannot be written),
 3 rank deficiency / singular system.
 """
 
@@ -46,6 +46,7 @@ from .exact_opinf import (
     estimate_dt,
     generate_ensemble,
     infer,
+    narrow,
     standard_opinf,
     sweep,
 )
@@ -233,11 +234,11 @@ def cmd_infer(args) -> int:
         spec = SPECS[args.benchmark]
         fom, _, _ = build(spec)
         V = read_matrix(args.basis, "basis")
-        if args.n is not None:
-            if args.n > V.shape[1]:
-                raise ValueError(f"--n {args.n} exceeds the basis's {V.shape[1]} columns")
-            V = V[:, : args.n]
-        ensemble = generate_ensemble(fom, V, args.dt, spec.state_scale)
+        if args.n is not None and args.n > V.shape[1]:
+            raise ValueError(f"--n {args.n} exceeds the basis's {V.shape[1]} columns")
+        ensemble = generate_ensemble(fom, V[:, : args.n], args.dt, spec.state_scale)
+    if args.n is not None:
+        ensemble = narrow(ensemble, args.n)
     result = infer(ensemble)
     write_operator(result.operator, args.out)
     print(_dumps({"out": str(args.out), "cond_P": result.cond_P, "residual": result.residual}))
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", type=_benchmark, default=None, help="builtin system to step directly"
     )
     inf.add_argument("--basis", default=None, help="basis CSV (required with --benchmark)")
-    inf.add_argument("--n", type=_positive(int), default=None, help="truncate the basis to n columns")
+    inf.add_argument("--n", type=_positive(int), default=None, help="infer at the first n basis columns (default: all)")
     inf.add_argument("--dt", type=_positive(float), default=None, help="single-step size (required with --benchmark)")
     inf.add_argument("--out", required=True, help="operator CSV to write")
     inf.set_defaults(func=cmd_infer)
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
     if args.command == "infer":
         if args.benchmark is not None and (args.basis is None or args.dt is None):
             parser.error("--benchmark requires --basis and --dt")
-        for option in ("basis", "n", "dt"):
+        for option in ("basis", "dt"):
             if args.ensemble is not None and getattr(args, option) is not None:
                 parser.error(f"--{option} cannot be used with --ensemble")
     try:

@@ -10,7 +10,7 @@ reduced operator to floating-point accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -109,61 +109,61 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     return 1.0 / rate
 
 
-def _ensembles(fom: PolynomialFOM, V, dt: float, scale: float, widths):
-    """Yield the ensemble of ``V[:, :n]`` for each ``n`` of the increasing ``widths``.
-
-    A pair of the widest layout first appears at the largest basis index its
-    tag names (1 for degree 0 and inputs); width ``n`` has, in its own
-    feature order, the pairs that first appear at most at ``n``, so each
-    pair is stepped once, at the first width that has it.  A state pair
-    lifts to the basis columns its tag names, added in that order, times
-    ``scale``.  Unlike ``V @ x``, whose rounding depends on how BLAS blocks
-    the sum over all columns, this makes each width's data bitwise the same
-    whatever the widths before it or the width of ``V``.  A ``V`` other than
-    2-D with ``fom.dimension`` rows is rejected with a ``ValueError``.
-    """
-    if V.ndim != 2 or V.shape[0] != fom.dimension:
-        raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
-    widest = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
-    X, U = rank_ensuring_pairs(widest, scale)
-    tags = pair_tags(widest)
-    first = np.array([max(tag[2], default=1) if tag[0] == "state" else 1 for tag in tags])
-    quotients = np.empty((fom.dimension, widest.n_f))
-    stepped = 0
-    for n in widths:
-        for s in np.flatnonzero((first > stepped) & (first <= n)):
-            x0 = np.zeros(V.shape[0])
-            if tags[s][0] == "state":
-                for j in tags[s][2]:
-                    x0 += V[:, j - 1]
-                x0 *= scale
-            try:
-                x1 = explicit_euler_step(fom, x0, U[:, s], dt)
-            except NonFiniteStateError as exc:
-                raise NonFiniteStateError(f"single step failed for pair {tags[s]}: {exc}") from exc
-            quotients[:, s] = (x1 - x0) / dt
-        stepped = n
-        pairs = np.flatnonzero(first <= n)
-        basis = MonomialBasis(n=n, degree_set=fom.degree_set, n_u=fom.n_u)
-        # take keeps the copy C-ordered, and so the projection's BLAS path
-        yield SnapshotEnsemble(
-            basis=basis,
-            dt=dt,
-            P=feature_matrix(basis, X[:n, pairs], U[:, pairs]),
-            derivatives=V[:, :n].T @ quotients.take(pairs, axis=1),
-            scale=scale,
-        )
+def _project(V, Q) -> np.ndarray:
+    """``V.T @ Q`` summed row by row, left to right: each entry's bits depend only
+    on its columns of ``V`` and ``Q``, not on widths, BLAS or pairwise sums."""
+    D = np.zeros((V.shape[1], Q.shape[1]))
+    for v, q in zip(V, Q):
+        D += np.multiply.outer(v, q)
+    return D
 
 
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
     """Run one explicit Euler step per rank-ensuring pair and collect the data.
 
-    The pairs are :func:`rank_ensuring_pairs` of the layout of the width of
-    the (N, n) basis array ``V`` and the model's degree set and input
-    count, at amplitude ``scale``.  Each is lifted to the full order with ``V``,
-    stepped once, and the difference quotient projected back.
+    The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n)
+    basis array ``V`` and the model's degrees and inputs, at amplitude
+    ``scale``.  A state pair lifts to ``scale`` times the sum of the basis
+    columns its tag names, added in that order; with :func:`_project`, each
+    pair's data is then bitwise the same at every width.  A ``V`` other
+    than 2-D with ``fom.dimension`` rows raises ``ValueError``.
     """
-    return next(_ensembles(fom, V, dt, scale, [V.shape[-1]]))  # a 1-D V reaches the check
+    if V.ndim != 2 or V.shape[0] != fom.dimension:
+        raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
+    basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
+    X, U = rank_ensuring_pairs(basis, scale)
+    quotients = np.empty((fom.dimension, basis.n_f))
+    for s, tag in enumerate(pair_tags(basis)):
+        x0 = np.zeros(fom.dimension)
+        if tag[0] == "state":
+            for j in tag[2]:
+                x0 += V[:, j - 1]
+            x0 *= scale
+        try:
+            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
+        quotients[:, s] = (x1 - x0) / dt
+    return SnapshotEnsemble(basis, dt, feature_matrix(basis, X, U), _project(V, quotients), scale)
+
+
+def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
+    """The ensemble of the first ``n`` basis columns (itself at its own width).
+
+    It keeps the pairs whose states name no basis index above ``n``: their
+    principal submatrix of ``P`` and the first ``n`` rows of their
+    derivatives, bitwise :func:`generate_ensemble` at width ``n``, with no
+    step.  An ``n`` outside ``1 .. basis.n`` raises ``ValueError``.
+    """
+    basis = ensemble.basis
+    if not 1 <= n <= basis.n:
+        raise ValueError(f"width {n} is outside the ensemble's widths 1..{basis.n}")
+    if n == basis.n:
+        return ensemble
+    first = [max(tag[2], default=1) if tag[0] == "state" else 1 for tag in pair_tags(basis)]
+    pairs = np.flatnonzero(np.array(first) <= n)
+    P, derivatives = ensemble.P[np.ix_(pairs, pairs)], ensemble.derivatives[:n, pairs]
+    return replace(ensemble, basis=replace(basis, n=n), P=P, derivatives=derivatives)
 
 
 def _factor_square(P):
@@ -309,21 +309,19 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
 def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):
     """Yield ``(ensemble, infer(ensemble))`` of ``V[:, :n]`` for ``n = 1 .. V.shape[1]``.
 
-    Every rank-ensuring pair of width ``n`` is also one of width ``n + 1``,
-    so the sweep steps each pair once, at the first width that has it: the
-    ``n_f`` steps of the widest layout in all.  Each ensemble is bitwise
-    :func:`generate_ensemble`'s.  A failed step or a singular data matrix is
-    re-raised with its width, ``n={n}: ``, in front.  Only the model's
-    right-hand side is called, so the sweep runs on a black-box model.
+    Each width is :func:`narrow`'s cut of the ensemble of ``V``, generated
+    once, at the first ``next``; a failed step raises there, naming its pair
+    tag, whose largest index is the pair's first width.  A singular ``P`` is
+    re-raised with ``n={n}: `` in front.  Only the model's right-hand side
+    is called, so the sweep runs on a black-box model.
     """
-    widths = range(1, V.shape[-1] + 1)  # a 1-D V reaches the check of _ensembles
-    ensembles = _ensembles(fom, V, dt, scale, widths)
-    for n in widths:
+    widest = generate_ensemble(fom, V, dt, scale)
+    for n in range(1, widest.basis.n + 1):
+        ensemble = narrow(widest, n)
         try:
-            ensemble = next(ensembles)
             result = infer(ensemble)
-        except (NonFiniteStateError, SingularDataMatrixError) as exc:
-            raise type(exc)(f"n={n}: {exc}") from exc
+        except SingularDataMatrixError as exc:
+            raise SingularDataMatrixError(f"n={n}: {exc}") from exc
         yield ensemble, result
 
 

@@ -1,6 +1,7 @@
-"""Results do not depend on the BLAS thread count: a nested sweep on a fixed
-orthonormal basis gives bitwise the same operators and ``cond_P`` under one
-and two OpenBLAS threads."""
+"""Results do not depend on the BLAS thread count: a nested sweep, and a
+single wide ensemble with its inference, on a fixed orthonormal basis give
+bitwise the same data, operators and ``cond_P`` under one and two OpenBLAS
+threads."""
 
 import os
 import subprocess
@@ -29,15 +30,42 @@ for spec, dt in ((BURGERS, 0.1), (CHAFEE_INFANTE, 2e-4)):
 print(digest.hexdigest())
 """
 
+# Chafee-Infante at n = 24 (2925 pairs) on the same kind of basis; prints
+# one hash each of the projected derivatives, the operator and cond_P
+WIDE = """
+import hashlib
+import numpy as np
+from exactopinf.benchmarks import CHAFEE_INFANTE as spec, build
+from exactopinf.exact_opinf import generate_ensemble, infer
 
-def _sweep_hash(threads):
+fom, _, _ = build(spec)
+Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((spec.N, 24)))
+ensemble = generate_ensemble(fom, Q, 2e-4, spec.state_scale)
+result = infer(ensemble)
+for data in (ensemble.derivatives.tobytes(), result.operator.matrix.tobytes(), repr(result.cond_P).encode()):
+    print(hashlib.sha256(data).hexdigest())
+"""
+
+
+def _hashes(script, threads):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
     result = subprocess.run(
-        [sys.executable, "-c", SWEEP], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    return result.stdout.strip()
+    return result.stdout.split()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads"
+)
+
+
+@two_cores
 def test_nested_sweep_bitwise_equal_under_one_and_two_blas_threads():
-    assert _sweep_hash(1) == _sweep_hash(2)
+    assert _hashes(SWEEP, 1) == _hashes(SWEEP, 2)
+
+
+@two_cores
+def test_wide_ensemble_and_inference_bitwise_equal_under_one_and_two_blas_threads():
+    # derivatives, operator and cond_P, in that order
+    assert _hashes(WIDE, 1) == _hashes(WIDE, 2)

@@ -167,12 +167,10 @@ class TestInferCommand:
             main(["infer", "--benchmark", "burgers", "--out", "x.csv"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize(
-        "option", [["--n", "2"], ["--dt", "5"], ["--basis", "V.csv"]], ids=["n", "dt", "basis"]
-    )
+    @pytest.mark.parametrize("option", [["--dt", "5"], ["--basis", "V.csv"]], ids=["dt", "basis"])
     def test_ensemble_rejects_model_options(self, option, rng, tmp_path, capsys):
-        # an ensemble file fixes n, dt and the lifted states; the option
-        # would be ignored
+        # an ensemble file fixes dt and the lifted states; the option would
+        # be ignored
         fom = from_dense_operators({1: rng.standard_normal((4, 4))})
         epath = tmp_path / "ens.csv"
         write_ensemble(generate_ensemble(fom, np.eye(4), 0.01), epath)
@@ -181,6 +179,35 @@ class TestInferCommand:
             main(["infer", "--ensemble", str(epath), *option, "--out", str(opath)])
         assert excinfo.value.code == 2
         assert f"{option[0]} cannot be used with --ensemble" in capsys.readouterr().err
+        assert not opath.exists()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ensemble_n_equals_narrower_file(self, k, rng, tmp_path):
+        # one file serves every width: --n k cuts the width-k ensemble from
+        # it, bitwise the one generated and written at width k
+        N, degrees = 6, (1, 2, 3)
+        fom = from_dense_operators(
+            {i: 0.3 * rng.standard_normal((N, monomial_count(N, i))) for i in degrees},
+            rng.standard_normal((N, 1)),
+        )
+        V = np.linalg.qr(rng.standard_normal((N, 4)))[0]
+        wide, width_k = tmp_path / "wide.csv", tmp_path / "width_k.csv"
+        write_ensemble(generate_ensemble(fom, V, 0.01, 2.0), wide)
+        write_ensemble(generate_ensemble(fom, V[:, :k], 0.01, 2.0), width_k)
+        cut, fresh = tmp_path / "cut.csv", tmp_path / "fresh.csv"
+        assert main(["infer", "--ensemble", str(wide), "--n", str(k), "--out", str(cut)]) == 0
+        assert main(["infer", "--ensemble", str(width_k), "--out", str(fresh)]) == 0
+        assert read_operator(cut).basis == read_operator(fresh).basis
+        assert np.array_equal(read_operator(cut).matrix, read_operator(fresh).matrix)
+
+    def test_ensemble_n_beyond_width_exit_code(self, rng, tmp_path, capsys):
+        fom = from_dense_operators({1: rng.standard_normal((4, 4))})
+        epath = tmp_path / "ens.csv"
+        write_ensemble(generate_ensemble(fom, np.eye(4)[:, :2], 0.01), epath)
+        opath = tmp_path / "op.csv"
+        code = main(["infer", "--ensemble", str(epath), "--n", "3", "--out", str(opath)])
+        assert code == 2
+        assert "width 3 is outside the ensemble's widths 1..2" in capsys.readouterr().err
         assert not opath.exists()
 
     def test_n_beyond_basis_exit_code(self, tmp_path, capsys):
@@ -711,7 +738,7 @@ class TestExperimentCommand:
              "--out", str(tmp_path / "r"), "--config", str(cfg)]
         )
         assert code == 2
-        assert "n=1: single step failed" in capsys.readouterr().err
+        assert "single step failed for pair" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_trajectory_exit_code(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from exactopinf.exact_opinf import (
     estimate_dt,
     generate_ensemble,
     infer,
+    narrow,
     pair_tags,
     rank_ensuring_pairs,
     solve_square,
@@ -541,14 +542,14 @@ def counting(fom):
 
 
 class TestSweep:
-    # sweep extends the ensemble of each width to the next and solves it
+    # sweep steps the widest ensemble once and cuts every width from it
     def test_reuse_count_linear(self, rng):
         fom, calls = counting(random_dense_fom(rng, 5, (1,)))
         V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
         counts = []
         for _ in sweep(fom, V, 0.1):
-            counts.append(len(calls) - sum(counts))
-        assert counts == [1, 1]  # width 2 reuses 1 of 2
+            counts.append(len(calls))
+        assert counts == [2, 2]  # all n_f = 2 steps before the first width
 
     def test_reuse_count_quadratic(self, rng):
         fom, calls = counting(random_dense_fom(rng, 6, (1, 2)))
@@ -559,17 +560,12 @@ class TestSweep:
 
     def test_extension_equals_fresh_inference(self, rng):
         # every width, at unit and scaled amplitude: bitwise the fresh
-        # inference, after stepping only the pairs the width adds
+        # inference
         model = random_dense_fom(rng, 8, (1, 2), n_u=1)
-        fom, calls = counting(model)
         V = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         for scale in (1.0, 8.0):
-            n_f = 0
-            for ensemble, grown in sweep(fom, V, 0.05, scale):
+            for ensemble, grown in sweep(model, V, 0.05, scale):
                 n = ensemble.basis.n
-                assert len(calls) == ensemble.basis.n_f - n_f
-                calls.clear()
-                n_f = ensemble.basis.n_f
                 fresh = infer(generate_ensemble(model, V[:, :n], 0.05, scale))
                 assert np.array_equal(grown.operator.matrix, fresh.operator.matrix)
                 assert grown.cond_P == fresh.cond_P
@@ -595,29 +591,43 @@ class TestSweep:
 
     def test_first_width_matches_independent_steps(self, chafee_data):
         # oracle outside the stepping loop: each width-1 pair lifted by one
-        # product with the first basis column, stepped on its own, and the
-        # quotients projected as one freshly stacked array
+        # product with the first basis column, stepped on its own, and its
+        # quotient projected by a left-to-right sum over the rows
         spec, pod = chafee_data["spec"], chafee_data["pod"]
         fom, V = chafee_data["fom"], pod.matrix(spec.n_max)
         dt = estimate_dt(chafee_data["snaps"], pod, spec.degree_set, spec.n_u)
         ensemble, _ = next(sweep(fom, V, dt, spec.state_scale))
         X, U = rank_ensuring_pairs(ensemble.basis, spec.state_scale)
-        quotients = []
+        projected = []
         for s in range(X.shape[1]):
             x0 = V[:, 0] * X[0, s]
-            quotients.append((explicit_euler_step(fom, x0, U[:, s], dt) - x0) / dt)
-        assert np.array_equal(V[:, :1].T @ np.column_stack(quotients), ensemble.derivatives)
+            quotient = (explicit_euler_step(fom, x0, U[:, s], dt) - x0) / dt
+            total = 0.0
+            for v, q in zip(V[:, 0].tolist(), quotient.tolist()):
+                total += v * q
+            projected.append(total)
+        assert np.array_equal(np.array([projected]), ensemble.derivatives)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failed_step_names_its_width(self):
-        # only the pair the second width adds steps out of the finite range
+        # only the pair the second width adds steps out of the finite range;
+        # every pair is stepped before the first width, and the tag's
+        # largest index, 2, is the failed pair's first width
         fom = PolynomialFOM(
             dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x * [1.0, 1e308]
         )
         widths = sweep(fom, np.eye(2), 10.0)
-        next(widths)
-        with pytest.raises(NonFiniteStateError, match=r"^n=2: single step failed for pair"):
+        match = r"^single step failed for pair \('state', 1, \(2,\)\)"
+        with pytest.raises(NonFiniteStateError, match=match):
             next(widths)
+
+    def test_narrow_keeps_its_own_width_and_rejects_others(self, rng):
+        fom = random_dense_fom(rng, 5, (1, 2), n_u=1)
+        ensemble = generate_ensemble(fom, np.linalg.qr(rng.standard_normal((5, 3)))[0], 0.1)
+        assert narrow(ensemble, 3) is ensemble
+        for n in (0, 4):
+            with pytest.raises(ValueError, match=r"outside the ensemble's widths 1\.\.3"):
+                narrow(ensemble, n)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_data_matrix_names_its_width(self, chafee_data):
