@@ -98,13 +98,13 @@ def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
     if u.shape != (fom.n_u,):
         raise ValueError(f"input has shape {u.shape}, expected ({fom.n_u},)")
     out = np.asarray(fom.rhs(x, u), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteStateError("right-hand side returned non-finite values")
     return out
 
 
 def _check_dt(dt: float) -> None:
-    if not (np.isfinite(dt) and dt > 0):
+    if not (math.isfinite(dt) and dt > 0):
         raise ValueError("time step must be positive and finite")
 
 
@@ -113,7 +113,7 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     _check_dt(dt)
     x = np.asarray(x, dtype=float)
     y = x + dt * eval_rhs(fom, x, u)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteStateError(f"step of size {dt:g} left the finite range")
     return y
 

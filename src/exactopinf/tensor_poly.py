@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 _INT64_MAX = np.iinfo(np.int64).max
+PRODUCT_BLOCK_ENTRIES = 2**15  # compress_states' row block: 256 KiB, kept in cache
 
 
 def monomial_count(n: int, i: int) -> int:
@@ -71,18 +72,21 @@ def compress_states(X, i: int, out=None) -> np.ndarray:
     """Compressed degree-``i`` powers of the columns of an (n, K) matrix.
 
     The package's one monomial-product kernel.  It fills ``out`` (a new
-    array by default; :func:`feature_matrix` passes its degree block) with
-    ones and multiplies in the entries named by one index slot at a time, so
-    each entry is the product of its ``i`` factors taken left to right, and
-    degree 0 is the empty product, a row of ones.
+    array by default; :func:`feature_matrix` passes its degree block) by
+    row blocks of ``PRODUCT_BLOCK_ENTRIES``, each set to ones and multiplied
+    by the entries one index slot names at a time, so each entry is the
+    product of its ``i`` factors left to right; degree 0 gives ones.
     """
     X = np.asarray(X, dtype=float)
     n, K = X.shape
     idx = monomial_index_array(n, i)
     out = np.empty((idx.shape[0], K)) if out is None else out
-    out[...] = 1.0
-    for slot in idx.T:
-        out *= X[slot]
+    rows = max(1, PRODUCT_BLOCK_ENTRIES // K)
+    for start in range(0, idx.shape[0], rows):
+        block = out[start : start + rows]
+        block[...] = 1.0
+        for slot in idx[start : start + rows].T:
+            block *= X[slot]
     return out
 
 

@@ -246,6 +246,28 @@ class TestBurgers:
         snaps = simulate(fom, x0, None, BURGERS.dt_pod, 500)
         assert np.linalg.norm(snaps.states[:, -1]) < np.linalg.norm(x0)
 
+    def test_stencil_is_bitwise_the_rolled_differences(self, rng):
+        # reference: the periodic differences written with np.roll, in the
+        # same operation order as the model's padded stencil
+        fom, _, _ = build_burgers()
+        dxi = 2.0 / BURGERS.N
+        inv2 = 1.0 / dxi**2
+
+        def d1(v):
+            return (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * dxi)
+
+        def d2(v):
+            return (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) * inv2
+
+        for _ in range(20):
+            x = rng.standard_normal(fom.dimension)
+            rhs = d2(x) - (1.0 / 3.0) * (d1(x * x) + x * d1(x))
+            np.testing.assert_array_equal(fom.rhs(x, np.zeros(0)), rhs)
+            a, b = rng.standard_normal((2, fom.dimension, 3))
+            h2 = -(1.0 / 3.0) * (d1(a * b) + 0.5 * (a * d1(b) + b * d1(a)))
+            np.testing.assert_array_equal(fom.multilinear[1](a), d2(a))
+            np.testing.assert_array_equal(fom.multilinear[2](a, b), h2)
+
 
 class TestConfig:
     def test_parse_and_apply(self, tmp_path):

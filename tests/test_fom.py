@@ -124,6 +124,13 @@ class TestExplicitEuler:
         with pytest.raises(ValueError):
             explicit_euler_step(fom, np.zeros(2), np.zeros(0), 0.0)
 
+    def test_rejects_non_finite_rhs(self):
+        fom = PolynomialFOM(
+            dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: np.array([0.0, np.nan])
+        )
+        with pytest.raises(NonFiniteStateError, match="right-hand side returned non-finite values"):
+            explicit_euler_step(fom, np.ones(2), np.zeros(0), 0.5)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_rejects_non_finite_result(self):
         # the right-hand side is finite; the step of size 1e307 is not
@@ -288,6 +295,26 @@ class TestImplicitEuler:
     "step", [explicit_euler_step, implicit_euler_step], ids=["explicit", "implicit"]
 )
 def test_steppers_reject_non_finite_dt(step, dt):
+    fom = PolynomialFOM(
+        dimension=2,
+        degree_set=(1,),
+        n_u=0,
+        rhs=lambda x, u: -x,
+        jacobian=lambda x, u: band(-np.eye(2), 0, 0),
+    )
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        step(fom, np.ones(2), np.zeros(0), dt)
+
+
+@pytest.mark.parametrize(
+    "dt",
+    [np.float64(np.nan), np.float64(np.inf), 0.0, -1e-3],
+    ids=["float64-nan", "float64-inf", "zero", "negative"],
+)
+@pytest.mark.parametrize(
+    "step", [explicit_euler_step, implicit_euler_step], ids=["explicit", "implicit"]
+)
+def test_steppers_reject_numpy_scalar_and_nonpositive_dt(step, dt):
     fom = PolynomialFOM(
         dimension=2,
         degree_set=(1,),

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactopinf.exact_opinf import rank_ensuring_pairs
 from exactopinf.tensor_poly import (
+    PRODUCT_BLOCK_ENTRIES,
     MonomialBasis,
     compress_states,
     enumerate_monomials,
@@ -131,6 +133,24 @@ class TestCompressState:
         stacked = compress_states(X, 2)
         for k in range(6):
             np.testing.assert_array_equal(stacked[:, k], compress_column(X[:, k], 2))
+
+    @pytest.mark.parametrize("case", ["ice-pairs", "one-column", "partial-block"])
+    def test_row_blocks_are_bitwise_the_whole_array_product(self, rng, case):
+        if case == "ice-pairs":  # the ice n = 7 pairs at degree 8
+            X, _ = rank_ensuring_pairs(MonomialBasis(n=7, degree_set=(3, 8)))
+            i = 8
+        elif case == "one-column":
+            X, i = rng.standard_normal((10, 1)), 3
+        else:
+            X, i = rng.standard_normal((5, 1000)), 4
+            rows = PRODUCT_BLOCK_ENTRIES // X.shape[1]
+            n_i = monomial_count(5, 4)
+            assert n_i > rows and n_i % rows != 0
+        # reference: the whole block at once, one index slot at a time
+        whole = np.ones((monomial_count(X.shape[0], i), X.shape[1]))
+        for slot in monomial_index_array(X.shape[0], i).T:
+            whole *= X[slot]
+        np.testing.assert_array_equal(compress_states(X, i), whole)
 
     def test_compress_states_memory_does_not_grow_with_degree(self, rng):
         # one index slot at a time: the block and one slot's factors, never
