@@ -18,7 +18,9 @@ import scipy.linalg
 from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
 from .pod import PodBasis
-from .tensor_poly import MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array
+from .tensor_poly import (
+    PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array
+)
 
 
 class SingularDataMatrixError(RuntimeError):
@@ -39,25 +41,37 @@ def pair_tags(basis: MonomialBasis) -> list[tuple]:
     return tags + [("input", j) for j in range(1, basis.n_u + 1)]
 
 
+def _lift(V, basis: MonomialBasis, scale: float) -> np.ndarray:
+    """The ``(n_f, N)`` pair states in the ``(N, n)`` basis ``V``: row ``s`` is ``scale`` times
+    the columns the tuple of ``pair_tags(basis)[s]`` names, added left to right from zero,
+    so its bits depend on those columns alone; degree-0 and input pairs get zero rows.  Row
+    blocks of ``PRODUCT_BLOCK_ENTRIES`` keep each temporary small: a freed large one raises
+    malloc's mmap threshold, and with it the peak RSS of what the process does next."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    L = np.zeros((basis.n_f, V.shape[0]))
+    rows = max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
+    for i in basis.degree_set:
+        idx, block = monomial_index_array(basis.n, i), L[basis.degree_slice(i)]
+        for start in range(0, idx.shape[0], rows):
+            for slot in idx[start : start + rows].T:
+                block[start : start + rows] += V.T[slot]
+    L *= scale
+    return L
+
+
 def rank_ensuring_pairs(basis: MonomialBasis, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """The ``(n, n_f)`` states and ``(n_u, n_f)`` inputs of the rank-ensuring pairs.
 
     Column ``s`` is the pair of feature ``s``, tagged ``pair_tags(basis)[s]``:
     for monomial tuple ``tup``, ``scale`` times the sum of the unit vectors
-    ``tup`` names (zero for degree 0) and a zero input; for input ``j``, a
-    zero state and the unit input ``e_j``.  Scaling by ``c`` turns the data
-    matrix into ``diag(c^i) P``, so it stays invertible; it moves the
-    degree-``i`` part of the stepped data by ``c^i`` and so sets which degree
-    dominates it.  A power of two keeps states and features exact.
+    ``tup`` names (zero for degree 0; :func:`_lift` of the identity) and a
+    zero input; for input ``j``, a zero state and the unit input ``e_j``.
+    Scaling by ``c`` turns the data matrix into ``diag(c^i) P``, so it stays
+    invertible; it moves the degree-``i`` part of the stepped data by ``c^i``
+    and so sets which degree dominates it.  A power of two keeps states and features exact.
     """
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    X = np.zeros((basis.n, basis.n_f))
-    for i in basis.degree_set:
-        columns = np.arange(basis.n_f)[basis.degree_slice(i)]
-        for slot in monomial_index_array(basis.n, i).T:
-            X[slot, columns] += 1.0
-    X *= scale
+    X = np.ascontiguousarray(_lift(np.eye(basis.n), basis, scale).T)  # C order: features gather rows
     U = np.zeros((basis.n_u, basis.n_f))
     U[:, basis.input_slice] = np.eye(basis.n_u)
     return X, U
@@ -121,24 +135,18 @@ def _project(V, Q) -> np.ndarray:
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
     """Run one explicit Euler step per rank-ensuring pair and collect the data.
 
-    The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n)
-    basis array ``V`` and the model's degrees and inputs, at amplitude
-    ``scale``.  A state pair lifts to ``scale`` times the sum of the basis
-    columns its tag names, added in that order; with :func:`_project`, each
-    pair's data is then bitwise the same at every width.  A ``V`` other
-    than 2-D with ``fom.dimension`` rows raises ``ValueError``.
+    The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n) basis
+    array ``V`` and the model's degrees and inputs, at amplitude ``scale``, each
+    stepped from its row of :func:`_lift` of ``V``; with :func:`_project`, each
+    pair's data is bitwise the same at every width.  A failed step names its pair's
+    tag; a ``V`` other than 2-D with ``fom.dimension`` rows raises ``ValueError``.
     """
     if V.ndim != 2 or V.shape[0] != fom.dimension:
         raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
     X, U = rank_ensuring_pairs(basis, scale)
     quotients = np.empty((fom.dimension, basis.n_f))
-    for s, tag in enumerate(pair_tags(basis)):
-        x0 = np.zeros(fom.dimension)
-        if tag[0] == "state":
-            for j in tag[2]:
-                x0 += V[:, j - 1]
-            x0 *= scale
+    for s, (x0, tag) in enumerate(zip(_lift(V, basis, scale), pair_tags(basis))):
         try:
             x1 = explicit_euler_step(fom, x0, U[:, s], dt)
         except NonFiniteStateError as exc:
@@ -150,18 +158,17 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
 def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
     """The ensemble of the first ``n`` basis columns (itself at its own width).
 
-    It keeps the pairs whose states name no basis index above ``n``: their
-    principal submatrix of ``P`` and the first ``n`` rows of their
-    derivatives, bitwise :func:`generate_ensemble` at width ``n``, with no
-    step.  An ``n`` outside ``1 .. basis.n`` raises ``ValueError``.
+    It keeps the pairs whose states are zero beyond row ``n``, degree 0 and inputs at every
+    width: their principal submatrix of ``P`` and the first ``n`` rows of their derivatives,
+    bitwise :func:`generate_ensemble` at width ``n``, with no step.  An ``n`` outside
+    ``1 .. basis.n`` raises ``ValueError``.
     """
     basis = ensemble.basis
     if not 1 <= n <= basis.n:
         raise ValueError(f"width {n} is outside the ensemble's widths 1..{basis.n}")
     if n == basis.n:
         return ensemble
-    first = [max(tag[2], default=1) if tag[0] == "state" else 1 for tag in pair_tags(basis)]
-    pairs = np.flatnonzero(np.array(first) <= n)
+    pairs = np.flatnonzero(~rank_ensuring_pairs(basis)[0][n:].any(axis=0))
     P, derivatives = ensemble.P[np.ix_(pairs, pairs)], ensemble.derivatives[:n, pairs]
     return replace(ensemble, basis=replace(basis, n=n), P=P, derivatives=derivatives)
 

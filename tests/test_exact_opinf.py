@@ -268,6 +268,32 @@ class TestGenerateEnsemble:
         np.testing.assert_array_equal(ens.P, pairs_P(3, fom.degree_set, fom.n_u, scale))
         assert pair_tags(ens.basis)[-1] == ("input", 1)
 
+    @pytest.mark.parametrize("scale", [1.0, 8.0, 2.0**-20])
+    def test_high_degree_lifts_are_left_to_right_sums(self, scale):
+        # each start state is scale times the basis columns its tag names,
+        # added left to right from zero; a lift by V @ X rounds differently
+        # for most of these degree-{3, 8} states
+        starts = []
+
+        def rhs(x, u):
+            starts.append(x.copy())
+            return np.zeros(6)
+
+        fom = PolynomialFOM(dimension=6, degree_set=(3, 8), n_u=0, rhs=rhs)
+        V = np.linalg.qr(np.random.default_rng(11).standard_normal((6, 3)))[0]
+        ensemble = generate_ensemble(fom, V, 0.1, scale)
+        expected = []
+        for _, _, tup in pair_tags(ensemble.basis):
+            state = []
+            for row in V.tolist():
+                total = 0.0
+                for j in tup:
+                    total += row[j - 1]
+                state.append(total * scale)
+            expected.append(state)
+        assert len(starts) == 55
+        assert np.array_equal(np.array(starts), np.array(expected))
+
     @pytest.mark.parametrize("shape", [(4,), (5, 2), (3, 2)], ids=["1-d", "5-rows", "3-rows"])
     @pytest.mark.parametrize(
         "build",
@@ -571,15 +597,20 @@ class TestSweep:
                 assert grown.cond_P == fresh.cond_P
 
     @pytest.mark.parametrize("grow", [1, 2])
-    @pytest.mark.parametrize("scale", [1.0, 8.0])
-    def test_reused_steps_are_bitwise_fresh_steps(self, scale, grow):
+    @pytest.mark.parametrize(
+        "degrees, scale",
+        [((1, 2, 3), 1.0), ((1, 2, 3), 8.0), ((0, 3), 1.0), ((0, 3), 8.0)],
+        ids=["1.0", "8.0", "degrees-0-3-1.0", "degrees-0-3-8.0"],
+    )
+    def test_reused_steps_are_bitwise_fresh_steps(self, degrees, scale, grow):
         # the ensemble of width n = 5 - grow, from a sweep over a basis grow
         # columns wider, must be the very data a fresh ensemble of V[:, :n]
         # as its own array gives; a lift by V @ state rounds differently
         # once V has more columns, for states with three or more nonzero
-        # entries
+        # entries; the degree-0 and input pairs, zero states, are kept at
+        # every width, also when a degree gap follows degree 0
         rng = np.random.default_rng(7)
-        N, degrees = 10, (1, 2, 3)
+        N = 10
         fom = random_dense_fom(rng, N, degrees, n_u=1, scale=0.3)
         V = np.linalg.qr(rng.standard_normal((N, 5)))[0]
         n = 5 - grow

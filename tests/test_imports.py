@@ -1,9 +1,9 @@
 """Package hygiene: modules use each other's public names only and read
-every name they import, the CLI names no benchmark, maps exceptions to
-exit codes in ``main`` alone and chooses no structure check, one module
-holds the dense square solve, one module takes an SVD, no package
-attribute shadows the submodule of its name, and neither importing the
-package, building the benchmarks nor an implicit step loads
+every name they import, every public name is reached, the CLI names no
+benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
+structure check, one module holds the dense square solve, one module takes
+an SVD, no package attribute shadows the submodule of its name, and neither
+importing the package, building the benchmarks nor an implicit step loads
 ``scipy.sparse``."""
 
 import ast
@@ -53,6 +53,62 @@ def test_no_unused_imports():
             if (alias.asname or alias.name).split(".")[0] not in read
         ]
     assert unused == []
+
+
+def _definitions(tree):
+    """``(name, statement)`` of each top-level function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reads(nodes):
+    """Names the nodes load, read as an attribute or import."""
+    read = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return read
+
+
+def test_every_public_name_is_reached():
+    # a public name is read by cli.py, a demo, another module, or its own
+    # module outside its definition; __init__'s re-exports reach nothing.
+    # Kept unreached: the writer halves of formats the CLI reads, and the
+    # builders, which benchmarks.build finds by name
+    kept = {"serialize.py": {"write_snapshots", "write_ensemble"}}
+    modules = {
+        path.name: _tree(path.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    demos = [
+        ast.parse(path.read_text(), filename=path.name)
+        for path in sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+    ]
+    assert demos
+    unreached = []
+    for name, tree in modules.items():
+        elsewhere = _reads([other for key, other in modules.items() if key != name] + demos)
+        for public, definition in _definitions(tree):
+            if public.startswith("_") or public in kept.get(name, ()):
+                continue
+            if name == "benchmarks.py" and public.startswith("build_"):
+                continue
+            if public not in elsewhere | _reads(n for n in tree.body if n is not definition):
+                unreached.append(f"{name}: {public}")
+    assert unreached == []
 
 
 def test_cli_names_no_benchmark():
