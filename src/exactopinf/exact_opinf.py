@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
@@ -179,6 +178,9 @@ def _factor_square(P):
     Raises ``SingularDataMatrixError`` when a pivot trips the guard
     described in :func:`solve_square`.
     """
+    # scipy.linalg is imported where a matrix is factored or solved: its import
+    # costs 0.36 s, which processes that never factor (diagnose, pod) skip
+    import scipy.linalg
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"matrix must be square, got shape {P.shape}")
@@ -202,6 +204,7 @@ def solve_square(P, B) -> np.ndarray:
     guard gives the same verdict for ``P`` and for the ``diag(c^i) P`` of
     states scaled by ``c``.
     """
+    import scipy.linalg
     factors = _factor_square(P)
     return scipy.linalg.lu_solve(factors, np.asarray(B, dtype=float).T).T
 
@@ -220,6 +223,7 @@ def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np
     taken are kept.  Norms are BLAS ``nrm2``, which does not overflow on
     entries whose squares would.
     """
+    import scipy.linalg
 
     def norm(x):
         return scipy.linalg.norm(x, check_finite=False)
@@ -270,6 +274,7 @@ def _condition_number(P, factors) -> float:
     inverse's run stops as soon as that is certain, before its vectors can
     overflow.
     """
+    import scipy.linalg
     size = P.shape[0]
     m = max(P.max(), -P.min())
     sigma_max = _largest_singular_value(lambda x: (P @ x) / m, lambda y: (y @ P) / m, size)
@@ -304,6 +309,7 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     bidiagonalization, of ``P`` by products and of ``P^-1`` by LU solves
     (see :func:`_condition_number`).  No SVD of ``P`` is computed.
     """
+    import scipy.linalg
     P = np.asarray(ensemble.P, dtype=float)
     factors = _factor_square(P)
     O = scipy.linalg.lu_solve(factors, np.asarray(ensemble.derivatives, dtype=float).T).T

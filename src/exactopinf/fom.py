@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array
 
@@ -120,6 +119,7 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
     """Solve ``(I - dt * J) d = r`` over ``J``'s band; :class:`NewtonError` if singular."""
+    from scipy.linalg import solve_banded
     (lower, upper), ab = band
     ab = -dt * ab
     ab[upper] += 1.0

@@ -32,27 +32,27 @@ class SchemaError(ValueError):
         self.line = line
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_table(path, kind, header, rows):
     """Versioned CSV: the ``kind`` header line, the column names, the rows.
 
     ``rows`` is a 2-D array or a sequence of rows.  Floats (every entry of
     an array of floats, too) are written with 17 significant digits, so
     reading them back gives the same doubles; other values as ``str``
-    prints them.
+    prints them.  Each row is formatted by one ``%`` format; a text entry
+    that ``csv`` would have to quote (a comma, a quote or a line break)
+    raises ``ValueError``.
     """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# exactopinf-csv v{FORMAT_VERSION} {kind}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows
-        )
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) % tuple(row)
+            if line.count(",") != len(row) - 1 or any(c in line for c in '"\r\n'):
+                texts = [v for v in row if not isinstance(v, float)]
+                raise ValueError(f"{path}: an entry of {texts!r} holds a comma, quote or line break")
+            fh.write(line + "\r\n")
 
 
 def _read_table(path, kind, text_fields=0, width=None):
@@ -66,7 +66,7 @@ def _read_table(path, kind, text_fields=0, width=None):
     expected = f"# exactopinf-csv v{FORMAT_VERSION} {kind}"
     with open(path, newline="") as fh:
         first = fh.readline()
-        if first.rstrip("\n") != expected:
+        if first.rstrip("\r\n") != expected:
             raise SchemaError(f"{path}: expected header {expected!r}, got {first!r}", line=1)
         reader = csv.reader(fh)
         try:

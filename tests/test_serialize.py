@@ -1,5 +1,6 @@
 """Bit-exact CSV round-trips and schema validation."""
 
+import csv
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from exactopinf.serialize import (
     write_ensemble,
     write_operator,
     write_snapshots,
+    write_table,
 )
 from exactopinf.tensor_poly import MonomialBasis
 
@@ -126,6 +128,59 @@ class TestBasis:
             read_matrix(spath, "basis")  # swapped files have the wrong kinds
 
 
+def _csv_module_table(path, kind, header, rows):
+    """The bytes ``write_table`` wrote when every row went through ``csv.writer``."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# exactopinf-csv v1 {kind}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row]
+            for row in rows
+        )
+
+
+_BIG, _RANDOM = np.finfo(float).max, np.random.default_rng(7)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            (
+                ["a", "b", "c", "d"],
+                np.vstack(
+                    [
+                        [[-0.0, 5e-324, _BIG, -_BIG], [2.0**53 + 2, 1.0, -3.0, 0.0]],
+                        _RANDOM.standard_normal((6, 4)) * 10.0 ** _RANDOM.integers(-300, 300, (6, 4)),
+                    ]
+                ),
+            ),
+            (["benchmark", "dt_estimate", "dt_used"], [["burgers", 1 / 3, 1e-4]]),
+            (
+                ["n", "cond_P", "ensemble_size"],
+                [[1, 1.0, 1], [2, np.float64(2.0**0.5) * 1e7, 5], [3, float("inf"), 9]],
+            ),
+            (
+                ["kind", "tag", "x", "u", "xdot"],
+                [["state", "2:1.2", 0.1, -2.5, 1e-17], ["input", "1", -0.0, 0.5, 2.0**-1074]],
+            ),
+        ],
+        ids=["float-array", "dt-estimate", "cond-p", "ensemble"],
+    )
+    def test_bytes_match_csv_module(self, header, rows, tmp_path):
+        write_table(tmp_path / "new.csv", "table", header, rows)
+        _csv_module_table(tmp_path / "ref.csv", "table", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "a"', "a\nb", "a\r"])
+    def test_text_needing_quotes_rejected(self, text, tmp_path):
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            write_table(tmp_path / "t.csv", "table", ["kind", "x"], [[text, 1.0]])
+
+
 class TestOperator:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         basis = MonomialBasis(n=3, degree_set=(0, 1, 2), n_u=2)
@@ -136,6 +191,16 @@ class TestOperator:
         np.testing.assert_array_equal(back.matrix, op.matrix)
         assert back.basis.degree_set == basis.degree_set
         assert back.basis.n_u == basis.n_u
+
+    def test_crlf_copy_reads_bit_exact(self, rng, tmp_path):
+        # a file whose every line ends in CRLF (unix2dos, git autocrlf)
+        basis = MonomialBasis(n=3, degree_set=(0, 1, 2), n_u=2)
+        op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((3, basis.n_f)))
+        path = tmp_path / "op.csv"
+        write_operator(op, path)
+        text = path.read_bytes().replace(b"\r\n", b"\n")
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        np.testing.assert_array_equal(read_operator(path).matrix, op.matrix)
 
     def test_missing_sidecar(self, rng, tmp_path):
         basis = MonomialBasis(n=2, degree_set=(1,))
