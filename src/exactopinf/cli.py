@@ -14,14 +14,13 @@ machine-readable JSON failure list on stdout), 2 invalid input or settings
 non-finite number or repeated snapshot times, a config file with an
 unknown key, a key the benchmark does not use or an out-of-range value,
 an unknown benchmark, a non-positive --dt, --n or --n-max, an --n-max
-beyond the documented range without --force, a negative --regularization
-or one given without --baseline, an infer --basis or --dt given with
---ensemble, an infer --n beyond the basis or the ensemble's width, a pod
---n or experiment --n-max beyond the snapshot count, an experiment
-trajectory too short or too flat to estimate a time step, a trajectory or
-single step that leaves the finite range or whose Newton iteration
-fails, a diagnose --reference of another feature layout or all zero, or
-an output path that cannot be written),
+beyond the documented range without --force, an infer --basis or --dt
+given with --ensemble, an infer --n beyond the basis or the ensemble's
+width, a pod --n or experiment --n-max beyond the snapshot count, an
+experiment trajectory too short or too flat to estimate a time step, a
+trajectory or single step that leaves the finite range or whose Newton
+iteration fails, a diagnose --reference of another feature layout or all
+zero, or an output path that cannot be written),
 3 rank deficiency / singular system.
 """
 
@@ -91,15 +90,13 @@ def _dumps(document, **kwargs) -> str:
     return json.dumps(json.loads(json.dumps(document), parse_constant=words.get), **kwargs)
 
 
-def _positive(kind, or_zero=False):
-    """Argparse type: ``kind(text)``, rejected unless finite and positive
-    (or zero, with ``or_zero``)."""
+def _positive(kind):
+    """Argparse type: ``kind(text)``, rejected unless finite and positive."""
 
     def convert(text):
         value = kind(text)
-        if not (math.isfinite(value) and (value > 0 or (or_zero and value == 0))):
-            wording = "non-negative" if or_zero else "positive"
-            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -162,7 +159,7 @@ def cmd_experiment(args) -> int:
                 times=snaps.times,
                 inputs=snaps.inputs,
             )
-            ls = standard_opinf(reduced, ensemble.basis, args.regularization or 0.0)
+            ls = standard_opinf(reduced, ensemble.basis)
             baseline_rows.append([n, relative_operator_error(ls.operator, ref), ls.rank, ls.cond_P])
 
     degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
@@ -299,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", default=None, help="key=value override file (N, dt, T, c1, c2)")
     exp.add_argument("--force", action="store_true", help="allow n beyond the documented range")
     exp.add_argument("--baseline", action="store_true", help="also fit the trajectory-data baseline")
-    exp.add_argument(
-        "--regularization",
-        type=_positive(float, or_zero=True),
-        default=None,
-        help="baseline Tikhonov weight (default 0; requires --baseline)",
-    )
     exp.set_defaults(func=cmd_experiment)
 
     inf = sub.add_parser("infer", help="recover a reduced operator, writing an operator CSV")
@@ -338,8 +329,6 @@ def main(argv=None) -> int:
     """Run one subcommand; the one place exceptions become exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "experiment" and args.regularization is not None and not args.baseline:
-        parser.error("--regularization requires --baseline")
     if args.command == "infer":
         if args.benchmark is not None and (args.basis is None or args.dt is None):
             parser.error("--benchmark requires --basis and --dt")

@@ -350,24 +350,17 @@ class LeastSquaresResult:
     cond_P: float
 
 
-def standard_opinf(
-    trajectory: SnapshotMatrix,
-    basis: MonomialBasis,
-    regularization: float = 0.0,
-) -> LeastSquaresResult:
+def standard_opinf(trajectory: SnapshotMatrix, basis: MonomialBasis) -> LeastSquaresResult:
     """Least-squares operator fit to reduced trajectory data.
 
     States are the trajectory columns (already reduced), derivatives their
-    forward difference quotients.  With positive ``regularization`` the
-    Tikhonov-shifted normal equations are solved; with zero regularization
-    and a rank-deficient feature matrix the minimum-norm solution is
-    returned.  The rank and the singular values come from the
-    SVD inside :func:`numpy.linalg.lstsq`, whose ``rcond=None`` cutoff
-    ``max(P.shape) * eps * sigma_1`` is that of :func:`_condition_number`;
-    ``cond_P`` is infinite when the rank is below ``n_f``.
+    forward difference quotients.  With a rank-deficient feature matrix the
+    minimum-norm solution is returned.  The rank and the singular values
+    come from the SVD inside :func:`numpy.linalg.lstsq`, whose
+    ``rcond=None`` cutoff ``max(P.shape) * eps * sigma_1`` is that of
+    :func:`_condition_number`; ``cond_P`` is infinite when the rank is
+    below ``n_f``.
     """
-    if regularization < 0:
-        raise ValueError("regularization must be non-negative")
     X = trajectory.states
     if X.shape[0] != basis.n:
         raise ValueError(f"trajectory dimension {X.shape[0]} does not match basis n={basis.n}")
@@ -380,8 +373,5 @@ def standard_opinf(
     # with fewer snapshots than features P has fewer singular values than
     # rows, so their ratio alone can look well conditioned
     cond = float("inf") if rank < basis.n_f else float(svals[0] / svals[-1])
-    if regularization > 0:
-        G = P @ P.T + regularization * np.eye(basis.n_f)
-        O = np.linalg.solve(G, P @ dXdt.T)
     operator = AggregatedOperator(basis=basis, matrix=O.T)
     return LeastSquaresResult(operator, int(rank), cond)

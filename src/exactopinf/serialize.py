@@ -144,8 +144,8 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
     ``numbers`` names further numeric keys with their defaults (``None``
     for a required key); their values, each finite and positive, come back
     in a dict.  A missing sidecar, malformed JSON, an integer too long to
-    parse and a missing, ill-typed, non-finite or non-positive key raise
-    :class:`SchemaError`.
+    parse, a missing, ill-typed, non-finite or non-positive key and a
+    ``version`` other than ``FORMAT_VERSION`` raise :class:`SchemaError`.
     """
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
@@ -167,6 +167,8 @@ def _read_sidecar(path, **numbers) -> tuple[MonomialBasis, dict]:
             raise SchemaError(f"{sidecar_file}: key {key!r} has ill-typed value {value!r}")
         return value
 
+    if (version := field("version", (int,), FORMAT_VERSION)) != FORMAT_VERSION:
+        raise SchemaError(f"{sidecar_file}: expected version {FORMAT_VERSION}, got {version}")
     degree_set = field("degree_set", (list,))
     if any(type(i) is not int for i in degree_set):
         raise SchemaError(f"{sidecar_file}: key 'degree_set' must list integers")

@@ -393,35 +393,15 @@ def test_non_positive_value_rejected_at_parse_time(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_negative_regularization_rejected_at_parse_time(tmp_path, capsys):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["experiment", "burgers", "--baseline", "--regularization", "-1", "--out", str(out)])
-    assert excinfo.value.code == 2
-    assert "must be non-negative" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("weight", ["5", "0"])
-def test_regularization_without_baseline_rejected(weight, tmp_path, capsys):
-    # without --baseline no fit would use the weight and no baseline table
-    # would be written; an explicit 0 is rejected too
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["experiment", "burgers", "--regularization", weight, "--out", str(out)])
-    assert excinfo.value.code == 2
-    assert "--regularization requires --baseline" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["experiment", "chafee-infante", "--freeze-right"],
         ["infer", "--ensemble", "ens.csv", "--degrees", "1,2", "--out", "op.csv"],
         ["infer", "--ensemble", "ens.csv", "--n-u", "2", "--out", "op.csv"],
+        ["experiment", "burgers", "--baseline", "--regularization", "1"],
     ],
-    ids=["freeze-right", "degrees", "n-u"],
+    ids=["freeze-right", "degrees", "n-u", "regularization"],
 )
 def test_deleted_option_rejected(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -703,25 +703,3 @@ class TestStandardOpinf:
         res = standard_opinf(traj, basis)
         assert res.rank <= 1 < basis.n_f
         assert res.cond_P == np.inf
-
-    def test_tikhonov_shrinks_solution(self, rng):
-        basis = MonomialBasis(n=2, degree_set=(1,))
-        X = rng.standard_normal((2, 40))
-        traj = SnapshotMatrix(
-            states=X, times=np.arange(40.0), inputs=np.zeros((0, 40))
-        )
-        plain = standard_opinf(traj, basis, regularization=0.0)
-        shrunk = standard_opinf(traj, basis, regularization=1e3)
-        assert np.linalg.norm(shrunk.operator.matrix) < np.linalg.norm(
-            plain.operator.matrix
-        )
-
-    def test_negative_regularization_rejected(self, rng):
-        basis = MonomialBasis(n=2, degree_set=(1,))
-        traj = SnapshotMatrix(
-            states=rng.standard_normal((2, 5)),
-            times=np.arange(5.0),
-            inputs=np.zeros((0, 5)),
-        )
-        with pytest.raises(ValueError):
-            standard_opinf(traj, basis, regularization=-1.0)

@@ -1,11 +1,12 @@
 """Package hygiene: modules use each other's public names only and read
 every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
-structure check, one module holds the dense square solve, one module takes
-an SVD, no package attribute shadows the submodule of its name, neither
-importing the package, building the benchmarks nor an implicit step loads
-``scipy.sparse``, and ``scipy.linalg`` is loaded at the first factorization
-or band solve, not by the import, the builders, ``diagnose`` or ``pod``."""
+structure check, one module holds the dense square solve and one function
+its factorization, one module takes an SVD, no package attribute shadows
+the submodule of its name, neither importing the package, building the
+benchmarks nor an implicit step loads ``scipy.sparse``, and
+``scipy.linalg`` is loaded at the first factorization or band solve, not
+by the import, the builders, ``diagnose`` or ``pod``."""
 
 import ast
 import importlib
@@ -188,17 +189,43 @@ def test_only_exact_opinf_imports_scipy_linalg():
     assert importers["fom.py"] == ["scipy.linalg", "scipy.linalg.solve_banded"]
 
 
+def _named(tree, names):
+    """Line numbers of the names, attributes and imports among ``names``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+
+
+def test_one_dense_square_factorization():
+    # _factor_square's LU is the one dense square factorization: no module
+    # solves, inverts or Cholesky-factors a matrix by another route
+    names = {"lu_factor", "solve", "inv", "pinv", "cholesky", "cho_factor"}
+    found = sorted(
+        f"{path.name}:{line}"
+        for path in PACKAGE.glob("*.py")
+        for line in _named(_tree(path.name), names)
+    )
+    factor = next(
+        node
+        for node in _tree("exact_opinf.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_factor_square"
+    )
+    expected = sorted(f"exact_opinf.py:{line}" for line in _named(factor, {"lu_factor"}))
+    assert expected and found == expected
+
+
 def test_only_pod_calls_an_svd():
     # the POD basis is the one SVD; infer's cond_P comes from its LU and the
     # baseline's rank from its own lstsq
     svd_names = {"svd", "svdvals", "svds"}
     found = sorted(
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{line}"
         for path in PACKAGE.glob("*.py")
-        for node in ast.walk(_tree(path.name))
-        if (isinstance(node, ast.Attribute) and node.attr in svd_names)
-        or (isinstance(node, ast.Name) and node.id in svd_names)
-        or (isinstance(node, ast.alias) and node.name in svd_names)
+        for line in _named(_tree(path.name), svd_names)
     )
     assert [name for name in found if not name.startswith("pod.py:")] == []
     assert found

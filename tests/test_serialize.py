@@ -223,6 +223,7 @@ class TestOperator:
             '{"n": 0, "degree_set": [1], "n_u": 0}',
             '{"n": 1000000, "degree_set": [40], "n_u": 0}',
             '{"n": ' + DIGITS_BEYOND_LIMIT + ', "degree_set": [1], "n_u": 0}',
+            '{"version": 99, "n": 2, "degree_set": [1], "n_u": 0}',
         ],
         ids=[
             "malformed",
@@ -234,6 +235,7 @@ class TestOperator:
             "zero-n",
             "feature-count-overflow",
             "n-beyond-digit-limit",
+            "future-version",
         ],
     )
     def test_bad_sidecar_rejected(self, text, rng, tmp_path):
@@ -243,6 +245,14 @@ class TestOperator:
         (tmp_path / "op.csv.json").write_text(text)
         with pytest.raises(SchemaError, match="op.csv.json"):
             read_operator(path)
+
+    def test_sidecar_without_version_reads(self, rng, tmp_path):
+        basis = MonomialBasis(n=2, degree_set=(1,))
+        op = AggregatedOperator(basis=basis, matrix=rng.standard_normal((2, 2)))
+        path = tmp_path / "op.csv"
+        write_operator(op, path)
+        (tmp_path / "op.csv.json").write_text('{"n": 2, "degree_set": [1], "n_u": 0}')
+        np.testing.assert_array_equal(read_operator(path).matrix, op.matrix)
 
     def test_shape_sidecar_mismatch(self, rng, tmp_path):
         basis = MonomialBasis(n=2, degree_set=(1,))
