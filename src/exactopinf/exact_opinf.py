@@ -10,6 +10,7 @@ reduced operator to floating-point accuracy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,22 +79,18 @@ def rank_ensuring_pairs(basis: MonomialBasis, scale: float = 1.0) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class SnapshotEnsemble:
-    """Single-step data: the layout, its features and derivative quotients.
-
-    ``P`` is the (n_f, K) feature matrix, ``derivatives`` the (n, K) matrix
-    of projected difference quotients, column ``s`` of both from the pair
-    ``s`` of ``rank_ensuring_pairs(basis, scale)``.
-    """
+    """Single-step data: the (n, K) projected difference quotients ``derivatives``,
+    column ``s`` from the pair ``s`` of ``rank_ensuring_pairs(basis, scale)``, whose
+    feature matrix is :func:`pair_solver`'s, a function of ``basis`` and ``scale``."""
 
     basis: MonomialBasis
     dt: float
-    P: np.ndarray
     derivatives: np.ndarray
     scale: float = 1.0
 
     @property
     def size(self) -> int:
-        return self.P.shape[1]
+        return self.derivatives.shape[1]
 
 
 def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u: int = 0) -> float:
@@ -143,7 +140,7 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
     if V.ndim != 2 or V.shape[0] != fom.dimension:
         raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
-    X, U = rank_ensuring_pairs(basis, scale)
+    _, U = rank_ensuring_pairs(basis, scale)
     quotients = np.empty((fom.dimension, basis.n_f))
     for s, (x0, tag) in enumerate(zip(_lift(V, basis, scale), pair_tags(basis))):
         try:
@@ -151,16 +148,15 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
         except NonFiniteStateError as exc:
             raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
         quotients[:, s] = (x1 - x0) / dt
-    return SnapshotEnsemble(basis, dt, feature_matrix(basis, X, U), _project(V, quotients), scale)
+    return SnapshotEnsemble(basis, dt, _project(V, quotients), scale)
 
 
 def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
     """The ensemble of the first ``n`` basis columns (itself at its own width).
 
     It keeps the pairs whose states are zero beyond row ``n``, degree 0 and inputs at every
-    width: their principal submatrix of ``P`` and the first ``n`` rows of their derivatives,
-    bitwise :func:`generate_ensemble` at width ``n``, with no step.  An ``n`` outside
-    ``1 .. basis.n`` raises ``ValueError``.
+    width, and the first ``n`` rows of their derivatives: bitwise :func:`generate_ensemble`
+    at width ``n``, with no step.  An ``n`` outside ``1 .. basis.n`` raises ``ValueError``.
     """
     basis = ensemble.basis
     if not 1 <= n <= basis.n:
@@ -168,45 +164,145 @@ def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
     if n == basis.n:
         return ensemble
     pairs = np.flatnonzero(~rank_ensuring_pairs(basis)[0][n:].any(axis=0))
-    P, derivatives = ensemble.P[np.ix_(pairs, pairs)], ensemble.derivatives[:n, pairs]
-    return replace(ensemble, basis=replace(basis, n=n), P=P, derivatives=derivatives)
+    return replace(ensemble, basis=replace(basis, n=n), derivatives=ensemble.derivatives[:n, pairs])
 
 
 def _factor_square(P):
-    """The LU factors of ``P.T`` for a square ``P``.
-
-    Raises ``SingularDataMatrixError`` when a pivot trips the guard
-    described in :func:`solve_square`.
-    """
-    # scipy.linalg is imported where a matrix is factored or solved: its import
-    # costs 0.36 s, which processes that never factor (diagnose, pod) skip
-    import scipy.linalg
+    """The LU factors ``(lu, piv)``, ``P.T[piv] = L U``, of a square ``P`` by partial pivoting
+    in elementwise numpy steps (no BLAS).  A pivot that trips the guard of
+    :func:`solve_square` raises ``SingularDataMatrixError``."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"matrix must be square, got shape {P.shape}")
-    lu, piv = scipy.linalg.lu_factor(P.T)
-    row_max = np.maximum(P.max(axis=1), -P.min(axis=1))  # no |P| as large as P
-    if np.any(np.abs(np.diag(lu)) <= 1e-14 * row_max):
-        raise SingularDataMatrixError(
-            "numerically singular data matrix; the generated states guarantee "
-            "invertibility, so check degree set and basis consistency"
-        )
+    lu, piv = P.T.copy(), np.arange(len(P))
+    row_max = np.maximum(P.max(axis=1), -P.min(axis=1))
+    for k in range(len(P)):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        lu[[k, p]], piv[[k, p]] = lu[[p, k]], piv[[p, k]]
+        if abs(lu[k, k]) <= 1e-14 * row_max[k]:
+            raise SingularDataMatrixError(
+                "numerically singular data matrix; the generated states guarantee "
+                "invertibility, so check degree set and basis consistency"
+            )
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.multiply.outer(lu[k + 1 :, k], lu[k, k + 1 :])
     return lu, piv
 
 
-def solve_square(P, B) -> np.ndarray:
-    """The ``X`` with ``X @ P = B`` for a square, invertible ``P``.
+def _lu_solve(factors, B, transpose=False) -> np.ndarray:
+    """The ``(k, m)`` rows ``X`` with ``X @ P = B`` (``X @ P.T = B`` with ``transpose``) for
+    :func:`_factor_square`'s factors of ``P``, by elementwise substitution: fixed-order sums."""
+    lu, piv = factors
+    T, Y = (lu.T, np.array(B.T)) if transpose else (lu, B.T[piv])  # solved in place
+    for k in range(len(piv)):  # forward: L has a unit diagonal, U.T does not
+        Y[k] /= T[k, k] if transpose else 1.0
+        Y[k + 1 :] -= np.multiply.outer(T[k + 1 :, k], Y[k])
+    for k in reversed(range(len(piv))):
+        Y[k] /= 1.0 if transpose else T[k, k]
+        Y[:k] -= np.multiply.outer(T[:k, k], Y[k])
+    return (Y[np.argsort(piv)] if transpose else Y).T
 
-    Factors ``P.T`` once by LU with partial pivoting and solves for every
-    row of ``B`` (or for ``B`` itself, a vector).  A pivot at or below
-    ``1e-14`` times the largest entry of its own row of ``P`` trips the
-    singularity guard.  Rescaling a row rescales its pivot alike, so the
-    guard gives the same verdict for ``P`` and for the ``diag(c^i) P`` of
-    states scaled by ``c``.
+
+class _LevelSolver:
+    """A square ``P``, block upper triangular by levels, with its products and solves.
+
+    ``levels`` lists ``(idx, block, rows, values)`` from the lowest level: row ``s`` of
+    ``idx`` indexes a diagonal block, the ``m x m`` ``block`` (factored once), and row
+    ``s`` of ``rows`` the lower rows that may be nonzero in its columns, with entry
+    ``values[t, c]`` in column ``idx[s, c]``.  Products are ``np.einsum`` without
+    ``optimize`` and ``np.bincount``: fixed-order sums at the cost of ``P``'s nonzeros.
     """
-    import scipy.linalg
-    factors = _factor_square(P)
-    return scipy.linalg.lu_solve(factors, np.asarray(B, dtype=float).T).T
+
+    def __init__(self, levels):
+        self.size = sum(idx.size for idx, _, _, _ in levels)
+        self.levels = [(idx, B, _factor_square(B), rows, C) for idx, B, rows, C in levels]
+        self.max_abs = max(max(M.max(), -M.min()) for _, B, _, C in levels for M in (B, C) if M.size)
+
+    def right_product(self, Y) -> np.ndarray:
+        """``Y @ P`` for a row or rows ``Y``."""
+        out = np.empty_like(Y)
+        for idx, block, _, rows, values in self.levels:
+            out[..., idx] = np.einsum("...sa,ac->...sc", Y[..., idx], block)
+            out[..., idx] += np.einsum("...st,tc->...sc", Y[..., rows], values)
+        return out
+
+    def right_solve(self, D) -> np.ndarray:
+        """``D @ inv(P)`` for a row or rows ``D``, from the lowest level up:
+        ``X_k = (D_k - X_{<k} C_k) B_k^-1`` for the coupling ``C_k`` above ``B_k``."""
+        X = np.empty_like(D)
+        for idx, _, factors, rows, values in self.levels:
+            R = D[..., idx] - np.einsum("...st,tc->...sc", X[..., rows], values)
+            X[..., idx] = _lu_solve(factors, R.reshape(-1, idx.shape[1])).reshape(R.shape)
+        return X
+
+    def _scatter(self, rows, values, x_level):
+        """The lower rows' share of ``P @ x`` from one level's part of ``x``."""
+        weights = np.einsum("tc,sc->st", values, x_level)
+        return np.bincount(rows.ravel(), weights.ravel(), minlength=self.size)
+
+    def left_product(self, x) -> np.ndarray:
+        """``P @ x`` for a vector ``x``."""
+        out = np.zeros_like(x)
+        for idx, block, _, rows, values in self.levels:
+            out[idx] += np.einsum("ac,sc->sa", block, x[idx])
+            out += self._scatter(rows, values, x[idx])
+        return out
+
+    def left_solve(self, x) -> np.ndarray:
+        """``inv(P) @ x`` for a vector ``x``, from the highest level down."""
+        r, z = x.copy(), np.empty_like(x)
+        for idx, _, factors, rows, values in reversed(self.levels):
+            z[idx] = _lu_solve(factors, r[idx], transpose=True)
+            r -= self._scatter(rows, values, z[idx])
+        return z
+
+
+def _square_solver(P) -> _LevelSolver:
+    """An arbitrary square ``P`` as one level of one block."""
+    P = np.asarray(P, dtype=float)
+    return _LevelSolver([(np.arange(len(P))[None], P, np.empty((1, 0), int), np.empty((0, len(P))))])
+
+
+def pair_solver(basis: MonomialBasis, scale: float = 1.0) -> _LevelSolver:
+    """``P = feature_matrix(basis, *rank_ensuring_pairs(basis, scale))`` by support levels.
+
+    A feature's support is the set of indices its monomial names (none for degree 0 and
+    inputs), and a pair's that of its tuple.  A feature is nonzero at a pair only if its
+    support is within the pair's.  So, ordered by (support size, support, canonical
+    index), ``P`` is block upper triangular by level (support size) and block diagonal
+    within one, and one :func:`feature_matrix` of a level's first support's pairs gives
+    all its blocks and the entries above them, products of the same multiplicities.
+    """
+    X, U = rank_ensuring_pairs(basis, scale)
+    supports, levels = {}, []
+    for f, tag in enumerate(pair_tags(basis)):
+        supports.setdefault(tuple(sorted(set(tag[2]))) if tag[0] == "state" else (), []).append(f)
+    for k, group in itertools.groupby(sorted(supports, key=lambda S: (len(S), S)), key=len):
+        level = list(group)
+        idx = np.array([supports[S] for S in level])
+        subsets = [itertools.chain(*(itertools.combinations(S, j) for j in range(k))) for S in level]
+        rows = np.array([[f for T in Ts for f in supports.get(T, ())] for Ts in subsets], dtype=int)
+        F = feature_matrix(basis, X[:, idx[0]], U[:, idx[0]])
+        levels.append((idx, F[idx[0]], rows, F[rows[0]]))
+    return _LevelSolver(levels)
+
+
+def solve_square(P, B) -> np.ndarray:
+    """The ``X`` with ``X @ P = B`` for a square, invertible ``P`` and rows (or a vector)
+    ``B``, by one LU with partial pivoting.  A pivot at or below ``1e-14`` times the
+    largest entry of its own row of ``P`` trips the singularity guard; rescaling a row
+    rescales its pivot alike, so ``P`` and the ``diag(c^i) P`` of states scaled by ``c``
+    get the same verdict."""
+    return _square_solver(P).right_solve(np.asarray(B, dtype=float))
+
+
+def _norm(x) -> float:
+    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum
+    of squares that neither overflows nor underflows."""
+    scale = np.max(np.abs(x), initial=0.0)
+    if not 0 < scale < np.inf:
+        return float(scale)
+    return float(scale * np.sqrt(np.sum(np.square(x / scale))))
 
 
 def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np.inf) -> float:
@@ -220,29 +316,23 @@ def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np
     bidiagonalization is complete and ``sigma`` exact.  A diagonal entry
     ``alpha_k`` of ``B_k`` is a lower bound of ``sigma_max``; once one is not
     below ``limit`` it is returned at once.  Only the vectors of the steps
-    taken are kept.  Norms are BLAS ``nrm2``, which does not overflow on
-    entries whose squares would.
+    taken are kept.  Norms are :func:`_norm`.
     """
-    import scipy.linalg
-
-    def norm(x):
-        return scipy.linalg.norm(x, check_finite=False)
-
     v = np.random.default_rng(0).standard_normal(size)
-    V, U, alphas, betas = [v / norm(v)], [], [], []
+    V, U, alphas, betas = [v / _norm(v)], [], [], []
     for _ in range(size):
         u = _reorthogonalize(apply(V[-1]) - (betas[-1] * U[-1] if U else 0.0), U)
-        alphas.append(norm(u))
+        alphas.append(_norm(u))
         if not alphas[-1] < limit:
             return float(alphas[-1])
         U.append(u / alphas[-1])
         v = _reorthogonalize(apply_transpose(U[-1]) - alphas[-1] * V[-1], V)
-        betas.append(norm(v))
+        betas.append(_norm(v))
         # B B^T of the bidiagonal scaled to unit largest entry, so squaring
         # neither overflows nor underflows
         scale = max(alphas)
         B = (np.diag(alphas) + np.diag(betas[:-1], 1)) / scale
-        eigenvalues, Y = np.linalg.eigh(B @ B.T)
+        eigenvalues, Y = np.linalg.eigh(np.einsum("ij,kj->ik", B, B))
         sigma = scale * np.sqrt(eigenvalues[-1])
         if betas[-1] * abs(Y[-1, -1]) <= 1e-14 * sigma:
             break
@@ -252,38 +342,33 @@ def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np
 
 def _reorthogonalize(w, basis):
     """``w`` with its components along the orthonormal ``basis`` removed
-    (two classical Gram-Schmidt passes)."""
+    (two classical Gram-Schmidt passes, fixed-order sums)."""
     if basis:
         Q = np.array(basis)
         for _ in range(2):
-            w = w - Q.T @ (Q @ w)
+            w = w - np.einsum("ki,k->i", Q, np.einsum("ki,i->k", Q, w))
     return w
 
 
-def _condition_number(P, factors) -> float:
-    """Spectral condition number ``sigma_max(P) sigma_max(P^-1)`` of a square ``P``.
+def _condition_number(solver: _LevelSolver) -> float:
+    """Spectral condition number ``sigma_max(P) sigma_max(P^-1)`` of the solver's ``P``.
 
-    ``factors`` is the LU of ``P.T`` from :func:`_factor_square`.
-    :func:`_largest_singular_value` runs on ``P / max|P|`` by products and
-    on its inverse by ``lu_solve``; the scaling leaves the product unchanged
-    and puts the first factor in ``[1, size]``.  A smallest singular value
-    at or below ``max(P.shape) * eps * sigma_max`` counts as zero and makes
-    the condition number infinite: the rank cutoff of
-    :func:`numpy.linalg.matrix_rank` and of :func:`numpy.linalg.lstsq` with
-    ``rcond=None``, which :func:`standard_opinf` reads its rank from.  The
-    inverse's run stops as soon as that is certain, before its vectors can
-    overflow.
+    :func:`_largest_singular_value` runs on ``P / max|P|`` by the solver's products
+    and on its inverse by its solves; the scaling leaves the product unchanged and
+    puts the first factor in ``[1, size]``.  A smallest singular value at or below
+    ``size * eps * sigma_max`` counts as zero and makes the condition number
+    infinite: the rank cutoff of :func:`numpy.linalg.matrix_rank` and of
+    :func:`numpy.linalg.lstsq` with ``rcond=None``, which :func:`standard_opinf`
+    reads its rank from.  The inverse's run stops once that is certain, before its
+    vectors can overflow.
     """
-    import scipy.linalg
-    size = P.shape[0]
-    m = max(P.max(), -P.min())
-    sigma_max = _largest_singular_value(lambda x: (P @ x) / m, lambda y: (y @ P) / m, size)
-    cutoff = max(P.shape) * np.finfo(float).eps * sigma_max
+    size, m = solver.size, solver.max_abs
+    sigma_max = _largest_singular_value(
+        lambda x: solver.left_product(x) / m, lambda y: solver.right_product(y) / m, size
+    )
+    cutoff = size * np.finfo(float).eps * sigma_max
     inverse_max = _largest_singular_value(
-        lambda x: m * scipy.linalg.lu_solve(factors, x, trans=1),
-        lambda y: m * scipy.linalg.lu_solve(factors, y),
-        size,
-        limit=1.0 / cutoff,
+        lambda x: m * solver.left_solve(x), lambda y: m * solver.right_solve(y), size, 1.0 / cutoff
     )
     if not 1.0 / inverse_max > cutoff:
         return float("inf")
@@ -300,23 +385,19 @@ class InferenceResult:
 
 
 def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
-    """Solve the square linear system defined by the ensemble.
+    """Solve the square linear system ``O P = derivatives`` of the ensemble.
 
-    ``P`` is factored once, by the LU and pivot guard of
-    :func:`solve_square`.  Those factors give the operator rows and the
-    spectral condition number ``cond_P = sigma_max(P) sigma_max(P^-1)``:
-    each factor is the largest singular value from a Golub-Kahan-Lanczos
-    bidiagonalization, of ``P`` by products and of ``P^-1`` by LU solves
-    (see :func:`_condition_number`).  No SVD of ``P`` is computed.
+    ``P`` is :func:`pair_solver`'s, of the ensemble's layout and amplitude, its
+    level blocks factored once with the pivot guard of :func:`solve_square`.
+    Substitution over the levels gives the operator, and the solver's products and
+    solves give ``cond_P = sigma_max(P) sigma_max(P^-1)`` (:func:`_condition_number`)
+    and the residual ``||O P - derivatives||_F``.  No SVD and no dense ``P`` is made.
     """
-    import scipy.linalg
-    P = np.asarray(ensemble.P, dtype=float)
-    factors = _factor_square(P)
-    O = scipy.linalg.lu_solve(factors, np.asarray(ensemble.derivatives, dtype=float).T).T
-    cond = _condition_number(P, factors)
-    residual = float(np.linalg.norm(O @ P - ensemble.derivatives))
-    operator = AggregatedOperator(basis=ensemble.basis, matrix=O)
-    return InferenceResult(operator=operator, cond_P=cond, residual=residual)
+    solver = pair_solver(ensemble.basis, ensemble.scale)
+    D = np.asarray(ensemble.derivatives, dtype=float)
+    O = solver.right_solve(D)
+    residual = _norm(solver.right_product(O) - D)
+    return InferenceResult(AggregatedOperator(ensemble.basis, O), _condition_number(solver), residual)
 
 
 def sweep(fom: PolynomialFOM, V, dt: float, scale: float = 1.0):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact_opinf import SingularDataMatrixError, rank_ensuring_pairs, solve_square
+from .exact_opinf import SingularDataMatrixError, pair_solver, rank_ensuring_pairs, solve_square
 from .tensor_poly import MonomialBasis, feature_matrix
 
 
@@ -29,17 +29,18 @@ def gappy_interpolate(n: int, degree_set, values) -> np.ndarray:
     """Coefficients (canonical monomial order) interpolating ``values`` at the nodes.
 
     The nodes are the states of the rank-ensuring pairs, one finite value
-    each.  Solves with the inference solve, :func:`solve_square`, and
-    verifies the residual at the nodes.
+    each.  The interpolation matrix is their pair matrix: :func:`pair_solver`
+    solves, and its product verifies the residual at the nodes.
     """
-    M = interpolation_matrix(n, degree_set)
+    basis = MonomialBasis(n=n, degree_set=tuple(degree_set))
     values = np.asarray(values, dtype=float)
-    if values.shape != (M.shape[0],):
-        raise ValueError(f"expected {M.shape[0]} values, got shape {values.shape}")
+    if values.shape != (basis.n_f,):
+        raise ValueError(f"expected {basis.n_f} values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    coeffs = solve_square(M, values)
-    residual = np.max(np.abs(M.T @ coeffs - values))
+    solver = pair_solver(basis)
+    coeffs = solver.right_solve(values)
+    residual = np.max(np.abs(solver.right_product(coeffs) - values))
     bound = 1e-10 * (1.0 + np.max(np.abs(values), initial=0.0))
     if not residual <= bound:
         raise SingularDataMatrixError(

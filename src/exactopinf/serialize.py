@@ -19,7 +19,7 @@ from .exact_opinf import SnapshotEnsemble, pair_tags, rank_ensuring_pairs
 from .fom import SnapshotMatrix
 from .galerkin import AggregatedOperator
 from .pod import PodBasis
-from .tensor_poly import MonomialBasis, feature_matrix
+from .tensor_poly import MonomialBasis
 
 FORMAT_VERSION = 1
 
@@ -242,10 +242,9 @@ def read_ensemble(path) -> SnapshotEnsemble:
     """The ensemble of a file whose rows are the rank-ensuring pairs of its
     sidecar's layout at its ``scale``, in feature order.
 
-    ``P`` is built from that layout, not from the rows.  A missing, extra,
-    reordered or edited row, that is a ``kind``, ``tag``, ``xbar`` or ``ubar``
-    field other than the pair's, raises :class:`SchemaError` naming its line;
-    fewer than half the layout's rows, before any pair is built.
+    A missing, extra, reordered or edited row, that is a ``kind``, ``tag``, ``xbar``
+    or ``ubar`` field other than the pair's, raises :class:`SchemaError` naming its
+    line; fewer than half the layout's rows, before any pair is built.
     """
     basis, sidecar = _read_sidecar(path, dt=None, scale=1.0)
     width = basis.n + basis.n_u
@@ -269,7 +268,6 @@ def read_ensemble(path) -> SnapshotEnsemble:
     return SnapshotEnsemble(
         basis=basis,
         dt=sidecar["dt"],
-        P=feature_matrix(basis, X, U),
         derivatives=np.ascontiguousarray(values[:, width:].T),
         scale=sidecar["scale"],
     )

@@ -12,7 +12,7 @@ from exactopinf.diagnostics import (
     relative_operator_error,
     symmetry_violation,
 )
-from exactopinf.exact_opinf import SnapshotEnsemble, infer, standard_opinf
+from exactopinf.exact_opinf import _condition_number, _square_solver, standard_opinf
 from exactopinf.fom import SnapshotMatrix
 from exactopinf.galerkin import AggregatedOperator
 from exactopinf.tensor_poly import MonomialBasis, compress_states, monomial_count
@@ -50,15 +50,8 @@ class TestRelativeOperatorError:
 
 
 def _square_cond(P):
-    """``infer``'s ``cond_P`` for the square feature matrix ``P``."""
-    basis = MonomialBasis(n=P.shape[0], degree_set=(1,))
-    ensemble = SnapshotEnsemble(
-        basis=basis,
-        dt=1.0,
-        P=P,
-        derivatives=np.zeros((basis.n, basis.n_f)),
-    )
-    return infer(ensemble).cond_P
+    """The condition helper's ``cond_P`` (``infer``'s) for the square matrix ``P``."""
+    return _condition_number(_square_solver(P))
 
 
 def _baseline(P):

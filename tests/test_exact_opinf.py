@@ -9,13 +9,17 @@ import scipy.linalg
 
 from exactopinf.benchmarks import CHAFEE_INFANTE, SPECS
 from exactopinf.diagnostics import relative_operator_error
+import exactopinf.exact_opinf as exact_opinf
 from exactopinf.exact_opinf import (
     SingularDataMatrixError,
     SnapshotEnsemble,
+    _condition_number,
+    _square_solver,
     estimate_dt,
     generate_ensemble,
     infer,
     narrow,
+    pair_solver,
     pair_tags,
     rank_ensuring_pairs,
     solve_square,
@@ -255,7 +259,7 @@ class TestGenerateEnsemble:
         V = np.eye(5)[:, :3]
         ens = generate_ensemble(fom, V, 1.0)
         assert ens.size == ens_basis.n_f
-        assert ens.P.shape == (ens_basis.n_f, ens_basis.n_f)
+        assert ens.derivatives.shape == (3, ens_basis.n_f)
 
     @pytest.mark.parametrize("scale", [1.0, 8.0])
     def test_pairs_follow_model_and_basis(self, rng, scale):
@@ -265,7 +269,7 @@ class TestGenerateEnsemble:
         layout = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
         assert ens.basis == layout
         assert ens.scale == scale
-        np.testing.assert_array_equal(ens.P, pairs_P(3, fom.degree_set, fom.n_u, scale))
+        assert ens.derivatives.shape == (3, layout.n_f)
         assert pair_tags(ens.basis)[-1] == ("input", 1)
 
     @pytest.mark.parametrize("scale", [1.0, 8.0, 2.0**-20])
@@ -322,39 +326,22 @@ class TestInfer:
     def test_identity_data_matrix(self):
         basis = MonomialBasis(n=2, degree_set=(1,))
         derivs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ens = SnapshotEnsemble(
-            basis=basis,
-            dt=1.0,
-            P=np.eye(2),
-            derivatives=derivs,
-        )
+        # the pairs e_1, e_2 of this layout give P = I
+        ens = SnapshotEnsemble(basis=basis, dt=1.0, derivatives=derivs)
         res = infer(ens)
         np.testing.assert_allclose(res.operator.matrix, derivs, rtol=1e-14)
 
     def test_worked_example_recovers_random_operator(self, rng):
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
         O = rng.standard_normal((2, 7))
-        ens = SnapshotEnsemble(
-            basis=basis,
-            dt=1.0,
-            P=WORKED_EXAMPLE_P,
-            derivatives=O @ WORKED_EXAMPLE_P,
-        )
+        ens = SnapshotEnsemble(basis=basis, dt=1.0, derivatives=O @ WORKED_EXAMPLE_P)
         res = infer(ens)
         np.testing.assert_allclose(res.operator.matrix, O, rtol=1e-13)
         assert res.residual < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_guard(self):
-        basis = MonomialBasis(n=2, degree_set=(1,))
-        ens = SnapshotEnsemble(
-            basis=basis,
-            dt=1.0,
-            P=np.ones((2, 2)),
-            derivatives=np.zeros((2, 2)),
-        )
         with pytest.raises(SingularDataMatrixError):
-            infer(ens)
+            solve_square(np.ones((2, 2)), np.zeros(2))
 
     def test_guard_is_invariant_to_state_scale(self):
         # a cubic term weakened by 2^-48 matches the linear term in data
@@ -371,8 +358,9 @@ class TestInfer:
         )
         V = np.linalg.qr(rng.standard_normal((N, n)))[0]
         ens = generate_ensemble(fom, V, 0.1, scale)
-        lu, _ = scipy.linalg.lu_factor(ens.P.T)
-        assert np.min(np.abs(np.diag(lu))) < 1e-14 * np.max(np.abs(ens.P))
+        P = pairs_P(n, degrees, 0, scale)
+        lu, _ = scipy.linalg.lu_factor(P.T)
+        assert np.min(np.abs(np.diag(lu))) < 1e-14 * np.max(np.abs(P))
         res = infer(ens)
         assert relative_operator_error(res.operator, intrusive_reduce(fom, V)) < 1e-10
 
@@ -384,14 +372,76 @@ class TestInfer:
         np.testing.assert_allclose(res.operator.matrix[:, 0], c, rtol=1e-14)
 
 
-def _square_ensemble(P, basis):
-    """An ensemble with feature matrix ``P`` and zero derivatives."""
-    return SnapshotEnsemble(
-        basis=basis,
-        dt=1.0,
-        P=P,
-        derivatives=np.zeros((basis.n, basis.n_f)),
-    )
+def _zero_ensemble(basis, scale=1.0):
+    """An ensemble of the pairs of ``basis`` at ``scale`` with zero derivatives."""
+    return SnapshotEnsemble(basis, 1.0, np.zeros((basis.n, basis.n_f)), scale)
+
+
+def _support_order(basis):
+    """Feature indices by (support size, support, canonical index), and their supports."""
+    supports = [
+        tuple(sorted(set(tag[2]))) if tag[0] == "state" else () for tag in pair_tags(basis)
+    ]
+    order = sorted(range(basis.n_f), key=lambda f: (len(supports[f]), supports[f], f))
+    return order, [supports[f] for f in order]
+
+
+# the layouts of the structure and recovery tests: (basis, scale)
+SUPPORT_LAYOUTS = [
+    pytest.param(MonomialBasis(4, (1, 2, 3), 1), 1.0, id="1-2-3-input"),
+    pytest.param(MonomialBasis(4, (3, 8)), 1.0, id="3-8"),
+    pytest.param(MonomialBasis(4, (0, 3), 1), 1.0, id="0-3-input"),
+    pytest.param(MonomialBasis(4, (1, 2)), 8.0, id="1-2-scale-8"),
+    pytest.param(MonomialBasis(4, (0,)), 1.0, id="0"),
+]
+
+
+class TestSupportLevels:
+    """``P`` ordered by support: block upper triangular by support size, and
+    block diagonal with one repeated block within a size."""
+
+    @pytest.mark.parametrize("basis, scale", SUPPORT_LAYOUTS)
+    def test_block_triangular_with_equal_blocks(self, basis, scale):
+        order, supports = _support_order(basis)
+        P = feature_matrix(basis, *rank_ensuring_pairs(basis, scale))[np.ix_(order, order)]
+        sizes = np.array([len(S) for S in supports])
+        blocks = np.cumsum([0] + [a != b for a, b in zip(supports, supports[1:])])
+        assert np.all(P[sizes[:, None] > sizes[None, :]] == 0)
+        same_level = sizes[:, None] == sizes[None, :]
+        assert np.all(P[same_level & (blocks[:, None] != blocks[None, :])] == 0)
+        for k in np.unique(sizes):
+            first, *rest = np.unique(blocks[sizes == k])
+            block = P[np.ix_(blocks == first, blocks == first)]
+            for b in rest:
+                assert np.array_equal(P[np.ix_(blocks == b, blocks == b)], block)
+
+    @pytest.mark.parametrize("basis, scale", SUPPORT_LAYOUTS)
+    def test_random_operator_recovered_per_block(self, basis, scale):
+        # to 1e-13 relative in every degree and input block; P of degrees
+        # {3, 8} at n = 4 has cond 2.4e7, too large for that in degree 3, so
+        # there no block may be worse than the dense LU's
+        P = feature_matrix(basis, *rank_ensuring_pairs(basis, scale))
+        O = np.random.default_rng(5).standard_normal((basis.n, basis.n_f))
+        X = pair_solver(basis, scale).right_solve(O @ P)
+        dense = scipy.linalg.lu_solve(scipy.linalg.lu_factor(P.T), (O @ P).T).T
+        blocks = [basis.degree_slice(i) for i in basis.degree_set] + [basis.input_slice]
+        for cols in [cols for cols in blocks if cols.start < cols.stop]:
+
+            def error(M):
+                return np.linalg.norm(M[:, cols] - O[:, cols]) / np.linalg.norm(O[:, cols])
+
+            assert error(X) <= (error(dense) if basis.degree_set == (3, 8) else 1e-13), cols
+
+    def test_products_and_solves_match_the_dense_matrix(self, rng):
+        basis = MonomialBasis(3, (0, 1, 3), 2)
+        P = feature_matrix(basis, *rank_ensuring_pairs(basis, 2.0))
+        solver = pair_solver(basis, 2.0)
+        x, Y = rng.standard_normal(basis.n_f), rng.standard_normal((3, basis.n_f))
+        np.testing.assert_allclose(solver.right_product(Y), Y @ P, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(solver.left_product(x), P @ x, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(P @ solver.left_solve(x), x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(solver.right_solve(Y) @ P, Y, rtol=1e-12, atol=1e-12)
+        assert solver.max_abs == np.max(np.abs(P))
 
 
 def _pair_matrix_cases():
@@ -402,14 +452,15 @@ def _pair_matrix_cases():
 
 
 class TestConditionNumber:
-    """``infer``'s ``cond_P`` (Lanczos on ``P`` and ``P^-1`` through the LU)
-    against the singular values of ``P``."""
+    """``infer``'s ``cond_P`` (Lanczos on ``P`` and ``P^-1`` through the
+    support levels) against the singular values of ``P``, and the condition
+    helper on arbitrary square matrices."""
 
     @pytest.mark.parametrize("spec, n", _pair_matrix_cases())
     def test_matches_svd_on_pair_matrices(self, spec, n):
         basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
         P = pairs_P(n, spec.degree_set, spec.n_u, spec.state_scale)
-        cond = infer(_square_ensemble(P, basis)).cond_P
+        cond = infer(_zero_ensemble(basis, spec.state_scale)).cond_P
         assert cond == pytest.approx(np.linalg.cond(P), rel=1e-8)
 
     @pytest.mark.parametrize(
@@ -423,8 +474,7 @@ class TestConditionNumber:
         ids=["random-1", "random-2", "random-4", "worked-example", "scale-1e-200"],
     )
     def test_matches_svd_on_tiny_matrices(self, P):
-        basis = MonomialBasis(n=P.shape[0], degree_set=(1,))
-        cond = infer(_square_ensemble(P, basis)).cond_P
+        cond = _condition_number(_square_solver(P))
         assert cond == pytest.approx(np.linalg.cond(P), rel=1e-8)
 
     @pytest.mark.parametrize("small", [1e-20, 1e-200])
@@ -433,49 +483,49 @@ class TestConditionNumber:
         # sigma_min is below the 2 * eps * sigma_max cutoff (at 1e-200 the
         # inverse's vectors would overflow a sum of squares)
         P = np.diag([1.0, small])
-        basis = MonomialBasis(n=2, degree_set=(1,))
         assert np.linalg.matrix_rank(P) < 2
-        assert infer(_square_ensemble(P, basis)).cond_P == np.inf
+        assert _condition_number(_square_solver(P)) == np.inf
 
     def test_deterministic(self):
-        spec = CHAFEE_INFANTE
-        basis = MonomialBasis(n=6, degree_set=spec.degree_set, n_u=spec.n_u)
-        P = pairs_P(6, spec.degree_set, spec.n_u)
-        first = infer(_square_ensemble(P, basis)).cond_P
-        second = infer(_square_ensemble(P, basis)).cond_P
+        basis = MonomialBasis(n=6, degree_set=CHAFEE_INFANTE.degree_set, n_u=CHAFEE_INFANTE.n_u)
+        first = infer(_zero_ensemble(basis)).cond_P
+        second = infer(_zero_ensemble(basis)).cond_P
         assert np.array_equal(first, second)
 
     def test_one_factorization_and_no_svd(self, monkeypatch):
+        # one factorization per support level, none larger than its block:
+        # the worked example's levels are the inputs, {x_j, x_j^2} and x_1 x_2
         factorizations = []
-        lu_factor = scipy.linalg.lu_factor
+        factor_square = exact_opinf._factor_square
 
-        def counting_lu_factor(a, *args, **kwargs):
-            factorizations.append(np.shape(a))
-            return lu_factor(a, *args, **kwargs)
+        def counting_factor_square(P):
+            factorizations.append(np.shape(P))
+            return factor_square(P)
 
         def no_svd(*args, **kwargs):
             raise AssertionError("infer computed an SVD")
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu_factor)
+        monkeypatch.setattr(exact_opinf, "_factor_square", counting_factor_square)
         for module, name in [(np.linalg, "svd"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals")]:
             monkeypatch.setattr(module, name, no_svd)
         basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=2)
-        infer(_square_ensemble(WORKED_EXAMPLE_P, basis))
-        assert factorizations == [(7, 7)]
+        infer(_zero_ensemble(basis))
+        assert factorizations == [(2, 2), (2, 2), (1, 1)]
 
-    def test_peak_memory_is_P_and_its_LU(self):
-        # the LU copy of P is 1.0 x P.nbytes; a temporary |P| would be another
-        spec, n = CHAFEE_INFANTE, 14
+    def test_peak_memory_is_below_half_of_P(self):
+        # a dense P alone would be 1.0 x 8 n_f^2 bytes, and its LU another
+        spec, n = CHAFEE_INFANTE, 24
         basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
-        P = pairs_P(n, spec.degree_set, spec.n_u)
-        ensemble = _square_ensemble(P, basis)
+        ensemble = SnapshotEnsemble(
+            basis, 1.0, np.random.default_rng(1).standard_normal((n, basis.n_f))
+        )
         tracemalloc.start()
         try:
             infer(ensemble)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * P.nbytes
+        assert peak < 0.5 * 8 * basis.n_f**2
 
 
 class TestExactRecovery:
@@ -617,7 +667,7 @@ class TestSweep:
         grown, _ = list(sweep(fom, V, 0.01, scale))[n - 1]
         fresh = generate_ensemble(fom, np.ascontiguousarray(V[:, :n]), 0.01, scale)
         assert grown.scale == scale
-        assert np.array_equal(grown.P, fresh.P)
+        assert grown.basis == fresh.basis
         assert np.array_equal(grown.derivatives, fresh.derivatives)
 
     def test_first_width_matches_independent_steps(self, chafee_data):
@@ -660,7 +710,6 @@ class TestSweep:
             with pytest.raises(ValueError, match=r"outside the ensemble's widths 1\.\.3"):
                 narrow(ensemble, n)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_data_matrix_names_its_width(self, chafee_data):
         # at amplitude 2^-400 the degree-3 features (2^-1200) underflow to
         # zero, so P is singular from the first width on

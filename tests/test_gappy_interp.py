@@ -79,6 +79,17 @@ class TestGappyInterpolate:
                 got = _evaluate(n, I, coeffs, node)
                 assert abs(got - target) < 1e-10 * (1 + abs(target))
 
+    def test_matches_the_dense_solve(self, rng):
+        # the pair solver's coefficients are those of a dense solve with the
+        # interpolation matrix, with and without degree gaps
+        for n, I in [(2, (1, 2)), (3, (0, 2)), (3, (1, 3)), (2, (0, 1, 3)), (4, (2, 4)), (3, (0, 5))]:
+            M = interpolation_matrix(n, I)
+            values = rng.standard_normal(len(M))
+            expected = np.linalg.solve(M.T, values)
+            np.testing.assert_allclose(
+                gappy_interpolate(n, I, values), expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected))
+            )
+
     def test_value_count_validated(self):
         with pytest.raises(ValueError, match="expected 5 values"):
             gappy_interpolate(2, (1, 2), [1.0, 2.0])

@@ -1,12 +1,12 @@
 """Package hygiene: modules use each other's public names only and read
 every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
-structure check, one module holds the dense square solve and one function
-its factorization, one module takes an SVD, no package attribute shadows
-the submodule of its name, neither importing the package, building the
-benchmarks nor an implicit step loads ``scipy.sparse``, and
-``scipy.linalg`` is loaded at the first factorization or band solve, not
-by the import, the builders, ``diagnose`` or ``pod``."""
+structure check, one function holds the dense square factorization, one
+module takes an SVD, no package attribute shadows the submodule of its
+name, neither importing the package, building the benchmarks nor an
+implicit step loads ``scipy.sparse``, and ``scipy.linalg`` is loaded by the
+implicit step's band solve alone: not by the import, the builders,
+``diagnose``, ``pod``, an explicit ``experiment`` or ``infer``."""
 
 import ast
 import importlib
@@ -171,11 +171,10 @@ def _imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_only_exact_opinf_imports_scipy_linalg():
-    # every dense square solve goes through exact_opinf.solve_square; fom
-    # takes the banded Newton solve, and nothing else, from scipy.linalg.
-    # Both import it inside the functions that factor or solve, which the
-    # walk finds as it finds a module-level import
+def test_only_fom_imports_scipy_linalg():
+    # every square solve is exact_opinf's own numpy LU; fom takes the banded
+    # Newton solve, and nothing else, from scipy.linalg, inside the function
+    # that solves, which the walk finds as it finds a module-level import
     importers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         modules = sorted(
@@ -185,8 +184,7 @@ def test_only_exact_opinf_imports_scipy_linalg():
         )
         if modules:
             importers[path.name] = modules
-    assert sorted(importers) == ["exact_opinf.py", "fom.py"]
-    assert importers["fom.py"] == ["scipy.linalg", "scipy.linalg.solve_banded"]
+    assert importers == {"fom.py": ["scipy.linalg", "scipy.linalg.solve_banded"]}
 
 
 def _named(tree, names):
@@ -201,21 +199,22 @@ def _named(tree, names):
 
 
 def test_one_dense_square_factorization():
-    # _factor_square's LU is the one dense square factorization: no module
-    # solves, inverts or Cholesky-factors a matrix by another route
-    names = {"lu_factor", "solve", "inv", "pinv", "cholesky", "cho_factor"}
+    # exact_opinf._factor_square's LU is the one dense square factorization:
+    # no module solves, inverts or factors a matrix by a library routine
+    names = {"lu_factor", "lu_solve", "solve", "inv", "pinv", "cholesky", "cho_factor"}
     found = sorted(
         f"{path.name}:{line}"
         for path in PACKAGE.glob("*.py")
         for line in _named(_tree(path.name), names)
     )
-    factor = next(
-        node
-        for node in _tree("exact_opinf.py").body
-        if isinstance(node, ast.FunctionDef) and node.name == "_factor_square"
-    )
-    expected = sorted(f"exact_opinf.py:{line}" for line in _named(factor, {"lu_factor"}))
-    assert expected and found == expected
+    assert found == []
+    factorizations = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.FunctionDef) and "factor" in node.name
+    ]
+    assert factorizations == ["exact_opinf.py:_factor_square"]
 
 
 def test_only_pod_calls_an_svd():
@@ -235,8 +234,8 @@ def test_import_does_not_load_sparse_linalg(tmp_path):
     # Jacobians are bands solved by scipy.linalg, and the condition-number
     # estimate needs no scipy.sparse.linalg solver: no part of scipy.sparse
     # is loaded by the package, the three builders or an implicit ice step.
-    # scipy.linalg itself is loaded at the first factorization or band
-    # solve: not by the import, the builders, diagnose or pod
+    # scipy.linalg itself is loaded by the band solve alone: not by the
+    # import, the builders, diagnose, pod, an explicit experiment or infer
     code = "\n".join(
         [
             "import sys, numpy as np, exactopinf, exactopinf.cli",
@@ -244,7 +243,7 @@ def test_import_does_not_load_sparse_linalg(tmp_path):
             "from exactopinf import AggregatedOperator, MonomialBasis, SnapshotMatrix",
             "from exactopinf.benchmarks import SHALLOW_ICE, SPECS, build",
             "from exactopinf.fom import implicit_euler_step",
-            "from exactopinf.serialize import write_operator, write_snapshots",
+            "from exactopinf.serialize import write_operator, write_snapshots, write_table",
             "d, rng = Path(sys.argv[1]), np.random.default_rng(0)",
             "models = {name: build(spec) for name, spec in SPECS.items()}",
             "basis = MonomialBasis(n=2, degree_set=(1, 2), n_u=0)",
@@ -255,6 +254,15 @@ def test_import_does_not_load_sparse_linalg(tmp_path):
             "pod = ['pod', str(d / 'snaps.csv'), '--n', '2', '--out-basis', str(d / 'basis.csv'),",
             "       '--out-singular-values', str(d / 'sv.csv')]",
             "assert exactopinf.cli.main(pod) == 0",
+            "assert 'scipy.linalg' not in sys.modules",
+            "out = ['--out', str(d / 'burgers')]",
+            "assert exactopinf.cli.main(['experiment', 'burgers', '--n-max', '3', *out]) == 0",
+            "assert 'scipy.linalg' not in sys.modules",
+            "V = np.linalg.qr(rng.standard_normal((SPECS['chafee_infante'].N, 3)))[0]",
+            "write_table(d / 'V.csv', 'basis', ['mode_1', 'mode_2', 'mode_3'], V)",
+            "infer = ['infer', '--benchmark', 'chafee-infante', '--basis', str(d / 'V.csv'),",
+            "         '--dt', '1e-4', '--out', str(d / 'ci.csv')]",
+            "assert exactopinf.cli.main(infer) == 0",
             "assert 'scipy.linalg' not in sys.modules",
             "fom, _, x0 = models['shallow_ice']",
             "y = implicit_euler_step(fom, x0, None, SHALLOW_ICE.dt_pod)",
