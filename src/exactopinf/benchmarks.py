@@ -227,8 +227,8 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     homogeneous-Neumann ghost values.  The degree-8 multilinear map
     symmetrizes over which three of the eight arguments take the derivative
     role; the degree-3 map over which one of three does.  The state
-    Jacobian is tridiagonal and returned as its ``(1, 1)`` band, a ``(3, N)``
-    array of its three diagonals in LAPACK band storage.
+    Jacobian is tridiagonal: ``linearize`` returns its ``(1, 1)`` band, a
+    ``(3, N)`` array of its three diagonals in LAPACK band storage.
 
     Returns ``(fom, None, x0)``.
     """
@@ -255,16 +255,18 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
         g = dx(x)
         return c1 * x**2 * g + c2 * x**5 * g**3
 
-    def jacobian(x, u):
-        # diag(a) + diag(b) @ dx; ab[1 + i - j, j] is the entry in row i, column j
+    def linearize(x, u):
+        # rhs and J = diag(a) + diag(b) @ dx sharing dx(x) and the powers, each expression
+        # in rhs's order of operations, so f is rhs bit for bit; ab[1 + i - j, j] = J[i, j]
         g = dx(x)
-        a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
-        b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
+        x2, x5, g3 = x**2, x**5, g**3
+        a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g3
+        b = c1 * x2 + 3.0 * c2 * x5 * g**2
         ab = np.zeros((3, N))
         ab[0, 1:] = off * b[:-1]
         ab[1] = a + b * dx_diag
         ab[2, :-1] = -off * b[1:]
-        return (1, 1), ab
+        return c1 * x2 * g + c2 * x5 * g3, ((1, 1), ab)
 
     def h3(a, b, c):
         return (c1 / 3.0) * (a * b * dx(c) + a * dx(b) * c + dx(a) * b * c)
@@ -286,7 +288,7 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
         n_u=0,
         rhs=rhs,
         multilinear={3: h3, 8: h8},
-        jacobian=jacobian,
+        linearize=linearize,
     )
     xi = (np.arange(N) + 0.5) * dxi
     s = xi / 2000.0

@@ -189,18 +189,17 @@ def _factor_square(P):
     return lu, piv
 
 
-def _lu_solve(factors, B, transpose=False) -> np.ndarray:
-    """The ``(k, m)`` rows ``X`` with ``X @ P = B`` (``X @ P.T = B`` with ``transpose``) for
-    :func:`_factor_square`'s factors of ``P``, by elementwise substitution: fixed-order sums."""
+def _lu_solve(factors, B) -> np.ndarray:
+    """The ``(k, m)`` rows ``X`` with ``X @ P = B`` for :func:`_factor_square`'s factors of
+    ``P``, by elementwise substitution: fixed-order sums."""
     lu, piv = factors
-    T, Y = (lu.T, np.array(B.T)) if transpose else (lu, B.T[piv])  # solved in place
-    for k in range(len(piv)):  # forward: L has a unit diagonal, U.T does not
-        Y[k] /= T[k, k] if transpose else 1.0
-        Y[k + 1 :] -= np.multiply.outer(T[k + 1 :, k], Y[k])
+    Y = B.T[piv]  # solved in place
+    for k in range(len(piv)):  # forward: L has a unit diagonal
+        Y[k + 1 :] -= np.multiply.outer(lu[k + 1 :, k], Y[k])
     for k in reversed(range(len(piv))):
-        Y[k] /= 1.0 if transpose else T[k, k]
-        Y[:k] -= np.multiply.outer(T[:k, k], Y[k])
-    return (Y[np.argsort(piv)] if transpose else Y).T
+        Y[k] /= lu[k, k]
+        Y[:k] -= np.multiply.outer(lu[:k, k], Y[k])
+    return Y.T
 
 
 class _LevelSolver:
@@ -211,17 +210,22 @@ class _LevelSolver:
     ``s`` of ``rows`` the lower rows that may be nonzero in its columns, with entry
     ``values[t, c]`` in column ``idx[s, c]``.  Products are ``np.einsum`` without
     ``optimize`` and ``np.bincount``: fixed-order sums at the cost of ``P``'s nonzeros.
+    :meth:`right_solve` substitutes on the factors; inverse products use the block's
+    inverse, formed once from them, cheaper for the many of :func:`_condition_number`.
     """
 
     def __init__(self, levels):
         self.size = sum(idx.size for idx, _, _, _ in levels)
-        self.levels = [(idx, B, _factor_square(B), rows, C) for idx, B, rows, C in levels]
+        self.levels = []
+        for idx, B, rows, C in levels:
+            factors = _factor_square(B)
+            self.levels.append((idx, B, factors, _lu_solve(factors, np.eye(len(B))), rows, C))
         self.max_abs = max(max(M.max(), -M.min()) for _, B, _, C in levels for M in (B, C) if M.size)
 
     def right_product(self, Y) -> np.ndarray:
         """``Y @ P`` for a row or rows ``Y``."""
         out = np.empty_like(Y)
-        for idx, block, _, rows, values in self.levels:
+        for idx, block, _, _, rows, values in self.levels:
             out[..., idx] = np.einsum("...sa,ac->...sc", Y[..., idx], block)
             out[..., idx] += np.einsum("...st,tc->...sc", Y[..., rows], values)
         return out
@@ -230,7 +234,7 @@ class _LevelSolver:
         """``D @ inv(P)`` for a row or rows ``D``, from the lowest level up:
         ``X_k = (D_k - X_{<k} C_k) B_k^-1`` for the coupling ``C_k`` above ``B_k``."""
         X = np.empty_like(D)
-        for idx, _, factors, rows, values in self.levels:
+        for idx, _, factors, _, rows, values in self.levels:
             R = D[..., idx] - np.einsum("...st,tc->...sc", X[..., rows], values)
             X[..., idx] = _lu_solve(factors, R.reshape(-1, idx.shape[1])).reshape(R.shape)
         return X
@@ -243,18 +247,26 @@ class _LevelSolver:
     def left_product(self, x) -> np.ndarray:
         """``P @ x`` for a vector ``x``."""
         out = np.zeros_like(x)
-        for idx, block, _, rows, values in self.levels:
+        for idx, block, _, _, rows, values in self.levels:
             out[idx] += np.einsum("ac,sc->sa", block, x[idx])
             out += self._scatter(rows, values, x[idx])
         return out
 
-    def left_solve(self, x) -> np.ndarray:
+    def inverse_times(self, x) -> np.ndarray:
         """``inv(P) @ x`` for a vector ``x``, from the highest level down."""
         r, z = x.copy(), np.empty_like(x)
-        for idx, _, factors, rows, values in reversed(self.levels):
-            z[idx] = _lu_solve(factors, r[idx], transpose=True)
+        for idx, _, _, inverse, rows, values in reversed(self.levels):
+            z[idx] = np.einsum("ac,sc->sa", inverse, r[idx])
             r -= self._scatter(rows, values, z[idx])
         return z
+
+    def times_inverse(self, y) -> np.ndarray:
+        """``y @ inv(P)`` for a vector ``y``: :meth:`right_solve` by the blocks' inverses."""
+        X = np.empty_like(y)
+        for idx, _, _, inverse, rows, values in self.levels:
+            R = y[idx] - np.einsum("st,tc->sc", X[rows], values)
+            X[idx] = np.einsum("sa,ac->sc", R, inverse)
+        return X
 
 
 def _square_solver(P) -> _LevelSolver:
@@ -368,7 +380,7 @@ def _condition_number(solver: _LevelSolver) -> float:
     )
     cutoff = size * np.finfo(float).eps * sigma_max
     inverse_max = _largest_singular_value(
-        lambda x: m * solver.left_solve(x), lambda y: m * solver.right_solve(y), size, 1.0 / cutoff
+        lambda x: m * solver.inverse_times(x), lambda y: m * solver.times_inverse(y), size, 1.0 / cutoff
     )
     if not 1.0 / inverse_max > cutoff:
         return float("inf")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,9 +39,9 @@ class PolynomialFOM:
     degree ``i`` to a symmetric i-linear function of ``i`` vectors whose
     diagonal reproduces the degree-``i`` part of ``rhs``, acting column-wise
     on ``(N,)`` or ``(N, m)`` arguments; ``input_map`` optionally evaluates
-    ``u -> B u``; ``jacobian(x, u)`` optionally returns the state Jacobian
-    of the rhs as its band ``((lower, upper), ab)`` in LAPACK band storage,
-    ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping needs it).
+    ``u -> B u``; ``linearize(x, u)`` optionally returns ``rhs(x, u)``, bitwise,
+    with the band ``((lower, upper), ab)`` of its state Jacobian in LAPACK band
+    storage, ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping needs it).
     Evaluators must be pure and reentrant.
     """
 
@@ -51,7 +51,7 @@ class PolynomialFOM:
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     multilinear: dict[int, Callable] | None = None
     input_map: Callable[[np.ndarray], np.ndarray] | None = None
-    jacobian: Callable[[np.ndarray, np.ndarray], tuple[tuple[int, int], np.ndarray]] | None = None
+    linearize: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, tuple]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "degree_set", tuple(sorted(set(self.degree_set))))
@@ -86,20 +86,26 @@ class SnapshotMatrix:
         return self.states.shape[0]
 
 
+def _state_and_input(fom: PolynomialFOM, x, u):
+    """``x`` and ``u`` (``None``: zero input) as float arrays of the model's shapes."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(np.zeros(fom.n_u) if u is None else u, dtype=float)
+    for name, a, n in (("state", x, fom.dimension), ("input", u, fom.n_u)):
+        if a.shape != (n,):
+            raise ValueError(f"{name} has shape {a.shape}, expected ({n},)")
+    return x, u
+
+
+def _finite(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise NonFiniteStateError("right-hand side returned non-finite values")
+    return f
+
+
 def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
     """Evaluate the right-hand side, rejecting non-finite results."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (fom.dimension,):
-        raise ValueError(f"state has shape {x.shape}, expected ({fom.dimension},)")
-    if u is None:
-        u = np.zeros(fom.n_u)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (fom.n_u,):
-        raise ValueError(f"input has shape {u.shape}, expected ({fom.n_u},)")
-    out = np.asarray(fom.rhs(x, u), dtype=float)
-    if not np.isfinite(out).all():
-        raise NonFiniteStateError("right-hand side returned non-finite values")
-    return out
+    return _finite(fom.rhs(*_state_and_input(fom, x, u)))
 
 
 def _check_dt(dt: float) -> None:
@@ -133,28 +139,42 @@ def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
 def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One implicit Euler step: solve ``y = x + dt * f(y, u)`` by Newton.
 
-    Each Newton iteration solves ``(I - dt * J) d = r`` by a banded LU over
-    the band of ``fom.jacobian``; a model without a Jacobian is rejected
-    with a ``ValueError``.  Raises :class:`NewtonError` when ``I - dt * J``
-    is singular or the residual norm does not drop below
+    Each iterate is linearized once by ``fom.linearize``: its ``f`` gives the
+    residual, its band the banded LU of ``(I - dt * J) d = r``; a model without
+    ``linearize`` is rejected with a ``ValueError``.  Raises :class:`NewtonError`
+    when ``I - dt * J`` is singular or the residual norm does not drop below
     ``NEWTON_TOL * (1 + ||x||)`` within ``NEWTON_MAX_ITER`` iterations.
     """
     _check_dt(dt)
-    if fom.jacobian is None:
-        raise ValueError("implicit Euler needs the model's jacobian")
-    x = np.asarray(x, dtype=float)
+    if fom.linearize is None:
+        raise ValueError("implicit Euler needs the model's linearize: its rhs and jacobian band")
+    x, u = _state_and_input(fom, x, u)
     tol = NEWTON_TOL * (1.0 + np.linalg.norm(x))
     y = x.copy()
     for _ in range(NEWTON_MAX_ITER + 1):
-        residual = y - x - dt * eval_rhs(fom, y, u)
+        f, band = fom.linearize(y, u)
+        residual = y - x - dt * _finite(f)
         res_norm = np.linalg.norm(residual)
         if res_norm < tol:
             return y
-        y = y - _solve_shifted(fom.jacobian(y, u), dt, residual)
+        y = y - _solve_shifted(band, dt, residual)
     raise NewtonError(
         f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last residual {res_norm:.3e})"
     )
+
+
+def _reusing_last(linearize):
+    """``linearize`` that returns its last result again for bitwise the same ``x`` and ``u``."""
+    last = [None, None]
+
+    def reused(x, u):
+        key = x.tobytes() + u.tobytes()
+        if key != last[0]:
+            last[:] = key, linearize(x, u)
+        return last[1]
+
+    return reused
 
 
 def simulate(
@@ -180,6 +200,8 @@ def simulate(
     times = dt * np.arange(K + 1)
     states[:, 0] = x0
     step = explicit_euler_step if scheme == "explicit_euler" else implicit_euler_step
+    if fom.linearize is not None:  # a step's first iterate is the last step's accepted one
+        fom = replace(fom, linearize=_reusing_last(fom.linearize))
     for k in range(K):
         u = signal(times[k])
         try:

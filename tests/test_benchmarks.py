@@ -195,7 +195,7 @@ class TestShallowIce:
         spec = apply_overrides(SHALLOW_ICE, {"N": 24})
         fom, _, _ = build_shallow_ice(spec)
         x = 1.0 + 0.2 * rng.standard_normal(24)
-        (lower, upper), ab = fom.jacobian(x, None)
+        (lower, upper), ab = fom.linearize(x, None)[1]
         assert (lower, upper) == (1, 1) and ab.shape == (3, 24)
         J = np.diag(ab[0, 1:], 1) + np.diag(ab[1]) + np.diag(ab[2, :-1], -1)
         eps = 1e-6
@@ -208,6 +208,28 @@ class TestShallowIce:
             J_fd[:, j] = (eval_rhs(fom, xp, None) - eval_rhs(fom, xm, None)) / (2 * eps)
         scale = np.max(np.abs(J_fd)) + 1e-30
         assert np.max(np.abs(J - J_fd)) / scale < 1e-5
+
+
+    def test_linearize_is_bitwise_rhs_and_band(self, rng):
+        # Newton takes f from linearize, so it must be rhs bit for bit, also
+        # where the gradient is negative and numpy's pow takes its other path;
+        # the band is the expressions of J = diag(a) + diag(b) @ dx, unshared
+        spec = SHALLOW_ICE
+        fom, _, _ = build_shallow_ice(spec)
+        N, dxi, c1, c2 = spec.N, 1000.0 / spec.N, spec.c1, spec.c2
+        off = 1.0 / (2.0 * dxi)
+        for amplitude in (0.2, 1.0, 5.0):
+            x = 1.0 + amplitude * rng.standard_normal(N)
+            g = np.concatenate(([x[1] - x[0]], x[2:] - x[:-2], [x[-1] - x[-2]])) / (2.0 * dxi)
+            assert (g > 0).any() and (g < 0).any()
+            f, ((lower, upper), ab) = fom.linearize(x, None)
+            assert f.tobytes() == fom.rhs(x, None).tobytes()
+            a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
+            b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
+            ref = np.zeros((3, N))
+            ref[0, 1:], ref[2, :-1] = off * b[:-1], -off * b[1:]
+            ref[1] = a + b * np.concatenate(([-off], np.zeros(N - 2), [off]))
+            assert (lower, upper) == (1, 1) and ab.tobytes() == ref.tobytes()
 
 
 class TestBurgers:

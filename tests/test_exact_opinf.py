@@ -439,7 +439,8 @@ class TestSupportLevels:
         x, Y = rng.standard_normal(basis.n_f), rng.standard_normal((3, basis.n_f))
         np.testing.assert_allclose(solver.right_product(Y), Y @ P, rtol=1e-14, atol=1e-13)
         np.testing.assert_allclose(solver.left_product(x), P @ x, rtol=1e-14, atol=1e-13)
-        np.testing.assert_allclose(P @ solver.left_solve(x), x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(P @ solver.inverse_times(x), x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(solver.times_inverse(Y[0]) @ P, Y[0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(solver.right_solve(Y) @ P, Y, rtol=1e-12, atol=1e-12)
         assert solver.max_abs == np.max(np.abs(P))
 

@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import exactopinf.fom
 from exactopinf.benchmarks import SHALLOW_ICE, apply_overrides, build_shallow_ice
 from exactopinf.fom import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     NewtonError,
     NonFiniteStateError,
     PolynomialFOM,
@@ -147,7 +150,7 @@ class TestImplicitEuler:
             degree_set=(1,),
             n_u=0,
             rhs=lambda x, u: -x,
-            jacobian=lambda x, u: band(-np.eye(1), 0, 0),
+            linearize=lambda x, u: (-x, band(-np.eye(1), 0, 0)),
         )
         y = implicit_euler_step(fom, np.array([1.0]), np.zeros(0), 1.0)
         np.testing.assert_allclose(y, [0.5], atol=1e-9)
@@ -158,7 +161,7 @@ class TestImplicitEuler:
             degree_set=(1,),
             n_u=0,
             rhs=lambda x, u: np.zeros(3),
-            jacobian=lambda x, u: band(np.zeros((3, 3)), 0, 0),
+            linearize=lambda x, u: (np.zeros(3), band(np.zeros((3, 3)), 0, 0)),
         )
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(implicit_euler_step(fom, x, np.zeros(0), 2.0), x)
@@ -180,8 +183,9 @@ class TestImplicitEuler:
         A1 = rng.standard_normal((N, N))
         A1 = A1 - 5.0 * np.eye(N)  # stable
         B = rng.standard_normal((N, 1))
+        dense_fom = from_dense_operators({1: A1}, B)
         fom = dataclasses.replace(
-            from_dense_operators({1: A1}, B), jacobian=lambda x, u: band(A1, N - 1, N - 1)
+            dense_fom, linearize=lambda x, u: (dense_fom.rhs(x, u), band(A1, N - 1, N - 1))
         )
         x = rng.standard_normal(N)
         u = rng.standard_normal(1)
@@ -196,16 +200,16 @@ class TestImplicitEuler:
         # iterations
         N = 24
         fom, _, x0 = build_shallow_ice(apply_overrides(SHALLOW_ICE, {"N": N}))
-        (lower, upper), ab = fom.jacobian(x0, None)
+        (lower, upper), ab = fom.linearize(x0, None)[1]
         assert (lower, upper) == (1, 1) and ab.shape == (3, N)
 
         def counted(as_full, calls):
-            def jac(x, u):
+            def lin(x, u):
                 calls.append(1)
-                J = fom.jacobian(x, u)
-                return band(dense(J), N - 1, N - 1) if as_full else J
+                f, J = fom.linearize(x, u)
+                return f, (band(dense(J), N - 1, N - 1) if as_full else J)
 
-            return dataclasses.replace(fom, jacobian=jac)
+            return dataclasses.replace(fom, linearize=lin)
 
         tri_calls, full_calls = [], []
         tri_fom = counted(False, tri_calls)
@@ -223,12 +227,12 @@ class TestImplicitEuler:
         A1 = rng.standard_normal((N, N)) - 4.0 * np.eye(N)
         calls = []
 
-        def jac(x, u):
+        def lin(x, u):
             calls.append(1)
-            return band(A1, N - 1, N - 1)
+            return A1 @ x, band(A1, N - 1, N - 1)
 
         fom = PolynomialFOM(
-            dimension=N, degree_set=(1,), n_u=0, rhs=lambda x, u: A1 @ x, jacobian=jac
+            dimension=N, degree_set=(1,), n_u=0, rhs=lambda x, u: A1 @ x, linearize=lin
         )
         x = rng.standard_normal(N)
         y = implicit_euler_step(fom, x, np.zeros(0), 0.2)
@@ -253,7 +257,7 @@ class TestImplicitEuler:
             degree_set=(1,),
             n_u=0,
             rhs=lambda x, u: A @ x,
-            jacobian=lambda x, u: J,
+            linearize=lambda x, u: (A @ x, J),
         )
         x = rng.standard_normal(N)
         expected = np.linalg.solve(np.eye(N) - dt * A, x)
@@ -272,7 +276,7 @@ class TestImplicitEuler:
             degree_set=(1,),
             n_u=0,
             rhs=lambda x, u: x,
-            jacobian=lambda x, u: band(np.eye(N), lower, upper),
+            linearize=lambda x, u: (x, band(np.eye(N), lower, upper)),
         )
         with pytest.raises(NewtonError, match=r"I - dt\*J is singular"):
             implicit_euler_step(fom, np.ones(N), np.zeros(0), 1.0)
@@ -284,7 +288,7 @@ class TestImplicitEuler:
             degree_set=(0, 2),
             n_u=0,
             rhs=lambda x, u: x**2 + 1.0,
-            jacobian=lambda x, u: band(np.diag(2.0 * x), 0, 0),
+            linearize=lambda x, u: (x**2 + 1.0, band(np.diag(2.0 * x), 0, 0)),
         )
         with pytest.raises((NewtonError, NonFiniteStateError)):
             implicit_euler_step(fom, np.array([0.0]), np.zeros(0), 10.0)
@@ -300,7 +304,7 @@ def test_steppers_reject_non_finite_dt(step, dt):
         degree_set=(1,),
         n_u=0,
         rhs=lambda x, u: -x,
-        jacobian=lambda x, u: band(-np.eye(2), 0, 0),
+        linearize=lambda x, u: (-x, band(-np.eye(2), 0, 0)),
     )
     with pytest.raises(ValueError, match="time step must be positive and finite"):
         step(fom, np.ones(2), np.zeros(0), dt)
@@ -320,7 +324,7 @@ def test_steppers_reject_numpy_scalar_and_nonpositive_dt(step, dt):
         degree_set=(1,),
         n_u=0,
         rhs=lambda x, u: -x,
-        jacobian=lambda x, u: band(-np.eye(2), 0, 0),
+        linearize=lambda x, u: (-x, band(-np.eye(2), 0, 0)),
     )
     with pytest.raises(ValueError, match="time step must be positive and finite"):
         step(fom, np.ones(2), np.zeros(0), dt)
@@ -378,6 +382,96 @@ class TestSimulate:
         )
         with pytest.raises(NonFiniteStateError, match="step"):
             simulate(fom, np.array([10.0]), None, 10.0, 400)
+
+
+def textbook_implicit_euler(fom, x0, signal, dt, K):
+    """``K`` implicit Euler steps by the textbook Newton loop: ``rhs`` at every
+    iterate, then the band of ``linearize`` at each iterate that needs a solve,
+    so every step starts from a fresh ``f``.  Returns the ``(N, K + 1)`` states
+    and the number of band solves."""
+    from scipy.linalg import solve_banded
+
+    states = np.empty((fom.dimension, K + 1))
+    states[:, 0] = x0
+    times, solves = dt * np.arange(K + 1), 0
+    for k in range(K):
+        x = states[:, k]
+        u = np.zeros(fom.n_u) if signal is None else np.asarray(signal(times[k]), dtype=float)
+        tol, y = NEWTON_TOL * (1.0 + np.linalg.norm(x)), x.copy()
+        for _ in range(NEWTON_MAX_ITER + 1):
+            residual = y - x - dt * fom.rhs(y, u)
+            if np.linalg.norm(residual) < tol:
+                break
+            (lower, upper), ab = fom.linearize(y, u)[1]
+            ab = -dt * ab
+            ab[upper] += 1.0
+            y = y - solve_banded((lower, upper), ab, residual)
+            solves += 1
+        else:
+            raise AssertionError(f"the oracle's Newton did not converge at step {k}")
+        states[:, k + 1] = y
+    return states, solves
+
+
+class TestNewtonOracle:
+    """``simulate``'s implicit Euler linearizes each iterate once and carries the
+    accepted one into the next step; it must be bitwise the textbook loop."""
+
+    @staticmethod
+    def run_counted(fom, x0, signal, dt, K, monkeypatch):
+        calls = {"linearize": 0, "rhs": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            exactopinf.fom, "_solve_shifted", counted("solve", exactopinf.fom._solve_shifted)
+        )
+        model = dataclasses.replace(
+            fom, rhs=counted("rhs", fom.rhs), linearize=counted("linearize", fom.linearize)
+        )
+        return simulate(model, x0, signal, dt, K, scheme="implicit_euler"), calls
+
+    def test_ice_first_steps(self, monkeypatch):
+        fom, signal, x0 = build_shallow_ice()
+        K = 50
+        expected, solves = textbook_implicit_euler(fom, x0, signal, SHALLOW_ICE.dt_pod, K)
+        snaps, calls = self.run_counted(fom, x0, signal, SHALLOW_ICE.dt_pod, K, monkeypatch)
+        assert snaps.states.tobytes() == expected.tobytes()
+        assert solves > K  # some steps take more than one Newton iteration
+        # one linearization per iterate: every step's first iterate is the last one's
+        assert calls == {"linearize": solves + 1, "rhs": 0, "solve": solves}
+
+    def test_time_varying_input_drops_the_carried_linearization(self, monkeypatch):
+        # a tridiagonal cubic model, x' = A x - x**3 + B u, whose input holds
+        # over two or three steps and then changes
+        N, dt, K = 6, 0.1, 30
+        A = np.diag(np.full(N, -2.0)) + np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
+        B = np.linspace(0.5, 1.5, N)[:, None]
+
+        def rhs(x, u):
+            return 4.0 * (A @ x) - x**3 + B @ u
+
+        fom = PolynomialFOM(
+            dimension=N,
+            degree_set=(1, 3),
+            n_u=1,
+            rhs=rhs,
+            linearize=lambda x, u: (rhs(x, u), band(4.0 * A - np.diag(3.0 * x**2), 1, 1)),
+        )
+        signal = lambda t: np.array([float(np.floor(t / 0.25) % 3) - 1.0])
+        x0 = np.linspace(-1.0, 1.0, N)
+        expected, solves = textbook_implicit_euler(fom, x0, signal, dt, K)
+        snaps, calls = self.run_counted(fom, x0, signal, dt, K, monkeypatch)
+        assert snaps.states.tobytes() == expected.tobytes()
+        # a step whose input changed linearizes its first iterate afresh
+        changes = 1 + np.count_nonzero(np.diff(snaps.inputs[0, :K]))
+        assert 1 < changes < K
+        assert calls == {"linearize": solves + changes, "rhs": 0, "solve": solves}
 
 
 class TestSnapshotMatrix:
