@@ -183,26 +183,16 @@ def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
     Returns ``(fom, signal, x0)``.
     """
     N = spec.N
-    dxi = 1.0 / N
-    inv2 = 1.0 / dxi**2
+    inv2 = float(N * N)  # 1 / dxi**2 for the cell width dxi = 1 / N
 
-    A1 = np.zeros((N, N))
-    idx = np.arange(N)
-    A1[idx, idx] = -2.0 * inv2
-    A1[idx[:-1], idx[:-1] + 1] = inv2
-    A1[idx[1:], idx[1:] - 1] = inv2
-    A1[0, 0] = -3.0 * inv2  # Dirichlet ghost 2u - x_1 half a cell left of the wall
-    A1[N - 1, N - 1] = -inv2  # Neumann ghost mirrors the last node
-    A1 += np.eye(N)  # linear growth term
-
-    B = np.zeros((N, 1))
-    B[0, 0] = 2.0 * inv2
-
-    def rhs(x, u):
-        return A1 @ x - x**3 + B @ u
+    def stencil(x, u):
+        # the second difference of x padded with the Dirichlet ghost 2u - x_1
+        # and the Neumann ghost x_N, plus the linear growth term x
+        w = np.concatenate((2.0 * u - x[:1], x, x[-1:]))
+        return (w[2:] - 2.0 * x + w[:-2]) * inv2 + x
 
     multilinear = {
-        1: lambda a: A1 @ a,
+        1: lambda a: stencil(a, 0.0),
         2: lambda a, b: np.zeros_like(a),
         3: lambda a, b, c: -(a * b * c),
     }
@@ -211,9 +201,9 @@ def build_chafee_infante(spec: BenchmarkSpec = CHAFEE_INFANTE):
         dimension=N,
         degree_set=spec.degree_set,
         n_u=spec.n_u,
-        rhs=rhs,
+        rhs=lambda x, u: stencil(x, u) - x**3,
         multilinear=multilinear,
-        input_map=lambda u: B @ u,
+        input_map=lambda u: stencil(np.zeros(N), u),
     )
     signal = lambda t: np.array([10.0 * (math.sin(math.pi * t) + 1.0)])
     x0 = np.zeros(N)

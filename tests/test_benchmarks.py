@@ -1,6 +1,7 @@
 """The three bundled PDE systems: stencils, structure, and config overrides."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from exactopinf.benchmarks import (
     build_shallow_ice,
     parse_config,
 )
-from exactopinf.fom import eval_rhs, from_dense_operators, simulate
+from exactopinf.fom import eval_rhs, explicit_euler_step, from_dense_operators, simulate
 from exactopinf.tensor_poly import monomial_count
 from polarization import homogeneous_part, polarize
 
@@ -73,6 +74,33 @@ class TestChafeeInfante:
         r = eval_rhs(fom, np.zeros(fom.dimension), u)
         assert r[0] == pytest.approx(14.0 / dxi**2)
         assert np.all(r[1:] == 0.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 128])
+    def test_linear_and_input_parts_are_the_ghost_cell_stencil(self, N):
+        # second differences over ghost cells: the Dirichlet ghost 2u - x_1
+        # adds -x_1 and 2u to the first row, the Neumann ghost x_N adds x_N
+        # to the last; at N = 1 both ghosts meet in the one row
+        fom, _, _ = build_chafee_infante(apply_overrides(CHAFEE_INFANTE, {"N": N}))
+        T = -2.0 * np.eye(N) + np.eye(N, k=1) + np.eye(N, k=-1)
+        T[0, 0] -= 1.0
+        T[-1, -1] += 1.0
+        np.testing.assert_array_equal(fom.multilinear[1](np.eye(N)), N**2 * T + np.eye(N))
+        e1 = np.zeros(N)
+        e1[0] = 2.0 * N**2
+        np.testing.assert_array_equal(fom.input_map(np.array([1.0])), e1)
+
+    def test_step_memory_is_linear_in_N(self):
+        # the model holds no N x N operator: building it and taking one step
+        # stays within a few state vectors, far below 8 N^2 bytes
+        N = 4096
+        tracemalloc.start()
+        try:
+            fom, signal, x0 = build_chafee_infante(apply_overrides(CHAFEE_INFANTE, {"N": N}))
+            explicit_euler_step(fom, x0, signal(0.0), CHAFEE_INFANTE.dt_pod)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * N
 
     def test_laplacian_converges_at_second_order(self):
         # the steady problem u'' = f with u(0) = 1, u'(1) = 0 and the exact

@@ -2,11 +2,12 @@
 every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
-module takes an SVD, no package attribute shadows the submodule of its
-name, neither importing the package, building the benchmarks nor an
-implicit step loads ``scipy.sparse``, and ``scipy.linalg`` is loaded by the
-implicit step's band solve alone: not by the import, the builders,
-``diagnose``, ``pod``, an explicit ``experiment`` or ``infer``."""
+module takes an SVD, no bundled model takes a matrix product, no package
+attribute shadows the submodule of its name, neither importing the
+package, building the benchmarks nor an implicit step loads
+``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
+band solve alone: not by the import, the builders, ``diagnose``, ``pod``,
+an explicit ``experiment`` or ``infer``."""
 
 import ast
 import importlib
@@ -215,6 +216,21 @@ def test_one_dense_square_factorization():
         if isinstance(node, ast.FunctionDef) and "factor" in node.name
     ]
     assert factorizations == ["exact_opinf.py:_factor_square"]
+
+
+def test_bundled_models_take_no_matrix_product():
+    # every bundled model is a stencil on its state: no N x N operator, and
+    # no BLAS product to decide the bits of a step
+    tree = _tree("benchmarks.py")
+    found = sorted(
+        _named(tree, {"dot", "matmul", "einsum"})
+        + [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ]
+    )
+    assert found == []
 
 
 def test_only_pod_calls_an_svd():
