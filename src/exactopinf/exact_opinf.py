@@ -17,7 +17,7 @@ import numpy as np
 
 from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
-from .pod import PodBasis
+from .pod import PodBasis, bidiagonalize, norm
 from .tensor_poly import (
     PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array
 )
@@ -167,17 +167,17 @@ def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
     return replace(ensemble, basis=replace(basis, n=n), derivatives=ensemble.derivatives[:n, pairs])
 
 
-def _factor_square(P):
-    """The LU factors ``(lu, piv)``, ``P.T[piv] = L U``, of a square ``P`` by partial pivoting
-    in elementwise numpy steps (no BLAS).  A pivot that trips the guard of
-    :func:`solve_square` raises ``SingularDataMatrixError``."""
+def _factor_square(P, groups):
+    """LU factors ``(lu, piv)``, ``P.T[piv] = L U``, of a square ``P`` in numpy steps (no BLAS),
+    pivoting column ``k`` among the rows of its label in the contiguous ``groups``, group by
+    group.  A pivot tripping :func:`solve_square`'s guard raises ``SingularDataMatrixError``."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"matrix must be square, got shape {P.shape}")
     lu, piv = P.T.copy(), np.arange(len(P))
     row_max = np.maximum(P.max(axis=1), -P.min(axis=1))
     for k in range(len(P)):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        p = k + int(np.argmax(np.where(groups[k:] == groups[k], np.abs(lu[k:, k]), -1.0)))
         lu[[k, p]], piv[[k, p]] = lu[[p, k]], piv[[p, k]]
         if abs(lu[k, k]) <= 1e-14 * row_max[k]:
             raise SingularDataMatrixError(
@@ -205,22 +205,22 @@ def _lu_solve(factors, B) -> np.ndarray:
 class _LevelSolver:
     """A square ``P``, block upper triangular by levels, with its products and solves.
 
-    ``levels`` lists ``(idx, block, rows, values)`` from the lowest level: row ``s`` of
-    ``idx`` indexes a diagonal block, the ``m x m`` ``block`` (factored once), and row
-    ``s`` of ``rows`` the lower rows that may be nonzero in its columns, with entry
-    ``values[t, c]`` in column ``idx[s, c]``.  Products are ``np.einsum`` without
-    ``optimize`` and ``np.bincount``: fixed-order sums at the cost of ``P``'s nonzeros.
-    :meth:`right_solve` substitutes on the factors; inverse products use the block's
-    inverse, formed once from them, cheaper for the many of :func:`_condition_number`.
+    ``levels`` lists ``(idx, block, groups, rows, values)`` from the lowest level: row ``s``
+    of ``idx`` indexes a diagonal block, the ``m x m`` ``block`` (factored once, pivoting
+    within its column ``groups``), and row ``s`` of ``rows`` the lower rows that may be
+    nonzero in its columns, with entry ``values[t, c]`` in column ``idx[s, c]``.  Products
+    are ``np.einsum`` without ``optimize`` and ``np.bincount``: fixed-order sums at the cost
+    of ``P``'s nonzeros.  :meth:`right_solve` substitutes on the factors; inverse products
+    use the block's inverse, formed once from them, cheaper for :func:`_condition_number`.
     """
 
     def __init__(self, levels):
-        self.size = sum(idx.size for idx, _, _, _ in levels)
+        self.size = sum(idx.size for idx, _, _, _, _ in levels)
         self.levels = []
-        for idx, B, rows, C in levels:
-            factors = _factor_square(B)
+        for idx, B, groups, rows, C in levels:
+            factors = _factor_square(B, groups)
             self.levels.append((idx, B, factors, _lu_solve(factors, np.eye(len(B))), rows, C))
-        self.max_abs = max(max(M.max(), -M.min()) for _, B, _, C in levels for M in (B, C) if M.size)
+        self.max_abs = max(max(M.max(), -M.min()) for _, B, _, _, C in levels for M in (B, C) if M.size)
 
     def right_product(self, Y) -> np.ndarray:
         """``Y @ P`` for a row or rows ``Y``."""
@@ -272,7 +272,7 @@ class _LevelSolver:
 def _square_solver(P) -> _LevelSolver:
     """An arbitrary square ``P`` as one level of one block."""
     P = np.asarray(P, dtype=float)
-    return _LevelSolver([(np.arange(len(P))[None], P, np.empty((1, 0), int), np.empty((0, len(P))))])
+    return _LevelSolver([(np.arange(len(P))[None], P, np.zeros(len(P)), np.empty((1, 0), int), np.empty((0, len(P))))])
 
 
 def pair_solver(basis: MonomialBasis, scale: float = 1.0) -> _LevelSolver:
@@ -286,8 +286,9 @@ def pair_solver(basis: MonomialBasis, scale: float = 1.0) -> _LevelSolver:
     all its blocks and the entries above them, products of the same multiplicities.
     """
     X, U = rank_ensuring_pairs(basis, scale)
-    supports, levels = {}, []
-    for f, tag in enumerate(pair_tags(basis)):
+    supports, levels, tags = {}, [], pair_tags(basis)
+    degrees = np.array([tag[1] if tag[0] == "state" else -1 for tag in tags])  # inputs last
+    for f, tag in enumerate(tags):
         supports.setdefault(tuple(sorted(set(tag[2]))) if tag[0] == "state" else (), []).append(f)
     for k, group in itertools.groupby(sorted(supports, key=lambda S: (len(S), S)), key=len):
         level = list(group)
@@ -295,7 +296,7 @@ def pair_solver(basis: MonomialBasis, scale: float = 1.0) -> _LevelSolver:
         subsets = [itertools.chain(*(itertools.combinations(S, j) for j in range(k))) for S in level]
         rows = np.array([[f for T in Ts for f in supports.get(T, ())] for Ts in subsets], dtype=int)
         F = feature_matrix(basis, X[:, idx[0]], U[:, idx[0]])
-        levels.append((idx, F[idx[0]], rows, F[rows[0]]))
+        levels.append((idx, F[idx[0]], degrees[idx[0]], rows, F[rows[0]]))
     return _LevelSolver(levels)
 
 
@@ -308,58 +309,24 @@ def solve_square(P, B) -> np.ndarray:
     return _square_solver(P).right_solve(np.asarray(B, dtype=float))
 
 
-def _norm(x) -> float:
-    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum
-    of squares that neither overflows nor underflows."""
-    scale = np.max(np.abs(x), initial=0.0)
-    if not 0 < scale < np.inf:
-        return float(scale)
-    return float(scale * np.sqrt(np.sum(np.square(x / scale))))
-
-
 def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np.inf) -> float:
     """``sigma_max`` of the ``size x size`` operator ``x -> apply(x)``.
 
-    Golub-Kahan-Lanczos bidiagonalization (``A V_k = U_k B_k``, ``B_k``
-    upper bidiagonal) with both Krylov bases fully reorthogonalized, from a
-    fixed pseudo-random start vector.  The top Ritz triplet ``(sigma, U y,
-    V z)`` of ``B_k`` has residual ``beta_k |y_k|``; the iteration stops
-    when that is at most ``1e-14 sigma``, or after ``size`` steps, where the
-    bidiagonalization is complete and ``sigma`` exact.  A diagonal entry
-    ``alpha_k`` of ``B_k`` is a lower bound of ``sigma_max``; once one is not
-    below ``limit`` it is returned at once.  Only the vectors of the steps
-    taken are kept.  Norms are :func:`_norm`.
+    :func:`bidiagonalize` from a fixed pseudo-random start stops once the top Ritz value
+    ``sigma`` of ``B_k`` has a residual of at most ``1e-14 sigma``, or after ``size`` steps,
+    where it is exact.  Each ``alpha_k`` is a lower bound; one not below ``limit`` is returned.
     """
     v = np.random.default_rng(0).standard_normal(size)
-    V, U, alphas, betas = [v / _norm(v)], [], [], []
-    for _ in range(size):
-        u = _reorthogonalize(apply(V[-1]) - (betas[-1] * U[-1] if U else 0.0), U)
-        alphas.append(_norm(u))
+    for k, (alphas, betas, _) in enumerate(bidiagonalize(apply, apply_transpose, v), 1):
         if not alphas[-1] < limit:
             return float(alphas[-1])
-        U.append(u / alphas[-1])
-        v = _reorthogonalize(apply_transpose(U[-1]) - alphas[-1] * V[-1], V)
-        betas.append(_norm(v))
-        # B B^T of the bidiagonal scaled to unit largest entry, so squaring
-        # neither overflows nor underflows
+        # B B^T scaled to unit largest entry: squaring neither overflows nor underflows
         scale = max(alphas)
         B = (np.diag(alphas) + np.diag(betas[:-1], 1)) / scale
         eigenvalues, Y = np.linalg.eigh(np.einsum("ij,kj->ik", B, B))
         sigma = scale * np.sqrt(eigenvalues[-1])
-        if betas[-1] * abs(Y[-1, -1]) <= 1e-14 * sigma:
-            break
-        V.append(v / betas[-1])
-    return float(sigma)
-
-
-def _reorthogonalize(w, basis):
-    """``w`` with its components along the orthonormal ``basis`` removed
-    (two classical Gram-Schmidt passes, fixed-order sums)."""
-    if basis:
-        Q = np.array(basis)
-        for _ in range(2):
-            w = w - np.einsum("ki,k->i", Q, np.einsum("ki,i->k", Q, w))
-    return w
+        if k == size or betas[-1] * abs(Y[-1, -1]) <= 1e-14 * sigma:
+            return float(sigma)
 
 
 def _condition_number(solver: _LevelSolver) -> float:
@@ -408,7 +375,7 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     solver = pair_solver(ensemble.basis, ensemble.scale)
     D = np.asarray(ensemble.derivatives, dtype=float)
     O = solver.right_solve(D)
-    residual = _norm(solver.right_product(O) - D)
+    residual = norm(solver.right_product(O) - D)
     return InferenceResult(AggregatedOperator(ensemble.basis, O), _condition_number(solver), residual)
 
 

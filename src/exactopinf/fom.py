@@ -66,9 +66,9 @@ class SnapshotMatrix:
     inputs: np.ndarray  # (n_u, K+1)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+        states = np.ascontiguousarray(self.states, dtype=float)  # one layout for einsum's sums
         times = np.asarray(self.times, dtype=float)
-        inputs = np.asarray(self.inputs, dtype=float)
+        inputs = np.ascontiguousarray(self.inputs, dtype=float)
         if states.ndim != 2 or inputs.ndim != 2:
             raise ValueError("states and inputs must be 2-d arrays")
         if times.shape != (states.shape[1],):

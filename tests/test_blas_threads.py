@@ -1,7 +1,8 @@
 """Results do not depend on the BLAS thread count: a nested sweep, a single
 wide ensemble with its inference, and the shallow-ice ensemble at ``n = 7``
 with its inference, each on a fixed orthonormal basis, give bitwise the same
-data, operators and ``cond_P`` under one and two OpenBLAS threads."""
+data, operators and ``cond_P`` under one and two OpenBLAS threads, and so do
+the POD bases of the three bundled trajectories."""
 
 import os
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# nested sweeps n = 1..8 on the QR of a seeded Gaussian (not the POD, whose
-# SVD is itself thread-dependent); prints one hash of every operator and cond_P
+# nested sweeps n = 1..8 on the QR of a seeded Gaussian; prints one hash of
+# every operator and cond_P
 SWEEP = """
 import hashlib
 import numpy as np
@@ -64,6 +65,23 @@ for data in (ensemble.derivatives.tobytes(), result.operator.matrix.tobytes(), r
 """
 
 
+# the three bundled trajectories and their POD bases at each sweep's width;
+# prints one hash each of the states, the modes and the singular values
+POD = """
+import hashlib
+from exactopinf.benchmarks import SPECS, build
+from exactopinf.fom import simulate
+from exactopinf.pod import pod_basis
+
+for spec in SPECS.values():
+    fom, signal, x0 = build(spec)
+    snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
+    basis = pod_basis(snaps, spec.n_max)
+    for data in (snaps.states, basis.V, basis.singular_values):
+        print(hashlib.sha256(data.tobytes()).hexdigest())
+"""
+
+
 def _hashes(script, threads):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
     result = subprocess.run(
@@ -92,3 +110,9 @@ def test_wide_ensemble_and_inference_bitwise_equal_under_one_and_two_blas_thread
 def test_ice_ensemble_bitwise_equal_under_one_and_two_blas_threads():
     # derivatives, operator and cond_P, in that order
     assert _hashes(ICE, 1) == _hashes(ICE, 2)
+
+
+@two_cores
+def test_pod_bitwise_equal_under_one_and_two_blas_threads():
+    # per system: trajectory states, modes and singular values, in that order
+    assert _hashes(POD, 1) == _hashes(POD, 2)

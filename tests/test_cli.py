@@ -58,7 +58,7 @@ class TestPodCommand:
         V = read_matrix(vpath, "basis")
         np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-12)
         singular_values = read_matrix(spath, "singular-values")[:, 0]
-        np.testing.assert_allclose(singular_values[:4], np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(singular_values, np.ones(2), atol=1e-12)
 
     def test_matches_library(self, rng, tmp_path):
         X = rng.standard_normal((20, 50))

@@ -432,6 +432,14 @@ class TestSupportLevels:
 
             assert error(X) <= (error(dense) if basis.degree_set == (3, 8) else 1e-13), cols
 
+    @pytest.mark.parametrize("basis, scale", SUPPORT_LAYOUTS)
+    def test_no_row_swap_crosses_a_degree(self, basis, scale):
+        # each level block is eliminated degree by degree, lowest first, with the
+        # inputs last: every pivot row of a column has that column's degree
+        degrees = np.array([tag[1] if tag[0] == "state" else -1 for tag in pair_tags(basis)])
+        for idx, _, (_, piv), _, _, _ in pair_solver(basis, scale).levels:
+            assert np.array_equal(degrees[idx[0]][piv], degrees[idx[0]])
+
     def test_products_and_solves_match_the_dense_matrix(self, rng):
         basis = MonomialBasis(3, (0, 1, 3), 2)
         P = feature_matrix(basis, *rank_ensuring_pairs(basis, 2.0))
@@ -443,6 +451,22 @@ class TestSupportLevels:
         np.testing.assert_allclose(solver.times_inverse(Y[0]) @ P, Y[0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(solver.right_solve(Y) @ P, Y, rtol=1e-12, atol=1e-12)
         assert solver.max_abs == np.max(np.abs(P))
+
+
+def _arpack_condition_number(P):
+    """``cond_2(P)`` from ARPACK's largest eigenvalue of ``P^T P`` and of its inverse,
+    by a dense LU of ``P``: an oracle that shares no code with the package."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    lu = scipy.linalg.lu_factor(P)
+    v0 = np.random.default_rng(0).standard_normal(len(P))
+
+    def largest(matvec):
+        operator = LinearOperator(P.shape, matvec=matvec, dtype=float)
+        return eigsh(operator, k=1, which="LA", tol=1e-14, v0=v0, return_eigenvectors=False)[0]
+
+    inverse = largest(lambda x: scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, x, trans=1)))
+    return float(np.sqrt(largest(lambda x: P.T @ (P @ x)) * inverse))
 
 
 def _pair_matrix_cases():
@@ -459,10 +483,13 @@ class TestConditionNumber:
 
     @pytest.mark.parametrize("spec, n", _pair_matrix_cases())
     def test_matches_svd_on_pair_matrices(self, spec, n):
+        # the two largest, ice n = 7 and Chafee-Infante n = 24, against ARPACK,
+        # where the dense SVD would take most of the suite's time
         basis = MonomialBasis(n=n, degree_set=spec.degree_set, n_u=spec.n_u)
         P = pairs_P(n, spec.degree_set, spec.n_u, spec.state_scale)
         cond = infer(_zero_ensemble(basis, spec.state_scale)).cond_P
-        assert cond == pytest.approx(np.linalg.cond(P), rel=1e-8)
+        reference = _arpack_condition_number(P) if basis.n_f > 2000 else np.linalg.cond(P)
+        assert cond == pytest.approx(reference, rel=1e-8)
 
     @pytest.mark.parametrize(
         "P",
@@ -499,9 +526,9 @@ class TestConditionNumber:
         factorizations = []
         factor_square = exact_opinf._factor_square
 
-        def counting_factor_square(P):
+        def counting_factor_square(P, groups):
             factorizations.append(np.shape(P))
-            return factor_square(P)
+            return factor_square(P, groups)
 
         def no_svd(*args, **kwargs):
             raise AssertionError("infer computed an SVD")

@@ -2,7 +2,8 @@
 every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
-module takes an SVD, no bundled model takes a matrix product, no package
+module takes an SVD, no bundled model and not the POD takes a matrix
+product, no package
 attribute shadows the submodule of its name, neither importing the
 package, building the benchmarks nor an implicit step loads
 ``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
@@ -218,19 +219,34 @@ def test_one_dense_square_factorization():
     assert factorizations == ["exact_opinf.py:_factor_square"]
 
 
-def test_bundled_models_take_no_matrix_product():
-    # every bundled model is a stencil on its state: no N x N operator, and
-    # no BLAS product to decide the bits of a step
-    tree = _tree("benchmarks.py")
-    found = sorted(
-        _named(tree, {"dot", "matmul", "einsum"})
+def _products(tree, names):
+    """Line numbers of ``@`` and of the names among ``names``."""
+    return sorted(
+        _named(tree, names)
         + [
             node.lineno
             for node in ast.walk(tree)
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
         ]
     )
-    assert found == []
+
+
+def test_bundled_models_take_no_matrix_product():
+    # every bundled model is a stencil on its state: no N x N operator, and
+    # no BLAS product to decide the bits of a step
+    assert _products(_tree("benchmarks.py"), {"dot", "matmul", "einsum"}) == []
+
+
+def test_pod_takes_no_blas_product():
+    # the POD's sums are np.einsum without optimize, fixed-order and
+    # BLAS-free, so its bits depend on neither the BLAS nor its threads
+    tree = _tree("pod.py")
+    optimized = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords)
+    ]
+    assert _products(tree, {"dot", "matmul"}) + optimized == []
 
 
 def test_only_pod_calls_an_svd():
