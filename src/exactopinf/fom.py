@@ -125,11 +125,17 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
     """Solve ``(I - dt * J) d = r`` over ``J``'s band; :class:`NewtonError` if singular."""
-    from scipy.linalg import solve_banded
     (lower, upper), ab = band
     ab = -dt * ab
     ab[upper] += 1.0
     try:
+        if (lower, upper) == (1, 1) and len(r) > 1:  # solve_banded's LAPACK call, unwrapped
+            from scipy.linalg.lapack import dgtsv
+            *_, d, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], r)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            return d
+        from scipy.linalg import solve_banded
         with np.errstate(divide="raise"):  # a 1x1 band is solved by one division
             return solve_banded((lower, upper), ab, r, check_finite=False)
     except (np.linalg.LinAlgError, FloatingPointError):

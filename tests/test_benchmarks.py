@@ -1,5 +1,6 @@
 """The three bundled PDE systems: stencils, structure, and config overrides."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -157,6 +158,11 @@ class TestChafeeInfante:
         assert np.all(x0 == 0.0)
 
 
+def ice_gradient(x, dxi):
+    """The ice model's central difference with Neumann ghost values."""
+    return np.concatenate(([x[1] - x[0]], x[2:] - x[:-2], [x[-1] - x[-2]])) / (2.0 * dxi)
+
+
 class TestShallowIce:
     def test_constant_state_is_steady(self):
         fom, _, _ = build_shallow_ice()
@@ -239,25 +245,69 @@ class TestShallowIce:
 
 
     def test_linearize_is_bitwise_rhs_and_band(self, rng):
-        # Newton takes f from linearize, so it must be rhs bit for bit, also
-        # where the gradient is negative and numpy's pow takes its other path;
-        # the band is the expressions of J = diag(a) + diag(b) @ dx, unshared
+        # Newton takes f from linearize, so it must be rhs bit for bit, on
+        # states and gradients of both signs, where a reordered product
+        # rounds differently; the band is the expressions of
+        # J = diag(a) + diag(b) @ dx with the model's products, unshared
         spec = SHALLOW_ICE
         fom, _, _ = build_shallow_ice(spec)
         N, dxi, c1, c2 = spec.N, 1000.0 / spec.N, spec.c1, spec.c2
         off = 1.0 / (2.0 * dxi)
         for amplitude in (0.2, 1.0, 5.0):
             x = 1.0 + amplitude * rng.standard_normal(N)
-            g = np.concatenate(([x[1] - x[0]], x[2:] - x[:-2], [x[-1] - x[-2]])) / (2.0 * dxi)
+            g = ice_gradient(x, dxi)
             assert (g > 0).any() and (g < 0).any()
             f, ((lower, upper), ab) = fom.linearize(x, None)
             assert f.tobytes() == fom.rhs(x, None).tobytes()
-            a = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
-            b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
+            x2, g2 = x * x, g * g
+            x4 = x2 * x2
+            a = 2.0 * c1 * x * g + 5.0 * c2 * x4 * (g2 * g)
+            b = c1 * x2 + 3.0 * c2 * (x4 * x) * g2
             ref = np.zeros((3, N))
             ref[0, 1:], ref[2, :-1] = off * b[:-1], -off * b[1:]
             ref[1] = a + b * np.concatenate(([-off], np.zeros(N - 2), [off]))
             assert (lower, upper) == (1, 1) and ab.tobytes() == ref.tobytes()
+
+    def test_rhs_is_the_power_law_to_a_few_ulps(self, rng):
+        # the products round differently from pow, elementwise by a few ulps
+        # of the two terms' magnitudes, on states of both signs
+        spec = SHALLOW_ICE
+        fom, _, _ = build_shallow_ice(spec)
+        N, dxi, c1, c2 = spec.N, 1000.0 / spec.N, spec.c1, spec.c2
+        for amplitude in (0.2, 1.0, 5.0):
+            x = amplitude * rng.standard_normal(N)
+            assert (x < 0).any() and (x > 0).any()
+            g = ice_gradient(x, dxi)
+            low, high = c1 * x**2 * g, c2 * x**5 * g**3
+            error = np.abs(fom.rhs(x, None) - (low + high))
+            assert (error <= 8 * np.finfo(float).eps * (np.abs(low) + np.abs(high))).all()
+
+    def test_trajectory_matches_a_pow_model(self):
+        # 200 implicit steps of the bundled model against the same model
+        # written with pow: the rounding of the powers moves no state beyond
+        # 1e-14 of its norm
+        spec = SHALLOW_ICE
+        fom, _, x0 = build_shallow_ice(spec)
+        N, dxi, c1, c2 = spec.N, 1000.0 / spec.N, spec.c1, spec.c2
+        off = 1.0 / (2.0 * dxi)
+
+        def linearize(x, u):
+            g = ice_gradient(x, dxi)
+            b = c1 * x**2 + 3.0 * c2 * x**5 * g**2
+            ab = np.zeros((3, N))
+            ab[0, 1:], ab[2, :-1] = off * b[:-1], -off * b[1:]
+            ab[1] = 2.0 * c1 * x * g + 5.0 * c2 * x**4 * g**3
+            ab[1, 0] -= off * b[0]
+            ab[1, -1] += off * b[-1]
+            return c1 * x**2 * g + c2 * x**5 * g**3, ((1, 1), ab)
+
+        pow_fom = dataclasses.replace(fom, rhs=lambda x, u: linearize(x, u)[0], linearize=linearize)
+        K = 200
+        ours = simulate(fom, x0, None, spec.dt_pod, K, scheme="implicit_euler").states
+        theirs = simulate(pow_fom, x0, None, spec.dt_pod, K, scheme="implicit_euler").states
+        assert not np.array_equal(ours, theirs)
+        drift = np.linalg.norm(ours - theirs, axis=0) / np.linalg.norm(theirs, axis=0)
+        assert drift.max() <= 1e-14
 
 
 class TestBurgers:

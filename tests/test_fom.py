@@ -281,6 +281,26 @@ class TestImplicitEuler:
         with pytest.raises(NewtonError, match=r"I - dt\*J is singular"):
             implicit_euler_step(fom, np.ones(N), np.zeros(0), 1.0)
 
+    @pytest.mark.parametrize("N", [2, 3, 17, 512])
+    def test_tridiagonal_solve_is_bitwise_solve_banded(self, rng, N):
+        # a (1, 1) band skips solve_banded's wrapper for the LAPACK routine
+        # it calls: the same bytes, with row exchanges or without, and
+        # neither the band nor the right-hand side is overwritten
+        from scipy.linalg import solve_banded
+
+        dt = 0.5
+        for sub in (0.1, 10.0):  # 10: rows exchange, the first with a zero pivot
+            ab = rng.standard_normal((3, N))
+            ab[2] *= sub
+            ab[1, 0] = 2.0 if sub > 1 else -2.0
+            r = rng.standard_normal(N)
+            shifted = -dt * ab
+            shifted[1] += 1.0
+            before = ab.tobytes(), r.tobytes()
+            d = exactopinf.fom._solve_shifted(((1, 1), ab), dt, r)
+            assert (ab.tobytes(), r.tobytes()) == before
+            assert d.tobytes() == solve_banded((1, 1), shifted, r).tobytes()
+
     def test_newton_failure_raises(self):
         # rhs with no root of the implicit residual reachable: y = x + dt*(y^2+1)
         fom = PolynomialFOM(

@@ -3,7 +3,7 @@ every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
 module takes an SVD, no bundled model and not the POD takes a matrix
-product, no package
+product, the shallow-ice model takes no power, no package
 attribute shadows the submodule of its name, neither importing the
 package, building the benchmarks nor an implicit step loads
 ``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
@@ -175,7 +175,8 @@ def _imported_modules(tree):
 
 def test_only_fom_imports_scipy_linalg():
     # every square solve is exact_opinf's own numpy LU; fom takes the banded
-    # Newton solve, and nothing else, from scipy.linalg, inside the function
+    # Newton solve, and nothing else, from scipy.linalg: LAPACK's dgtsv for a
+    # tridiagonal band and solve_banded for any other, inside the function
     # that solves, which the walk finds as it finds a module-level import
     importers = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -186,7 +187,14 @@ def test_only_fom_imports_scipy_linalg():
         )
         if modules:
             importers[path.name] = modules
-    assert importers == {"fom.py": ["scipy.linalg", "scipy.linalg.solve_banded"]}
+    assert importers == {
+        "fom.py": [
+            "scipy.linalg",
+            "scipy.linalg.lapack",
+            "scipy.linalg.lapack.dgtsv",
+            "scipy.linalg.solve_banded",
+        ]
+    }
 
 
 def _named(tree, names):
@@ -235,6 +243,23 @@ def test_bundled_models_take_no_matrix_product():
     # every bundled model is a stencil on its state: no N x N operator, and
     # no BLAS product to decide the bits of a step
     assert _products(_tree("benchmarks.py"), {"dot", "matmul", "einsum"}) == []
+
+
+def test_shallow_ice_takes_no_power():
+    # the ice model's powers are products in one fixed order, so its bits do
+    # not depend on which pow loop numpy dispatches; Chafee-Infante's x**3
+    # is the package's last power of a state
+    builder = next(
+        node
+        for node in _tree("benchmarks.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_shallow_ice"
+    )
+    powers = [
+        f"benchmarks.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(builder)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    assert powers == []
 
 
 def test_pod_takes_no_blas_product():
