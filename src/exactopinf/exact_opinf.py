@@ -19,7 +19,8 @@ from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_eu
 from .galerkin import AggregatedOperator
 from .pod import PodBasis, bidiagonalize, norm
 from .tensor_poly import (
-    PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array
+    PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array,
+    ordered_product,
 )
 
 
@@ -41,23 +42,23 @@ def pair_tags(basis: MonomialBasis) -> list[tuple]:
     return tags + [("input", j) for j in range(1, basis.n_u + 1)]
 
 
-def _lift(V, basis: MonomialBasis, scale: float) -> np.ndarray:
-    """The ``(n_f, N)`` pair states in the ``(N, n)`` basis ``V``: row ``s`` is ``scale`` times
-    the columns the tuple of ``pair_tags(basis)[s]`` names, added left to right from zero,
-    so its bits depend on those columns alone; degree-0 and input pairs get zero rows.  Row
-    blocks of ``PRODUCT_BLOCK_ENTRIES`` keep each temporary small: a freed large one raises
-    malloc's mmap threshold, and with it the peak RSS of what the process does next."""
+def _lift(V, basis: MonomialBasis, scale: float):
+    """Yield ``(pairs, X)`` in feature order: a slice of ``pair_tags(basis)`` within one degree
+    or the inputs, at most ``PRODUCT_BLOCK_ENTRIES // N`` long, and its ``(N, m)`` states in the
+    ``(N, n)`` basis ``V``.  Column ``s`` is ``scale`` times the columns its tuple names, added
+    left to right from zero, so its bits depend on those columns alone; degree-0 and input
+    pairs get zero columns."""
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    L = np.zeros((basis.n_f, V.shape[0]))
-    rows = max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
-    for i in basis.degree_set:
-        idx, block = monomial_index_array(basis.n, i), L[basis.degree_slice(i)]
-        for start in range(0, idx.shape[0], rows):
-            for slot in idx[start : start + rows].T:
-                block[start : start + rows] += V.T[slot]
-    L *= scale
-    return L
+    width = max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
+    layout = [(basis.degree_slice(i).start, monomial_index_array(basis.n, i)) for i in basis.degree_set]
+    for offset, idx in layout + [(basis.input_slice.start, np.empty((basis.n_u, 0), int))]:
+        for start in range(0, len(idx), width):
+            tuples = idx[start : start + width]
+            X = np.zeros((V.shape[0], len(tuples)))
+            for slot in tuples.T:
+                X += V[:, slot]
+            yield slice(offset + start, offset + start + len(tuples)), scale * X
 
 
 def rank_ensuring_pairs(basis: MonomialBasis, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +72,7 @@ def rank_ensuring_pairs(basis: MonomialBasis, scale: float = 1.0) -> tuple[np.nd
     invertible; it moves the degree-``i`` part of the stepped data by ``c^i``
     and so sets which degree dominates it.  A power of two keeps states and features exact.
     """
-    X = np.ascontiguousarray(_lift(np.eye(basis.n), basis, scale).T)  # C order: features gather rows
+    X = np.hstack([block for _, block in _lift(np.eye(basis.n), basis, scale)])  # C order
     U = np.zeros((basis.n_u, basis.n_f))
     U[:, basis.input_slice] = np.eye(basis.n_u)
     return X, U
@@ -119,21 +120,13 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     return 1.0 / rate
 
 
-def _project(V, Q) -> np.ndarray:
-    """``V.T @ Q`` summed row by row, left to right: each entry's bits depend only
-    on its columns of ``V`` and ``Q``, not on widths, BLAS or pairwise sums."""
-    D = np.zeros((V.shape[1], Q.shape[1]))
-    for v, q in zip(V, Q):
-        D += np.multiply.outer(v, q)
-    return D
-
-
 def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> SnapshotEnsemble:
     """Run one explicit Euler step per rank-ensuring pair and collect the data.
 
     The pairs are :func:`rank_ensuring_pairs` of the width of the (N, n) basis
-    array ``V`` and the model's degrees and inputs, at amplitude ``scale``, each
-    stepped from its row of :func:`_lift` of ``V``; with :func:`_project`, each
+    array ``V`` and the model's degrees and inputs, at amplitude ``scale``.  Each
+    block of :func:`_lift` of ``V`` is stepped by one column-wise ``rhs`` call and
+    projected by :func:`ordered_product`: no ``N x n_f`` array is held, and each
     pair's data is bitwise the same at every width.  A failed step names its pair's
     tag; a ``V`` other than 2-D with ``fom.dimension`` rows raises ``ValueError``.
     """
@@ -141,14 +134,15 @@ def generate_ensemble(fom: PolynomialFOM, V, dt: float, scale: float = 1.0) -> S
         raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
     basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
     _, U = rank_ensuring_pairs(basis, scale)
-    quotients = np.empty((fom.dimension, basis.n_f))
-    for s, (x0, tag) in enumerate(zip(_lift(V, basis, scale), pair_tags(basis))):
+    tags, derivatives = pair_tags(basis), np.empty((basis.n, basis.n_f))
+    for pairs, X in _lift(V, basis, scale):
         try:
-            x1 = explicit_euler_step(fom, x0, U[:, s], dt)
+            step = explicit_euler_step(fom, X, U[:, pairs], dt)
         except NonFiniteStateError as exc:
+            tag = tags[pairs][exc.column]
             raise NonFiniteStateError(f"single step failed for pair {tag}: {exc}") from exc
-        quotients[:, s] = (x1 - x0) / dt
-    return SnapshotEnsemble(basis, dt, _project(V, quotients), scale)
+        derivatives[:, pairs] = ordered_product(V, (step - X) / dt)
+    return SnapshotEnsemble(basis, dt, derivatives, scale)
 
 
 def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:

@@ -17,14 +17,18 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array
+from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array, ordered_product
 
 NEWTON_TOL = 1e-10  # implicit Euler's Newton residual tolerance, times 1 + ||x||
 NEWTON_MAX_ITER = 50
 
 
 class NonFiniteStateError(RuntimeError):
-    """Right-hand side or integrator produced NaN/inf values."""
+    """Right-hand side or integrator produced NaN/inf values; ``column``: a block's first."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class NewtonError(RuntimeError):
@@ -35,10 +39,13 @@ class NewtonError(RuntimeError):
 class PolynomialFOM:
     """Dynamical system ``x' = f(x, u)`` with polynomial state dependence.
 
-    ``rhs(x, u)`` is always available.  ``multilinear`` optionally maps each
-    degree ``i`` to a symmetric i-linear function of ``i`` vectors whose
-    diagonal reproduces the degree-``i`` part of ``rhs``, acting column-wise
-    on ``(N,)`` or ``(N, m)`` arguments; ``input_map`` optionally evaluates
+    ``rhs(x, u)`` is always available and acts column-wise: column ``k`` of its
+    value on ``(N, m)`` states and ``(n_u, m)`` inputs is bitwise its call on column
+    ``k`` (``generate_ensemble`` steps its pairs so, in blocks).  ``multilinear``
+    optionally maps each degree ``i`` to a symmetric i-linear function of ``i``
+    vectors whose diagonal reproduces the degree-``i`` part of ``rhs``, acting
+    column-wise on ``(N,)`` or ``(N, m)`` arguments (``intrusive_reduce`` stacks
+    blocks of columns); ``input_map`` optionally evaluates
     ``u -> B u``; ``linearize(x, u)`` optionally returns ``rhs(x, u)``, bitwise,
     with the band ``((lower, upper), ab)`` of its state Jacobian in LAPACK band
     storage, ``ab[upper + i - j, j] = J[i, j]`` (implicit stepping needs it).
@@ -86,26 +93,32 @@ class SnapshotMatrix:
         return self.states.shape[0]
 
 
-def _state_and_input(fom: PolynomialFOM, x, u):
-    """``x`` and ``u`` (``None``: zero input) as float arrays of the model's shapes."""
+def _state_and_input(fom: PolynomialFOM, x, u, block=()):
+    """``x`` and ``u`` (``None``: zero input) as float arrays of the model's shapes, followed
+    by ``block``: ``(m,)`` for an ``(N, m)`` block of states and ``(n_u, m)`` inputs."""
     x = np.asarray(x, dtype=float)
-    u = np.asarray(np.zeros(fom.n_u) if u is None else u, dtype=float)
+    u = np.asarray(np.zeros((fom.n_u, *block)) if u is None else u, dtype=float)
     for name, a, n in (("state", x, fom.dimension), ("input", u, fom.n_u)):
-        if a.shape != (n,):
-            raise ValueError(f"{name} has shape {a.shape}, expected ({n},)")
+        if a.shape != (n, *block):
+            raise ValueError(f"{name} has shape {a.shape}, expected {(n, *block)}")
     return x, u
+
+
+def _failed_column(a):
+    """The first column of a block ``a`` with a non-finite entry, ``None`` for a vector."""
+    return None if a.ndim == 1 else int(np.argmin(np.isfinite(a).all(axis=0)))
 
 
 def _finite(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
-        raise NonFiniteStateError("right-hand side returned non-finite values")
+        raise NonFiniteStateError("right-hand side returned non-finite values", _failed_column(f))
     return f
 
 
 def eval_rhs(fom: PolynomialFOM, x, u=None) -> np.ndarray:
-    """Evaluate the right-hand side, rejecting non-finite results."""
-    return _finite(fom.rhs(*_state_and_input(fom, x, u)))
+    """Evaluate the right-hand side of a state or a block, rejecting non-finite results."""
+    return _finite(fom.rhs(*_state_and_input(fom, x, u, np.shape(x)[1:2])))
 
 
 def _check_dt(dt: float) -> None:
@@ -113,14 +126,24 @@ def _check_dt(dt: float) -> None:
         raise ValueError("time step must be positive and finite")
 
 
+def _advance(x, f, dt: float) -> np.ndarray:
+    """``x + dt * f`` by one finiteness test; only a failed step looks for its cause."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
+    y = x + dt * f
+    if not np.isfinite(y).all():
+        _finite(f)
+        raise NonFiniteStateError(f"step of size {dt:g} left the finite range", _failed_column(y))
+    return y
+
+
 def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
-    """One explicit Euler step ``x + dt * f(x, u)``, rejecting a non-finite one."""
+    """One explicit Euler step ``x + dt * f(x, u)`` of a state, or column-wise of an ``(N, m)``
+    block with ``(n_u, m)`` inputs, rejecting a non-finite one (naming a block's column)."""
     _check_dt(dt)
     x = np.asarray(x, dtype=float)
-    y = x + dt * eval_rhs(fom, x, u)
-    if not np.isfinite(y).all():
-        raise NonFiniteStateError(f"step of size {dt:g} left the finite range")
-    return y
+    return _advance(x, eval_rhs(fom, x, u), dt)
 
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
@@ -164,10 +187,8 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
         if res_norm < tol:
             return y
         y = y - _solve_shifted(band, dt, residual)
-    raise NewtonError(
-        f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(last residual {res_norm:.3e})"
-    )
+    raise NewtonError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                      f"(last residual {res_norm:.3e})")
 
 
 def _reusing_last(linearize):
@@ -195,27 +216,34 @@ def simulate(
 
     ``signal`` maps ``t`` to the input (``None``: zero input); it is sampled
     once per time stamp and held over the step from there.  The returned
-    matrix holds ``K + 1`` columns including the initial state.
+    matrix holds ``K + 1`` columns including the initial state.  ``dt`` and ``x0``
+    are checked once, each input's shape and each explicit step's finiteness per step.
     """
     if scheme not in ("explicit_euler", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if signal is None:
-        signal = lambda t: np.zeros(fom.n_u)
-    states = np.empty((fom.dimension, K + 1))
-    inputs = np.empty((fom.n_u, K + 1))
+    _check_dt(dt)
+    x, zero = _state_and_input(fom, x0, None)
+    if scheme == "explicit_euler":
+        step = lambda x, u: _advance(x, fom.rhs(x, u), dt)
+    else:  # a step's first iterate is the last step's accepted one
+        if fom.linearize is not None:
+            fom = replace(fom, linearize=_reusing_last(fom.linearize))
+        step = lambda x, u: implicit_euler_step(fom, x, u, dt)
+    sample = (lambda t: zero) if signal is None else (lambda t: np.asarray(signal(t), dtype=float))
+    states, inputs = np.empty((fom.dimension, K + 1)), np.empty((fom.n_u, K + 1))
     times = dt * np.arange(K + 1)
-    states[:, 0] = x0
-    step = explicit_euler_step if scheme == "explicit_euler" else implicit_euler_step
-    if fom.linearize is not None:  # a step's first iterate is the last step's accepted one
-        fom = replace(fom, linearize=_reusing_last(fom.linearize))
+    states[:, 0] = x
     for k in range(K):
-        u = signal(times[k])
+        u = sample(times[k])
+        if u.shape != zero.shape:
+            raise ValueError(f"input has shape {u.shape}, expected {zero.shape}")
         try:
-            states[:, k + 1] = step(fom, states[:, k], u, dt)
+            x = step(x, u)  # a new contiguous state
         except (NonFiniteStateError, NewtonError) as exc:
             raise type(exc)(f"step {k} failed: {exc}") from exc
+        states[:, k + 1] = x
         inputs[:, k] = u
-    inputs[:, K] = signal(times[K])
+    inputs[:, K] = sample(times[K])
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 
 
@@ -226,8 +254,9 @@ def from_dense_operators(
     """Build a model from explicit dense degree matrices (and input matrix).
 
     ``matrices[i]`` has shape (N, C(N+i-1, i)) and acts on the compressed
-    degree-``i`` power of the state; the right-hand side is one product of
-    ``[A_i ... | B]`` with the feature vector.  Multilinear access is
+    degree-``i`` power of the state; the right-hand side is one
+    :func:`ordered_product` of ``[A_i ... | B]`` with the feature vectors of a
+    state or a block, so it acts column-wise.  Multilinear access is
     derived by symmetrizing over argument permutations, so keep the degrees
     small.
     """
@@ -248,7 +277,9 @@ def from_dense_operators(
     O = np.hstack([mats[i] for i in degrees] + ([] if B is None else [B]))
 
     def rhs(x, u):
-        return O @ feature_matrix(layout, x[:, None], u[:, None])[:, 0]
+        m = x.size // N
+        F = feature_matrix(layout, x.reshape(N, m), u.reshape(n_u, m))
+        return ordered_product(O.T, F).reshape(x.shape)
 
     def make_h(i, A):
         if i == 0:

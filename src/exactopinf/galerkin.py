@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fom import PolynomialFOM
-from .tensor_poly import MonomialBasis, enumerate_monomials, monomial_index_array, multiplicity
-
-COLUMN_CHUNK = 64  # monomial columns per multilinear-map call
+from .tensor_poly import PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials
+from .tensor_poly import monomial_index_array, multiplicity
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     scaled by the number of distinct orderings of the tuple.  That scaling
     accounts for the repeated cross terms of the full Kronecker power that
     the compressed monomial carries only once.  Each map is called once per
-    ``COLUMN_CHUNK`` columns, on stacks of their basis columns.
+    ``PRODUCT_BLOCK_ENTRIES // N`` columns, on ``(N, m)`` stacks of their basis columns.
     """
     n = V.shape[1]
     if fom.multilinear is None:
@@ -78,13 +77,13 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
         raise MissingMultilinearAccess("model has inputs but no input map")
 
     basis = MonomialBasis(n=n, degree_set=fom.degree_set, n_u=fom.n_u)
-    matrix = np.empty((n, basis.n_f))
+    matrix, width = np.empty((n, basis.n_f)), max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
     for i in basis.degree_set:
         block = matrix[:, basis.degree_slice(i)]
         idx = monomial_index_array(n, i)
         counts = np.array([multiplicity(tup) for tup in enumerate_monomials(n, i)], dtype=float)
-        for start in range(0, len(idx), COLUMN_CHUNK):
-            cols = slice(start, start + COLUMN_CHUNK)
+        for start in range(0, len(idx), width):
+            cols = slice(start, start + width)
             H = fom.multilinear[i](*(V[:, idx[cols, k]] for k in range(i)))  # (N,) at degree 0
             block[:, cols] = (V.T @ H).reshape(n, -1) * counts[cols]
     if fom.n_u > 0:

@@ -18,7 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 _INT64_MAX = np.iinfo(np.int64).max
-PRODUCT_BLOCK_ENTRIES = 2**15  # compress_states' row block: 256 KiB, kept in cache
+# entries (64 KiB) of every block: compress_states' and the lift's rows, the ensemble's pairs,
+# galerkin's stacks; small temporaries keep malloc's mmap threshold, and so the peak RSS, low
+PRODUCT_BLOCK_ENTRIES = 2**13
 
 
 def monomial_count(n: int, i: int) -> int:
@@ -66,6 +68,17 @@ def monomial_index_array(n: int, i: int) -> np.ndarray:
     mons = enumerate_monomials(n, i)
     arr = np.array(mons, dtype=np.int64).reshape(len(mons), i)
     return arr - 1
+
+
+def ordered_product(A, B) -> np.ndarray:
+    """``A.T @ B`` summed row by row from zero: each entry's bits depend only on its columns of
+    ``A`` and ``B``, not on widths, layouts, BLAS or pairwise sums.  ``np.add`` reduces an outer
+    axis row by row, but the only axis left pairwise, so a ``1 x 1`` product accumulates."""
+    terms = np.zeros((A.shape[0] + 1, A.shape[1], B.shape[1]))  # row 0: the zero sums start from
+    np.multiply(A[:, :, None], B[:, None, :], out=terms[1:])
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def compress_states(X, i: int, out=None) -> np.ndarray:

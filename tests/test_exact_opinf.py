@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from exactopinf.benchmarks import CHAFEE_INFANTE, SPECS
+from exactopinf.benchmarks import CHAFEE_INFANTE, SPECS, build
 from exactopinf.diagnostics import relative_operator_error
 import exactopinf.exact_opinf as exact_opinf
 from exactopinf.exact_opinf import (
@@ -225,7 +225,7 @@ class TestEstimateDt:
 
 class TestGenerateEnsemble:
     def test_zero_rhs_zero_derivatives(self):
-        fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros(3))
+        fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros_like(x))
         ens = generate_ensemble(fom, np.eye(3), 0.1)
         np.testing.assert_array_equal(ens.derivatives, np.zeros((3, 3)))
 
@@ -254,7 +254,7 @@ class TestGenerateEnsemble:
     def test_minimality_square(self):
         ens_basis = MonomialBasis(n=3, degree_set=(1, 2), n_u=2)
         fom = PolynomialFOM(
-            dimension=5, degree_set=(1, 2), n_u=2, rhs=lambda x, u: np.zeros(5)
+            dimension=5, degree_set=(1, 2), n_u=2, rhs=lambda x, u: np.zeros_like(x)
         )
         V = np.eye(5)[:, :3]
         ens = generate_ensemble(fom, V, 1.0)
@@ -280,8 +280,8 @@ class TestGenerateEnsemble:
         starts = []
 
         def rhs(x, u):
-            starts.append(x.copy())
-            return np.zeros(6)
+            starts.extend(x.T.copy())  # a block's columns, in pair order
+            return np.zeros_like(x)
 
         fom = PolynomialFOM(dimension=6, degree_set=(3, 8), n_u=0, rhs=rhs)
         V = np.linalg.qr(np.random.default_rng(11).standard_normal((6, 3)))[0]
@@ -297,6 +297,39 @@ class TestGenerateEnsemble:
             expected.append(state)
         assert len(starts) == 55
         assert np.array_equal(np.array(starts), np.array(expected))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_non_finite_column_names_its_pair(self, k):
+        # the three pairs are one block, stepped by one rhs call; only the
+        # unit state e_(k+1) divides by zero
+        fom = PolynomialFOM(
+            dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: x / (1.0 - x[k : k + 1])
+        )
+        match = rf"^single step failed for pair \('state', 1, \({k + 1},\)\): right-hand side returned"
+        with pytest.raises(NonFiniteStateError, match=match):
+            generate_ensemble(fom, np.eye(3), 0.1)
+
+    def test_memory_is_bounded_by_a_block_of_pairs(self):
+        # shallow ice at n = 7: the (n_f, N) lift and the (N, n_f) quotients
+        # were 12.6 MB each (a 25.9 MB peak); stepped and projected in blocks
+        # of PRODUCT_BLOCK_ENTRIES // N pairs, the peak is a few blocks and
+        # the n x n_f data, and grows from n = 5 by far less than such a lift
+        spec = SPECS["shallow_ice"]
+        fom, _, _ = build(spec)
+        V = np.linalg.qr(np.random.default_rng(7).standard_normal((spec.N, 7)))[0]
+        peaks, sizes = [], []
+        for n in (5, 7):
+            pair_tags(MonomialBasis(n=n, degree_set=spec.degree_set))  # fill the caches
+            tracemalloc.start()
+            try:
+                ensemble = generate_ensemble(fom, V[:, :n], 1e10, spec.state_scale)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(ensemble.size)
+        assert peaks[1] < 4e6
+        assert peaks[1] - peaks[0] < 0.1 * 8 * spec.N * (sizes[1] - sizes[0])
 
     @pytest.mark.parametrize("shape", [(4,), (5, 2), (3, 2)], ids=["1-d", "5-rows", "3-rows"])
     @pytest.mark.parametrize(
@@ -567,7 +600,7 @@ class TestExactRecovery:
 
     def test_zero_fom(self):
         fom = PolynomialFOM(
-            dimension=4, degree_set=(1, 2), n_u=0, rhs=lambda x, u: np.zeros(4)
+            dimension=4, degree_set=(1, 2), n_u=0, rhs=lambda x, u: np.zeros_like(x)
         )
         res = infer(generate_ensemble(fom, np.eye(4)[:, :2], 1.0))
         np.testing.assert_allclose(res.operator.matrix, 0.0, atol=1e-15)
@@ -635,11 +668,12 @@ class TestExactRecovery:
 
 
 def counting(fom):
-    """``fom`` with a right-hand side that appends to the returned list per call."""
+    """``fom`` with a right-hand side that appends to the returned list per state it steps:
+    one per column of a block."""
     calls = []
 
     def rhs(x, u):
-        calls.append(1)
+        calls.extend([1] * (x.shape[1] if x.ndim == 2 else 1))
         return fom.rhs(x, u)
 
     return dataclasses.replace(fom, rhs=rhs), calls
@@ -723,7 +757,7 @@ class TestSweep:
         # every pair is stepped before the first width, and the tag's
         # largest index, 2, is the failed pair's first width
         fom = PolynomialFOM(
-            dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x * [1.0, 1e308]
+            dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x * np.array([[1.0], [1e308]])
         )
         widths = sweep(fom, np.eye(2), 10.0)
         match = r"^single step failed for pair \('state', 1, \(2,\)\)"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import exactopinf.fom
-from exactopinf.benchmarks import SHALLOW_ICE, apply_overrides, build_shallow_ice
+from exactopinf.benchmarks import SHALLOW_ICE, SPECS, apply_overrides, build, build_shallow_ice
 from exactopinf.fom import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -140,6 +140,59 @@ class TestExplicitEuler:
         fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=0, rhs=lambda x, u: 100.0 * x)
         with pytest.raises(NonFiniteStateError, match="finite range"):
             explicit_euler_step(fom, np.ones(1), np.zeros(0), 1e307)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("model", [*SPECS, "dense"])
+def test_rhs_acts_column_wise(model, m):
+    # each column of an (N, m) block's rhs is bitwise its own 1-D call, so a
+    # block of single steps is bitwise the steps one at a time
+    rng = np.random.default_rng(3)
+    if model == "dense":
+        fom = random_dense_fom(rng, 6, (0, 1, 2, 3), n_u=2)[0]
+    else:
+        fom = build(SPECS[model])[0]
+    X = rng.standard_normal((fom.dimension, m))
+    U = rng.standard_normal((fom.n_u, m))
+    F = fom.rhs(X, U)
+    assert F.shape == X.shape
+    for k in range(m):
+        assert F[:, k].tobytes() == fom.rhs(X[:, k].copy(), U[:, k].copy()).tobytes()
+    Y = explicit_euler_step(fom, X, U, 0.25)
+    for k in range(m):
+        assert Y[:, k].tobytes() == explicit_euler_step(fom, X[:, k], U[:, k], 0.25).tobytes()
+
+
+class TestBlockStep:
+    @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value", "ignore:overflow")
+    @pytest.mark.parametrize(
+        "rhs, cause",
+        [
+            (lambda x, u: x / (1.0 - x[1:2]), "right-hand side returned non-finite values"),
+            (lambda x, u: x * np.array([[1.0], [1e308], [1.0]]), "left the finite range"),
+        ],
+        ids=["rhs", "overflow"],
+    )
+    def test_failed_column_is_named(self, rhs, cause):
+        # with unit states only the second column fails: by its rhs, or by a
+        # step of a finite rhs that overflows
+        fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=rhs)
+        with pytest.raises(NonFiniteStateError, match=cause) as info:
+            explicit_euler_step(fom, np.eye(3), None, 10.0)
+        assert info.value.column == 1
+
+    def test_implicit_step_takes_one_state(self):
+        fom = PolynomialFOM(
+            dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: -x,
+            linearize=lambda x, u: (-x, band(-np.eye(2), 0, 0)),
+        )
+        with pytest.raises(ValueError, match=r"state has shape \(2, 3\), expected \(2,\)"):
+            implicit_euler_step(fom, np.ones((2, 3)), None, 0.1)
+
+    def test_rhs_of_another_shape_is_rejected(self):
+        fom = PolynomialFOM(dimension=3, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros(3))
+        with pytest.raises(ValueError, match=r"right-hand side has shape \(3,\) at states of shape \(3, 3\)"):
+            explicit_euler_step(fom, np.eye(3), None, 0.5)
 
 
 class TestImplicitEuler:
@@ -394,6 +447,41 @@ class TestSimulate:
         fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=1, rhs=lambda x, u: u)
         simulate(fom, np.zeros(1), u_of_t, 0.5, 4)
         assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_explicit_trajectory_is_bitwise_single_steps(self):
+        # the loop steps without the per-step checks of explicit_euler_step,
+        # from each new contiguous state: the same bytes
+        spec = SPECS["chafee_infante"]
+        fom, signal, x0 = build(spec)
+        K = 40
+        snaps = simulate(fom, x0, signal, spec.dt_pod, K)
+        x = x0
+        for k in range(K):
+            x = explicit_euler_step(fom, x, signal(snaps.times[k]), spec.dt_pod)
+            assert snaps.states[:, k + 1].tobytes() == x.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize(
+        "rhs, x0, message",
+        [
+            (lambda x, u: x * np.array([1.0, np.nan]), [1.0, 1.0], "step 0 failed: right-hand side returned non-finite values"),
+            (lambda x, u: np.full_like(x, 1e298), [1.0, 1.0], "step 1 failed: step of size 1e\\+10 left the finite range"),
+        ],
+        ids=["rhs", "overflow"],
+    )
+    def test_failure_names_its_cause(self, rhs, x0, message):
+        fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=rhs)
+        with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
+            simulate(fom, np.array(x0), None, 1e10, 3)
+
+    def test_dt_and_initial_state_checked_before_any_step(self):
+        calls = []
+        fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: calls.append(1) or x)
+        with pytest.raises(ValueError, match="time step must be positive and finite"):
+            simulate(fom, np.ones(2), None, 0.0, 3)
+        with pytest.raises(ValueError, match=r"state has shape \(3,\), expected \(2,\)"):
+            simulate(fom, np.ones(3), None, 0.1, 3)
+        assert calls == []
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_step_index(self):

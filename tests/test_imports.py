@@ -3,7 +3,8 @@ every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
 module takes an SVD, no bundled model and not the POD takes a matrix
-product, the shallow-ice model takes no power, no package
+product, the shallow-ice model takes no power, one constant sizes every
+block, no package
 attribute shadows the submodule of its name, neither importing the
 package, building the benchmarks nor an implicit step loads
 ``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
@@ -171,6 +172,24 @@ def _imported_modules(tree):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_one_block_size():
+    # tensor_poly.PRODUCT_BLOCK_ENTRIES is the one module-level block size, and
+    # every blocked loop reads it: galerkin's stacks, the lift's pair blocks,
+    # which the ensemble steps and projects, and compress_states' rows
+    sizes = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for name, node in _definitions(_tree(path.name))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and any(word in name.upper() for word in ("BLOCK", "CHUNK", "BATCH", "ENTRIES", "COLUMNS", "ROWS"))
+    )
+    assert sizes == ["tensor_poly.PRODUCT_BLOCK_ENTRIES"]
+    readers = {"galerkin.py": "intrusive_reduce", "exact_opinf.py": "_lift", "tensor_poly.py": "compress_states"}
+    for module, function in readers.items():
+        body = next(definition for name, definition in _definitions(_tree(module)) if name == function)
+        assert "PRODUCT_BLOCK_ENTRIES" in _reads([body]), f"{module}: {function}"
 
 
 def test_only_fom_imports_scipy_linalg():

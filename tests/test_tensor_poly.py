@@ -19,6 +19,7 @@ from exactopinf.tensor_poly import (
     monomial_count,
     monomial_index_array,
     multiplicity,
+    ordered_product,
 )
 
 
@@ -264,3 +265,36 @@ def test_compress_scaling_homogeneity(n, i, seed):
     np.testing.assert_allclose(
         compress_column(t * x, i), t**i * compress_column(x, i), rtol=1e-12
     )
+
+
+class TestOrderedProduct:
+    @staticmethod
+    def row_sum(A, B):
+        """``A.T @ B`` as the sequential row sum from zero, one outer product per row."""
+        D = np.zeros((A.shape[1], B.shape[1]))
+        for a, b in zip(A, B):
+            D += np.multiply.outer(a, b)
+        return D
+
+    @pytest.mark.parametrize(
+        "N, n, m, order",
+        [(512, 7, 1, "C"), (512, 1, 16, "C"), (1, 7, 16, "C"), (512, 7, 16, "F"),
+         (100, 1, 1, "C"), (100, 1, 1, "F"), (9, 2, 1, "F"), (1, 1, 1, "C")],
+        ids=["one-pair", "n-1", "N-1", "F-order", "1x1", "1x1-F", "small-F", "scalar"],
+    )
+    def test_bitwise_the_sequential_row_sum(self, rng, N, n, m, order):
+        # np.add sums the only axis of a 1 x 1 product pairwise, from N = 8 on
+        A = np.asarray(rng.standard_normal((N, n)), order=order)
+        B = rng.standard_normal((N, m))
+        assert ordered_product(A, B).tobytes() == self.row_sum(A, B).tobytes()
+
+    def test_each_column_is_its_own_product(self, rng):
+        A, B = rng.standard_normal((300, 5)), rng.standard_normal((300, 40))
+        whole = ordered_product(A, B)
+        for k in range(B.shape[1]):
+            assert whole[:, k].tobytes() == ordered_product(A, B[:, k : k + 1])[:, 0].tobytes()
+
+    def test_zero_sum_is_positive_zero(self):
+        # summed from +0.0: negative zero products add up to +0.0, as the row sum does
+        D = ordered_product(-np.ones((3, 2)), np.zeros((3, 1)))
+        assert not np.signbit(D).any()
