@@ -133,41 +133,71 @@ def cmd_experiment(args) -> int:
     if not args.baseline:
         del snaps  # the N x (K+1) states, which the baseline alone reads again
     dt_used = args.dt if args.dt is not None else dt_est
-    columns, rows = ["benchmark", "dt_estimate", "dt_used"], [[name, float(dt_est), float(dt_used)]]
-    write_table(out / "dt_estimate.csv", "dt-estimate", columns, rows)
+    write_table(
+        out / "dt_estimate.csv",
+        "dt-estimate",
+        ["benchmark", "dt_estimate", "dt_used"],
+        [[name, float(dt_est), float(dt_used)]],
+    )
 
-    reports, spectra_rows, baseline_rows = [], [], []
+    reports = []
+    spectra_rows = []
+    baseline_rows = []
     for ensemble, result in sweep(fom, pod.matrix(n_max), dt_used, spec.state_scale):
         n = ensemble.basis.n
         V = pod.matrix(n)
         ref = intrusive_reduce(fom, V)
         reports.append(build_report(result.operator, ref, result.cond_P, ensemble.size))
         if "diffusion_spectrum_min" in bounded:
-            inferred = reports[-1]["diffusion_spectrum"]
-            eigs = zip(diffusion_spectrum(ref.degree_block(1)), inferred)
-            spectra_rows += [[n, k, float(a), float(b)] for k, (a, b) in enumerate(eigs, 1)]
+            intrusive_eigs = diffusion_spectrum(ref.degree_block(1))
+            inferred_eigs = reports[-1]["diffusion_spectrum"]
+            for k in range(n):
+                spectra_rows.append(
+                    [n, k + 1, float(intrusive_eigs[k]), float(inferred_eigs[k])]
+                )
         if args.baseline:
-            reduced = SnapshotMatrix(V.T @ snaps.states, snaps.times, snaps.inputs)
+            reduced = SnapshotMatrix(
+                states=V.T @ snaps.states,
+                times=snaps.times,
+                inputs=snaps.inputs,
+            )
             ls = standard_opinf(reduced, ensemble.basis)
             baseline_rows.append([n, relative_operator_error(ls.operator, ref), ls.rank, ls.cond_P])
 
-    blocks = [*spec.degree_set] + ["input"] * (spec.n_u > 0)
-    columns = ["n", "relative_error", *(f"err_deg_{i}" for i in spec.degree_set)]
-    columns += ["err_input"] * (spec.n_u > 0)
-    errors = [[float(rep["block_errors"][b]) for b in blocks] for rep in reports]
-    rows = [[rep["n"], rep["relative_operator_error"], *e] for rep, e in zip(reports, errors)]
-    write_table(out / "operator_errors.csv", "operator-errors", columns, rows)
-    rows = [[rep["n"], rep["cond_P"], rep["ensemble_size"]] for rep in reports]
-    write_table(out / "cond_P.csv", "cond-p", ["n", "cond_P", "ensemble_size"], rows)
+    degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
+    input_cols = ["err_input"] if spec.n_u else []
+    write_table(
+        out / "operator_errors.csv",
+        "operator-errors",
+        ["n", "relative_error"] + degree_cols + input_cols,
+        [
+            [rep["n"], rep["relative_operator_error"]]
+            + [float(rep["block_errors"][i]) for i in spec.degree_set]
+            + ([float(rep["block_errors"]["input"])] if spec.n_u else [])
+            for rep in reports
+        ],
+    )
+    write_table(
+        out / "cond_P.csv",
+        "cond-p",
+        ["n", "cond_P", "ensemble_size"],
+        [[rep["n"], rep["cond_P"], rep["ensemble_size"]] for rep in reports],
+    )
     for metric, (fname, kind, column) in STRUCTURE_TABLES.items():
         if metric in bounded:
             rows = [[rep["n"], rep[metric]] for rep in reports]
             write_table(out / fname, kind, ["n", column], rows)
     if "diffusion_spectrum_min" in bounded:
-        write_table(out / "spectra.csv", "spectra", ["n", "k", "intrusive", "inferred"], spectra_rows)
+        write_table(
+            out / "spectra.csv", "spectra", ["n", "k", "intrusive", "inferred"], spectra_rows
+        )
     if args.baseline:
-        columns = ["n", "relative_error", "rank", "cond_P"]
-        write_table(out / "baseline_errors.csv", "baseline-errors", columns, baseline_rows)
+        write_table(
+            out / "baseline_errors.csv",
+            "baseline-errors",
+            ["n", "relative_error", "rank", "cond_P"],
+            baseline_rows,
+        )
 
     failures = _check_thresholds(spec, reports)
     if failures:
@@ -224,7 +254,11 @@ def cmd_pod(args) -> int:
 def cmd_diagnose(args) -> int:
     op = read_operator(args.operator)
     reference = read_operator(args.reference) if args.reference else None
-    report = {"n": op.basis.n, "degree_set": list(op.basis.degree_set), "n_u": op.basis.n_u}
+    report = {
+        "n": op.basis.n,
+        "degree_set": list(op.basis.degree_set),
+        "n_u": op.basis.n_u,
+    }
     structure = structure_metrics(op)
     report.update(
         {name: structure[key] for key, name in DIAGNOSE_KEYS.items() if key in structure}
@@ -234,7 +268,9 @@ def cmd_diagnose(args) -> int:
             report["relative_operator_error"] = relative_operator_error(op, reference)
         except ValueError as exc:
             raise ValueError(f"{args.reference}: {exc}") from exc
-        report["block_errors"] = {str(k): v for k, v in block_errors(op, reference).items()}
+        report["block_errors"] = {
+            str(k): v for k, v in block_errors(op, reference).items()
+        }
     text = _dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -113,7 +113,10 @@ def structure_metrics(operator: AggregatedOperator) -> dict:
 
 
 def build_report(
-    inferred: AggregatedOperator, reference: AggregatedOperator, cond_P: float, ensemble_size: int
+    inferred: AggregatedOperator,
+    reference: AggregatedOperator,
+    cond_P: float,
+    ensemble_size: int,
 ) -> dict:
     """The metrics of one reduced dimension, by name: accuracy against
     ``reference``, the data matrix's condition and size, and

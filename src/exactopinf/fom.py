@@ -126,24 +126,18 @@ def _check_dt(dt: float) -> None:
         raise ValueError("time step must be positive and finite")
 
 
-def _advance(x, f, dt: float) -> np.ndarray:
-    """``x + dt * f`` by one finiteness test; only a failed step looks for its cause."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != x.shape:
-        raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
-    y = x + dt * f
-    if not np.isfinite(y).all():
-        _finite(f)
-        raise NonFiniteStateError(f"step of size {dt:g} left the finite range", _failed_column(y))
-    return y
-
-
 def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One explicit Euler step ``x + dt * f(x, u)`` of a state, or column-wise of an ``(N, m)``
     block with ``(n_u, m)`` inputs, rejecting a non-finite one (naming a block's column)."""
     _check_dt(dt)
     x = np.asarray(x, dtype=float)
-    return _advance(x, eval_rhs(fom, x, u), dt)
+    f = eval_rhs(fom, x, u)
+    if f.shape != x.shape:
+        raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
+    y = x + dt * f
+    if not np.isfinite(y).all():
+        raise NonFiniteStateError(f"step of size {dt:g} left the finite range", _failed_column(y))
+    return y
 
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
@@ -187,8 +181,10 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
         if res_norm < tol:
             return y
         y = y - _solve_shifted(band, dt, residual)
-    raise NewtonError(f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-                      f"(last residual {res_norm:.3e})")
+    raise NewtonError(
+        f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+        f"(last residual {res_norm:.3e})"
+    )
 
 
 def _reusing_last(linearize):
@@ -217,33 +213,30 @@ def simulate(
     ``signal`` maps ``t`` to the input (``None``: zero input); it is sampled
     once per time stamp and held over the step from there.  The returned
     matrix holds ``K + 1`` columns including the initial state.  ``dt`` and ``x0``
-    are checked once, each input's shape and each explicit step's finiteness per step.
+    are checked before the first step, and each step starts from the last one's new state.
     """
     if scheme not in ("explicit_euler", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_dt(dt)
-    x, zero = _state_and_input(fom, x0, None)
-    if scheme == "explicit_euler":
-        step = lambda x, u: _advance(x, fom.rhs(x, u), dt)
-    else:  # a step's first iterate is the last step's accepted one
-        if fom.linearize is not None:
-            fom = replace(fom, linearize=_reusing_last(fom.linearize))
-        step = lambda x, u: implicit_euler_step(fom, x, u, dt)
-    sample = (lambda t: zero) if signal is None else (lambda t: np.asarray(signal(t), dtype=float))
-    states, inputs = np.empty((fom.dimension, K + 1)), np.empty((fom.n_u, K + 1))
+    x, _ = _state_and_input(fom, x0, None)
+    if signal is None:
+        signal = lambda t: np.zeros(fom.n_u)
+    states = np.empty((fom.dimension, K + 1))
+    inputs = np.empty((fom.n_u, K + 1))
     times = dt * np.arange(K + 1)
     states[:, 0] = x
+    step = explicit_euler_step if scheme == "explicit_euler" else implicit_euler_step
+    if fom.linearize is not None:  # a step's first iterate is the last step's accepted one
+        fom = replace(fom, linearize=_reusing_last(fom.linearize))
     for k in range(K):
-        u = sample(times[k])
-        if u.shape != zero.shape:
-            raise ValueError(f"input has shape {u.shape}, expected {zero.shape}")
+        u = signal(times[k])
         try:
-            x = step(x, u)  # a new contiguous state
+            x = step(fom, x, u, dt)  # a new contiguous state, not a strided column of states
         except (NonFiniteStateError, NewtonError) as exc:
             raise type(exc)(f"step {k} failed: {exc}") from exc
         states[:, k + 1] = x
         inputs[:, k] = u
-    inputs[:, K] = sample(times[K])
+    inputs[:, K] = signal(times[K])
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 
 

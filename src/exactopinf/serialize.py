@@ -80,8 +80,9 @@ def _read_table(path, kind, text_fields=0, width=None):
         texts, values = [], []
         for lineno, row in enumerate(reader, start=3):
             if len(row) != len(header):
-                message = f"{path}: expected {len(header)} fields, got {len(row)}"
-                raise SchemaError(message, line=lineno)
+                raise SchemaError(
+                    f"{path}: expected {len(header)} fields, got {len(row)}", line=lineno
+                )
             try:
                 values.append([float(v) for v in row[text_fields:]])
             except ValueError as exc:

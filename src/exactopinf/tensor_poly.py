@@ -72,13 +72,22 @@ def monomial_index_array(n: int, i: int) -> np.ndarray:
 
 def ordered_product(A, B) -> np.ndarray:
     """``A.T @ B`` summed row by row from zero: each entry's bits depend only on its columns of
-    ``A`` and ``B``, not on widths, layouts, BLAS or pairwise sums.  ``np.add`` reduces an outer
-    axis row by row, but the only axis left pairwise, so a ``1 x 1`` product accumulates."""
-    terms = np.zeros((A.shape[0] + 1, A.shape[1], B.shape[1]))  # row 0: the zero sums start from
-    np.multiply(A[:, :, None], B[:, None, :], out=terms[1:])
-    if terms[0].size == 1:
-        return np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return np.add.reduce(terms, axis=0)
+    ``A`` and ``B``, not on widths, layouts, BLAS or pairwise sums.  The rows go in chunks of at
+    most ``PRODUCT_BLOCK_ENTRIES`` products, after the sums so far, so the temporary stays in
+    cache.  ``np.add`` reduces an outer axis row by row, but the only axis left pairwise, so a
+    ``1 x 1`` product accumulates."""
+    entries = max(1, A.shape[1] * B.shape[1])
+    rows = max(1, min(A.shape[0], PRODUCT_BLOCK_ENTRIES // entries - 1))
+    terms = np.zeros((rows + 1, A.shape[1], B.shape[1]))  # row 0: the sums so far, from zero
+    for start in range(0, A.shape[0], rows):
+        a, b = A[start : start + rows], B[start : start + rows]
+        chunk = terms[: len(a) + 1]
+        np.multiply(a[:, :, None], b[:, None, :], out=chunk[1:])
+        if entries == 1:
+            terms[0] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
+        else:
+            terms[0] = np.add.reduce(chunk, axis=0)
+    return terms[0].copy()
 
 
 def compress_states(X, i: int, out=None) -> np.ndarray:

@@ -279,11 +279,14 @@ class TestOrderedProduct:
     @pytest.mark.parametrize(
         "N, n, m, order",
         [(512, 7, 1, "C"), (512, 1, 16, "C"), (1, 7, 16, "C"), (512, 7, 16, "F"),
-         (100, 1, 1, "C"), (100, 1, 1, "F"), (9, 2, 1, "F"), (1, 1, 1, "C")],
-        ids=["one-pair", "n-1", "N-1", "F-order", "1x1", "1x1-F", "small-F", "scalar"],
+         (100, 1, 1, "C"), (100, 1, 1, "F"), (9, 2, 1, "F"), (1, 1, 1, "C"),
+         (20000, 1, 1, "C"), (5000, 3, 1, "F")],
+        ids=["one-pair", "n-1", "N-1", "F-order", "1x1", "1x1-F", "small-F", "scalar",
+             "1x1-chunks", "chunks-F"],
     )
     def test_bitwise_the_sequential_row_sum(self, rng, N, n, m, order):
-        # np.add sums the only axis of a 1 x 1 product pairwise, from N = 8 on
+        # np.add sums the only axis of a 1 x 1 product pairwise, from N = 8 on;
+        # rows beyond one chunk of PRODUCT_BLOCK_ENTRIES products add to its sums
         A = np.asarray(rng.standard_normal((N, n)), order=order)
         B = rng.standard_normal((N, m))
         assert ordered_product(A, B).tobytes() == self.row_sum(A, B).tobytes()
