@@ -164,16 +164,14 @@ def cmd_experiment(args) -> int:
             ls = standard_opinf(reduced, ensemble.basis)
             baseline_rows.append([n, relative_operator_error(ls.operator, ref), ls.rank, ls.cond_P])
 
-    degree_cols = [f"err_deg_{i}" for i in spec.degree_set]
+    degree_cols = [f"err_deg_{i}" for i in fom.degree_set]  # block_errors' order: sorted
     input_cols = ["err_input"] if spec.n_u else []
     write_table(
         out / "operator_errors.csv",
         "operator-errors",
         ["n", "relative_error"] + degree_cols + input_cols,
         [
-            [rep["n"], rep["relative_operator_error"]]
-            + [float(rep["block_errors"][i]) for i in spec.degree_set]
-            + ([float(rep["block_errors"]["input"])] if spec.n_u else [])
+            [rep["n"], rep["relative_operator_error"], *rep["block_errors"].values()]
             for rep in reports
         ],
     )

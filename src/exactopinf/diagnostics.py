@@ -1,21 +1,21 @@
-"""Figures of merit: operator errors and structure checks."""
+"""Figures of merit: operator errors and structure checks, every norm a fixed-order ``norm``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .galerkin import AggregatedOperator
-from .tensor_poly import enumerate_monomials
+from .tensor_poly import monomial_index_array, norm
 
 
 def relative_operator_error(inferred: AggregatedOperator, reference: AggregatedOperator) -> float:
     """Frobenius-norm error of ``inferred`` relative to ``reference``."""
     if inferred.basis != reference.basis:
         raise ValueError("operators use different feature layouts")
-    ref_norm = np.linalg.norm(reference.matrix)
+    ref_norm = norm(reference.matrix)
     if ref_norm == 0:
         raise ValueError("reference operator is zero; relative error undefined")
-    return float(np.linalg.norm(inferred.matrix - reference.matrix) / ref_norm)
+    return norm(inferred.matrix - reference.matrix) / ref_norm
 
 
 def block_errors(inferred: AggregatedOperator, reference: AggregatedOperator) -> dict:
@@ -24,9 +24,9 @@ def block_errors(inferred: AggregatedOperator, reference: AggregatedOperator) ->
         raise ValueError("operators use different feature layouts")
     errors = {}
     for i in inferred.basis.degree_set:
-        errors[i] = float(np.linalg.norm(inferred.degree_block(i) - reference.degree_block(i)))
+        errors[i] = norm(inferred.degree_block(i) - reference.degree_block(i))
     if inferred.basis.n_u:
-        errors["input"] = float(np.linalg.norm(inferred.input_block - reference.input_block))
+        errors["input"] = norm(inferred.input_block - reference.input_block)
     return errors
 
 
@@ -38,16 +38,12 @@ def quadratic_tensor(A2: np.ndarray, n: int) -> np.ndarray:
     indices and reproduces the block's action on compressed squares.
     """
     A2 = np.asarray(A2, dtype=float)
-    mons = enumerate_monomials(n, 2)
-    if A2.shape[1] != len(mons):
-        raise ValueError(f"quadratic block has {A2.shape[1]} columns, expected {len(mons)}")
+    j, k = monomial_index_array(n, 2).T
+    if A2.shape[1] != len(j):
+        raise ValueError(f"quadratic block has {A2.shape[1]} columns, expected {len(j)}")
     h = np.zeros((A2.shape[0], n, n))
-    for col, (j, k) in enumerate(mons):
-        if j == k:
-            h[:, j - 1, k - 1] = A2[:, col]
-        else:
-            h[:, j - 1, k - 1] = 0.5 * A2[:, col]
-            h[:, k - 1, j - 1] = 0.5 * A2[:, col]
+    h[:, j, k] = np.where(j == k, 1.0, 0.5) * A2
+    h[:, k, j] = h[:, j, k]
     return h
 
 
@@ -69,10 +65,10 @@ def symmetry_violation(A1: np.ndarray) -> float:
     A1 = np.asarray(A1, dtype=float)
     if A1.shape[0] != A1.shape[1]:
         raise ValueError("block must be square")
-    norm = np.linalg.norm(A1)
-    if norm == 0:
+    scale = norm(A1)
+    if scale == 0:
         return 0.0
-    return float(np.linalg.norm(A1 - A1.T) / norm)
+    return norm(A1 - A1.T) / scale
 
 
 def diffusion_spectrum(A1: np.ndarray) -> np.ndarray:
@@ -104,11 +100,11 @@ def structure_metrics(operator: AggregatedOperator) -> dict:
         metrics["diffusion_spectrum_min"] = float(spectrum.min())
     if 2 in degrees:
         A2 = operator.degree_block(2)
-        norm = np.linalg.norm(A2)
-        total = np.linalg.norm(operator.matrix)
-        scale = total if norm <= 1e-12 * total else norm
+        block = norm(A2)
+        total = norm(operator.matrix)
+        scale = total if block <= 1e-12 * total else block
         metrics["energy_violation"] = float(energy_violation(A2) / scale) if scale > 0 else 0.0
-        metrics["quadratic_block_fraction"] = float(norm / total) if total else 0.0
+        metrics["quadratic_block_fraction"] = block / total if total else 0.0
     return metrics
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .fom import NonFiniteStateError, PolynomialFOM, SnapshotMatrix, explicit_euler_step
 from .galerkin import AggregatedOperator
-from .pod import PodBasis, bidiagonalize, norm
+from .pod import PodBasis, bidiagonalize
 from .tensor_poly import (
     PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials, feature_matrix, monomial_index_array,
-    ordered_product,
+    norm, ordered_product,
 )
 
 
@@ -308,9 +308,10 @@ def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np
 
     :func:`bidiagonalize` from a fixed pseudo-random start stops once the top Ritz value
     ``sigma`` of ``B_k`` has a residual of at most ``1e-14 sigma``, or after ``size`` steps,
-    where it is exact.  Each ``alpha_k`` is a lower bound; one not below ``limit`` is returned.
+    where it is exact; if the bidiagonalization ends first, its last ``sigma`` (0 before any
+    step) is returned.  Each ``alpha_k`` is a lower bound; one not below ``limit`` is returned.
     """
-    v = np.random.default_rng(0).standard_normal(size)
+    v, sigma = np.random.default_rng(0).standard_normal(size), 0.0
     for k, (alphas, betas, _) in enumerate(bidiagonalize(apply, apply_transpose, v), 1):
         if not alphas[-1] < limit:
             return float(alphas[-1])
@@ -320,7 +321,8 @@ def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np
         eigenvalues, Y = np.linalg.eigh(np.einsum("ij,kj->ik", B, B))
         sigma = scale * np.sqrt(eigenvalues[-1])
         if k == size or betas[-1] * abs(Y[-1, -1]) <= 1e-14 * sigma:
-            return float(sigma)
+            break
+    return float(sigma)
 
 
 def _condition_number(solver: _LevelSolver) -> float:

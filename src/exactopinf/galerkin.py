@@ -15,7 +15,7 @@ import numpy as np
 
 from .fom import PolynomialFOM
 from .tensor_poly import PRODUCT_BLOCK_ENTRIES, MonomialBasis, enumerate_monomials
-from .tensor_poly import monomial_index_array, multiplicity
+from .tensor_poly import monomial_index_array, multiplicity, ordered_product
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     scaled by the number of distinct orderings of the tuple.  That scaling
     accounts for the repeated cross terms of the full Kronecker power that
     the compressed monomial carries only once.  Each map is called once per
-    ``PRODUCT_BLOCK_ENTRIES // N`` columns, on ``(N, m)`` stacks of their basis columns.
+    ``PRODUCT_BLOCK_ENTRIES // N`` columns, on ``(N, m)`` stacks of their basis columns, and
+    projected by :func:`ordered_product`, so ``V[:, :n]`` gives bitwise a cut of ``V``'s result.
     """
     n = V.shape[1]
     if fom.multilinear is None:
@@ -85,9 +86,8 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
         for start in range(0, len(idx), width):
             cols = slice(start, start + width)
             H = fom.multilinear[i](*(V[:, idx[cols, k]] for k in range(i)))  # (N,) at degree 0
-            block[:, cols] = (V.T @ H).reshape(n, -1) * counts[cols]
+            block[:, cols] = ordered_product(V, H.reshape(len(V), -1)) * counts[cols]
     if fom.n_u > 0:
-        matrix[:, basis.input_slice] = np.stack(
-            [V.T @ fom.input_map(e) for e in np.eye(fom.n_u)], axis=1
-        )
+        B = np.stack([fom.input_map(e) for e in np.eye(fom.n_u)], axis=1)
+        matrix[:, basis.input_slice] = ordered_product(V, B)
     return AggregatedOperator(basis=basis, matrix=matrix)

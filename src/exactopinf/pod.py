@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fom import SnapshotMatrix
+from .tensor_poly import norm
 
 
 class RankDeficiencyError(ValueError):
@@ -36,15 +37,6 @@ class PodBasis:
         return self.V[:, :n]
 
 
-def norm(x) -> float:
-    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum
-    of squares that neither overflows nor underflows."""
-    scale = np.max(np.abs(x), initial=0.0)
-    if not 0 < scale < np.inf:
-        return float(scale)
-    return float(scale * np.sqrt(np.sum(np.square(x / scale))))
-
-
 def reorthogonalize(w, basis):
     """``w`` with its components along the orthonormal ``basis`` removed
     (two classical Gram-Schmidt passes, fixed-order sums)."""
@@ -62,12 +54,15 @@ def bidiagonalize(apply, apply_transpose, v):
     superdiagonal and then ``beta_k`` (a Ritz triplet ``(sigma, U_k y, V_k z)`` of ``B_k`` has
     residual ``beta_k |y_k|``), and ``U_k``'s columns.  A ``beta_k`` at most ``1e-14 max(alphas)``
     restarts in ``A^T``'s range (``beta_k`` then reads 0), ending once that range is exhausted.
+    It also ends, without a step, where ``alpha_k`` would be 0: ``A v_k`` adds no direction.
     """
     V, U, alphas, betas = [v / norm(v)], [], [], []
     while True:
         u = reorthogonalize(apply(V[-1]) - (betas[-1] * U[-1] if U else 0.0), U)
-        alphas.append(norm(u))
-        U.append(u / alphas[-1])
+        if not (alpha := norm(u)) > 0:
+            return
+        alphas.append(alpha)
+        U.append(u / alpha)
         v = reorthogonalize(apply_transpose(U[-1]) - alphas[-1] * V[-1], V)
         betas.append(norm(v))
         yield alphas, betas, U

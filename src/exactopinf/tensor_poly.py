@@ -1,4 +1,4 @@
-"""Canonical monomial indexing, compressed state powers and feature matrices.
+"""Canonical monomial indexing, compressed state powers, feature matrices and fixed-order sums.
 
 The degree-``i`` "compressed power" of a vector ``x`` of length ``n`` lists
 every distinct product of ``i`` entries of ``x`` exactly once.  Entries are
@@ -88,6 +88,15 @@ def ordered_product(A, B) -> np.ndarray:
         else:
             terms[0] = np.add.reduce(chunk, axis=0)
     return terms[0].copy()
+
+
+def norm(x) -> float:
+    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum
+    of squares that neither overflows nor underflows."""
+    scale = np.max(np.abs(x), initial=0.0)
+    if not 0 < scale < np.inf:
+        return float(scale)
+    return float(scale * np.sqrt(np.sum(np.square(x / scale))))
 
 
 def compress_states(X, i: int, out=None) -> np.ndarray:

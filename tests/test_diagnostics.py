@@ -15,7 +15,7 @@ from exactopinf.diagnostics import (
 from exactopinf.exact_opinf import _condition_number, _square_solver, standard_opinf
 from exactopinf.fom import SnapshotMatrix
 from exactopinf.galerkin import AggregatedOperator
-from exactopinf.tensor_poly import MonomialBasis, compress_states, monomial_count
+from exactopinf.tensor_poly import MonomialBasis, compress_states, enumerate_monomials, monomial_count
 
 
 def _op(n, degrees, matrix, n_u=0):
@@ -88,6 +88,19 @@ class TestQuadraticTensor:
         A2 = np.array([[1.0, 2.0, 3.0]])
         h = quadratic_tensor(A2, 2)
         np.testing.assert_allclose(h[0], [[1.0, 1.0], [1.0, 3.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_bitwise_the_per_monomial_loop(self, rng, n):
+        # the reference: each column written into its slots one at a time
+        A2 = rng.standard_normal((n, monomial_count(n, 2)))
+        h = np.zeros((n, n, n))
+        for col, (j, k) in enumerate(enumerate_monomials(n, 2)):
+            if j == k:
+                h[:, j - 1, k - 1] = A2[:, col]
+            else:
+                h[:, j - 1, k - 1] = 0.5 * A2[:, col]
+                h[:, k - 1, j - 1] = 0.5 * A2[:, col]
+        assert quadratic_tensor(A2, n).tobytes() == h.tobytes()
 
     def test_reproduces_action_on_squares(self, rng):
         n = 3

@@ -14,6 +14,7 @@ from exactopinf.exact_opinf import (
     SingularDataMatrixError,
     SnapshotEnsemble,
     _condition_number,
+    _largest_singular_value,
     _square_solver,
     estimate_dt,
     generate_ensemble,
@@ -546,6 +547,16 @@ class TestConditionNumber:
         P = np.diag([1.0, small])
         assert np.linalg.matrix_rank(P) < 2
         assert _condition_number(_square_solver(P)) == np.inf
+
+    def test_largest_singular_value_when_the_bidiagonalization_ends_early(self):
+        # a zero operator maps the start to zero: no step, and sigma_max is 0;
+        # the rank-one e_1 w^T gives A v_2 along u_1 after one step, and the
+        # estimate is that step's Ritz value, a lower bound, not NaN or None
+        assert _largest_singular_value(np.zeros_like, np.zeros_like, 3) == 0.0
+        w = np.array([1.0, -2.0, 2.0])
+        A = np.outer([1.0, 0.0, 0.0], w)
+        sigma = _largest_singular_value(lambda x: A @ x, lambda y: A.T @ y, 3)
+        assert 0 < sigma <= 3.0
 
     def test_deterministic(self):
         basis = MonomialBasis(n=6, degree_set=CHAFEE_INFANTE.degree_set, n_u=CHAFEE_INFANTE.n_u)

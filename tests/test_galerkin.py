@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exactopinf.exact_opinf import rank_ensuring_pairs
 from exactopinf.fom import PolynomialFOM, eval_rhs, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator, MissingMultilinearAccess, intrusive_reduce
 from exactopinf.tensor_poly import (
@@ -127,3 +128,16 @@ class TestIntrusiveReduce:
         for i, ref in per_monomial_blocks(d["fom"], V).items():
             got = red.degree_block(i)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), i
+
+    @pytest.mark.parametrize("data", ["ice_data", "chafee_data", "burgers_data"])
+    def test_every_width_is_a_cut_of_the_widest(self, request, data):
+        # the reference on V[:, :n] is bitwise the rows 1..n of the widest one
+        # and the columns of the pairs whose states vanish beyond row n, the
+        # columns narrow keeps of an ensemble: the inference's nesting rule
+        d = request.getfixturevalue(data)
+        V = d["pod"].V
+        widest = intrusive_reduce(d["fom"], V)
+        states, _ = rank_ensuring_pairs(widest.basis)
+        for n in range(1, V.shape[1] + 1):
+            cut = widest.matrix[:n, ~states[n:].any(axis=0)]
+            assert intrusive_reduce(d["fom"], V[:, :n]).matrix.tobytes() == cut.tobytes(), n

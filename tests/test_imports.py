@@ -3,7 +3,9 @@ every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
 module takes an SVD, no bundled model and not the POD takes a matrix
-product, the shallow-ice model takes no power, one constant sizes every
+product, the intrusive reference and the diagnostics take no BLAS product or
+norm, ``tensor_poly`` alone defines ``norm`` and ``ordered_product``, the
+shallow-ice model takes no power, one constant sizes every
 block, no package
 attribute shadows the submodule of its name, neither importing the
 package, building the benchmarks nor an implicit step loads
@@ -291,6 +293,35 @@ def test_pod_takes_no_blas_product():
         if isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords)
     ]
     assert _products(tree, {"dot", "matmul"}) + optimized == []
+
+
+def test_reference_and_diagnostics_take_no_blas_product_or_norm():
+    # the intrusive reference projects by tensor_poly.ordered_product and the
+    # diagnostics take tensor_poly.norm, fixed-order sums, so no experiment CSV
+    # depends on the BLAS or its threads
+    for name in ("galerkin.py", "diagnostics.py"):
+        tree = _tree(name)
+        norms = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "norm"
+        ]
+        linalg = [module for module in _imported_modules(tree) if module.startswith("numpy.linalg")]
+        assert _products(tree, {"dot", "matmul"}) + norms + linalg == [], name
+
+
+def test_one_norm_and_one_ordered_product():
+    # tensor_poly owns how the package sums: no other module defines, or
+    # binds a variable to, a norm or an ordered product of its own
+    names = {"norm", "ordered_product"}
+    defined = sorted(
+        f"{path.name}:{node.name if isinstance(node, ast.FunctionDef) else node.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if (isinstance(node, ast.FunctionDef) and node.name in names)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in names)
+    )
+    assert defined == ["tensor_poly.py:norm", "tensor_poly.py:ordered_product"]
 
 
 def test_only_pod_calls_an_svd():

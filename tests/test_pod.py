@@ -5,12 +5,33 @@ import numpy as np
 import pytest
 
 from exactopinf.fom import SnapshotMatrix
-from exactopinf.pod import PodBasis, RankDeficiencyError, pod_basis
+from exactopinf.pod import PodBasis, RankDeficiencyError, bidiagonalize, pod_basis
 
 
 def _snapshots(X):
     K = X.shape[1]
     return SnapshotMatrix(states=X, times=np.arange(K, dtype=float), inputs=np.zeros((0, K)))
+
+
+class TestBidiagonalize:
+    def test_zero_alpha_ends_before_its_step(self):
+        # A = diag(1, 0) maps the start e_2 to zero: alpha_1 would be 0, and
+        # the bidiagonalization ends instead of dividing by it
+        A = np.diag([1.0, 0.0])
+        assert list(bidiagonalize(lambda x: A @ x, lambda y: A.T @ y, np.array([0.0, 1.0]))) == []
+
+    def test_zero_alpha_after_a_step(self):
+        # A = e_1 (1, 1)^T from e_1: alpha_1 = beta_1 = 1, then A v_2 = beta_1 u_1
+        # leaves nothing new; the one step is kept, and nothing is NaN
+        A = np.array([[1.0, 1.0], [0.0, 0.0]])
+        steps = [
+            (list(alphas), list(betas), np.array(U))
+            for alphas, betas, U in bidiagonalize(lambda x: A @ x, lambda y: A.T @ y, np.array([1.0, 0.0]))
+        ]
+        assert len(steps) == 1
+        alphas, betas, U = steps[0]
+        assert alphas == [1.0] and betas == [1.0]
+        np.testing.assert_array_equal(U, [[1.0, 0.0]])
 
 
 class TestPodBasis:
