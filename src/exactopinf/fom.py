@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_poly import MonomialBasis, feature_matrix, monomial_index_array, ordered_product
+from .tensor_poly import PRODUCT_BLOCK_ENTRIES, MonomialBasis, feature_matrix, monomial_index_array, ordered_product
 
 NEWTON_TOL = 1e-10  # implicit Euler's Newton residual tolerance, times 1 + ||x||
 NEWTON_MAX_ITER = 50
@@ -96,12 +96,15 @@ class SnapshotMatrix:
 def _state_and_input(fom: PolynomialFOM, x, u, block=()):
     """``x`` and ``u`` (``None``: zero input) as float arrays of the model's shapes, followed
     by ``block``: ``(m,)`` for an ``(N, m)`` block of states and ``(n_u, m)`` inputs."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(np.zeros((fom.n_u, *block)) if u is None else u, dtype=float)
-    for name, a, n in (("state", x, fom.dimension), ("input", u, fom.n_u)):
-        if a.shape != (n, *block):
-            raise ValueError(f"{name} has shape {a.shape}, expected {(n, *block)}")
-    return x, u
+    u = np.zeros((fom.n_u, *block)) if u is None else u
+    return _shaped("state", x, (fom.dimension, *block)), _shaped("input", u, (fom.n_u, *block))
+
+
+def _shaped(name: str, a, shape: tuple) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def _failed_column(a):
@@ -131,13 +134,16 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     block with ``(n_u, m)`` inputs, rejecting a non-finite one (naming a block's column)."""
     _check_dt(dt)
     x = np.asarray(x, dtype=float)
-    f = eval_rhs(fom, x, u)
-    if f.shape != x.shape:
-        raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
-    y = x + dt * f
+    y = _euler(x, eval_rhs(fom, x, u), dt)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(f"step of size {dt:g} left the finite range", _failed_column(y))
     return y
+
+
+def _euler(x: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
+    if f.shape != x.shape:
+        raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
+    return x + dt * f
 
 
 def _solve_shifted(band, dt: float, r: np.ndarray) -> np.ndarray:
@@ -210,10 +216,13 @@ def simulate(
 ) -> SnapshotMatrix:
     """Integrate ``K`` uniform steps of size ``dt`` from ``x0``.
 
-    ``signal`` maps ``t`` to the input (``None``: zero input); it is sampled
-    once per time stamp and held over the step from there.  The returned
-    matrix holds ``K + 1`` columns including the initial state.  ``dt`` and ``x0``
-    are checked before the first step, and each step starts from the last one's new state.
+    ``signal`` maps ``t``, a Python float, to the input (``None``: zero input); it is
+    sampled once per time stamp, its shape checked, and held over the step from there.  The
+    returned matrix holds ``K + 1`` columns including the initial state.  ``dt`` and ``x0`` are
+    checked before the first step.  Steps run in blocks of ``PRODUCT_BLOCK_ENTRIES // N``; an
+    explicit step is ``explicit_euler_step``'s arithmetic, and a block's first non-finite
+    state, found once per block, has its step replayed by ``explicit_euler_step`` for the
+    error, so a model may see up to a block of non-finite states before the error.
     """
     if scheme not in ("explicit_euler", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -225,18 +234,29 @@ def simulate(
     inputs = np.empty((fom.n_u, K + 1))
     times = dt * np.arange(K + 1)
     states[:, 0] = x
-    step = explicit_euler_step if scheme == "explicit_euler" else implicit_euler_step
     if fom.linearize is not None:  # a step's first iterate is the last step's accepted one
         fom = replace(fom, linearize=_reusing_last(fom.linearize))
-    for k in range(K):
-        u = signal(times[k])
+    step = implicit_euler_step if scheme == "implicit_euler" else lambda fom, x, u, dt: _euler(x, fom.rhs(x, u), dt)
+    width = max(1, PRODUCT_BLOCK_ENTRIES // fom.dimension)
+    rows, row_inputs = np.zeros((width + 1, fom.dimension)), np.empty((width, fom.n_u))
+    for a in range(0, K, width):
+        rows[0] = x  # row i + 1 gets step a + i's state; x is its own contiguous array
         try:
-            x = step(fom, x, u, dt)  # a new contiguous state, not a strided column of states
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, t in enumerate(times[a : min(a + width, K)].tolist()):
+                    row_inputs[i] = u = _shaped("input", signal(t), (fom.n_u,))
+                    x = rows[i + 1] = step(fom, x, u, dt)
         except (NonFiniteStateError, NewtonError) as exc:
-            raise type(exc)(f"step {k} failed: {exc}") from exc
-        states[:, k + 1] = x
-        inputs[:, k] = u
-    inputs[:, K] = signal(times[K])
+            raise type(exc)(f"step {a + i} failed: {exc}") from exc
+        finally:  # replay the first non-finite state's step, checked; a step that raised left its row finite
+            for j in np.flatnonzero(~np.isfinite(rows[1 : i + 2]).all(axis=1))[:1]:
+                try:
+                    explicit_euler_step(fom, rows[j], row_inputs[j], dt)
+                except NonFiniteStateError as exc:
+                    raise NonFiniteStateError(f"step {a + j} failed: {exc}") from exc
+        states[:, a + 1 : a + i + 2] = rows[1 : i + 2].T
+        inputs[:, a : a + i + 1] = row_inputs[: i + 1].T
+    inputs[:, K] = _shaped("input", signal(float(times[K])), (fom.n_u,))
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 
 

@@ -1,6 +1,7 @@
 """Full-order models: evaluation, integration, and black-box structure probes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="input has shape"):
             simulate(fom, np.ones(1), lambda t: np.ones(1), 0.5, 3)
 
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_last_sample_checked(self, K):
+        # the sample at t = K * dt, after the last step (the only one at K = 0),
+        # is checked as every other, not broadcast into the inputs
+        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=2, rhs=lambda x, u: u[:1])
+        for last in (np.ones(1), np.ones(3)):
+            signal = lambda t: last if t >= 0.5 * K else np.ones(2)
+            with pytest.raises(ValueError, match=rf"^input has shape \({len(last)},\), expected \(2,\)$"):
+                simulate(fom, np.ones(1), signal, 0.5, K)
+
     def test_signal_sampled_once_per_time_stamp(self):
         seen = []
 
@@ -449,30 +460,70 @@ class TestSimulate:
         assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_explicit_trajectory_is_bitwise_single_steps(self):
-        # the loop steps without the per-step checks of explicit_euler_step,
-        # from each new contiguous state: the same bytes
+        # the loop steps in blocks of 64 at N = 128 without the per-step checks
+        # of explicit_euler_step, from each new contiguous state: the same bytes
+        # with no step, within one block and across two block boundaries
         spec = SPECS["chafee_infante"]
         fom, signal, x0 = build(spec)
-        K = 40
-        snaps = simulate(fom, x0, signal, spec.dt_pod, K)
-        x = x0
-        for k in range(K):
-            x = explicit_euler_step(fom, x, signal(snaps.times[k]), spec.dt_pod)
-            assert snaps.states[:, k + 1].tobytes() == x.tobytes()
+        for K in (0, 40, 2 * 64 + 3):
+            snaps = simulate(fom, x0, signal, spec.dt_pod, K)
+            x = x0
+            for k in range(K):
+                x = explicit_euler_step(fom, x, signal(snaps.times[k]), spec.dt_pod)
+                assert snaps.states[:, k + 1].tobytes() == x.tobytes()
+            for k in range(K + 1):
+                assert snaps.inputs[:, k].tobytes() == signal(snaps.times[k]).tobytes()
+
+    def test_successful_explicit_run_calls_rhs_once_per_step(self):
+        spec = SPECS["chafee_infante"]
+        fom, signal, x0 = build(spec)
+        calls = []
+        counted = dataclasses.replace(fom, rhs=lambda x, u: calls.append(1) or fom.rhs(x, u))
+        K = 2 * 64 + 3
+        snaps = simulate(counted, x0, signal, spec.dt_pod, K)
+        assert len(calls) == K
+        assert snaps.states.tobytes() == simulate(fom, x0, signal, spec.dt_pod, K).states.tobytes()
+
+    def test_memory_is_the_trajectory_and_one_block(self):
+        # no second N x (K+1) array and no list over the whole horizon: the
+        # peak beyond the returned arrays is a block of rows and the model's
+        # temporaries (0.16 MB; a list of all 10 001 times alone adds 0.32 MB)
+        spec = SPECS["chafee_infante"]
+        fom, signal, x0 = build(spec)
+        simulate(fom, x0, signal, spec.dt_pod, 100)
+        tracemalloc.start()
+        try:
+            snaps = simulate(fom, x0, signal, spec.dt_pod, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - (snaps.states.nbytes + snaps.inputs.nbytes + snaps.times.nbytes) <= 0.25e6
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize(
-        "rhs, x0, message",
+        "N, rhs, message",
         [
-            (lambda x, u: x * np.array([1.0, np.nan]), [1.0, 1.0], "step 0 failed: right-hand side returned non-finite values"),
-            (lambda x, u: np.full_like(x, 1e298), [1.0, 1.0], "step 1 failed: step of size 1e\\+10 left the finite range"),
+            (2, lambda x, u: x * np.array([1.0, np.nan]), "step 0 failed: right-hand side returned non-finite values"),
+            (2, lambda x, u: np.full_like(x, 1e298), "step 1 failed: step of size 1e\\+10 left the finite range"),
+            # N = 128 steps in blocks of 64: x[0] = 1 + 1e10 k passes 7e11 at
+            # step 70, inside the second block, which runs on to its one check
+            (
+                128,
+                lambda x, u: np.full_like(x, np.nan if x[0] > 7e11 else 1.0),
+                "step 70 failed: right-hand side returned non-finite values",
+            ),
+            (
+                128,
+                lambda x, u: np.full_like(x, 1e300 if x[0] > 7e11 else 1.0),
+                "step 70 failed: step of size 1e\\+10 left the finite range",
+            ),
         ],
-        ids=["rhs", "overflow"],
+        ids=["rhs", "overflow", "rhs-mid-block", "overflow-mid-block"],
     )
-    def test_failure_names_its_cause(self, rhs, x0, message):
-        fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=rhs)
+    def test_failure_names_its_cause(self, N, rhs, message):
+        fom = PolynomialFOM(dimension=N, degree_set=(1,), n_u=0, rhs=rhs)
         with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
-            simulate(fom, np.array(x0), None, 1e10, 3)
+            simulate(fom, np.ones(N), None, 1e10, 100)
 
     def test_dt_and_initial_state_checked_before_any_step(self):
         calls = []

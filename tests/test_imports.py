@@ -179,7 +179,8 @@ def _imported_modules(tree):
 def test_one_block_size():
     # tensor_poly.PRODUCT_BLOCK_ENTRIES is the one module-level block size, and
     # every blocked loop reads it: galerkin's stacks, the lift's pair blocks,
-    # which the ensemble steps and projects, and compress_states' rows
+    # which the ensemble steps and projects, compress_states' rows and the
+    # trajectory's steps, which take no block size of their own
     sizes = sorted(
         f"{path.stem}.{name}"
         for path in PACKAGE.glob("*.py")
@@ -188,10 +189,18 @@ def test_one_block_size():
         and any(word in name.upper() for word in ("BLOCK", "CHUNK", "BATCH", "ENTRIES", "COLUMNS", "ROWS"))
     )
     assert sizes == ["tensor_poly.PRODUCT_BLOCK_ENTRIES"]
-    readers = {"galerkin.py": "intrusive_reduce", "exact_opinf.py": "_lift", "tensor_poly.py": "compress_states"}
+    readers = {
+        "galerkin.py": "intrusive_reduce",
+        "exact_opinf.py": "_lift",
+        "tensor_poly.py": "compress_states",
+        "fom.py": "simulate",
+    }
     for module, function in readers.items():
         body = next(definition for name, definition in _definitions(_tree(module)) if name == function)
         assert "PRODUCT_BLOCK_ENTRIES" in _reads([body]), f"{module}: {function}"
+    # nor does simulate take a block size as a parameter
+    simulate = next(definition for name, definition in _definitions(_tree("fom.py")) if name == "simulate")
+    assert [a.arg for a in simulate.args.args + simulate.args.kwonlyargs] == ["fom", "x0", "signal", "dt", "K", "scheme"]
 
 
 def test_only_fom_imports_scipy_linalg():
