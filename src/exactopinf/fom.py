@@ -94,8 +94,7 @@ class SnapshotMatrix:
 
 
 def _state_and_input(fom: PolynomialFOM, x, u, block=()):
-    """``x`` and ``u`` (``None``: zero input) as float arrays of the model's shapes, followed
-    by ``block``: ``(m,)`` for an ``(N, m)`` block of states and ``(n_u, m)`` inputs."""
+    """``x`` and ``u`` (``None``: zero input) as float arrays of shapes ``(N, *block)`` and ``(n_u, *block)``."""
     u = np.zeros((fom.n_u, *block)) if u is None else u
     return _shaped("state", x, (fom.dimension, *block)), _shaped("input", u, (fom.n_u, *block))
 
@@ -133,15 +132,14 @@ def explicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     """One explicit Euler step ``x + dt * f(x, u)`` of a state, or column-wise of an ``(N, m)``
     block with ``(n_u, m)`` inputs, rejecting a non-finite one (naming a block's column)."""
     _check_dt(dt)
-    x = np.asarray(x, dtype=float)
-    y = _euler(x, eval_rhs(fom, x, u), dt)
+    y = _euler(np.asarray(x, dtype=float), eval_rhs(fom, x, u), dt)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(f"step of size {dt:g} left the finite range", _failed_column(y))
     return y
 
 
 def _euler(x: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    if f.shape != x.shape:
+    if (f := np.asarray(f, dtype=float)).shape != x.shape:
         raise ValueError(f"right-hand side has shape {f.shape} at states of shape {x.shape}")
     return x + dt * f
 
@@ -216,13 +214,11 @@ def simulate(
 ) -> SnapshotMatrix:
     """Integrate ``K`` uniform steps of size ``dt`` from ``x0``.
 
-    ``signal`` maps ``t``, a Python float, to the input (``None``: zero input); it is
-    sampled once per time stamp, its shape checked, and held over the step from there.  The
-    returned matrix holds ``K + 1`` columns including the initial state.  ``dt`` and ``x0`` are
-    checked before the first step.  Steps run in blocks of ``PRODUCT_BLOCK_ENTRIES // N``; an
-    explicit step is ``explicit_euler_step``'s arithmetic, and a block's first non-finite
-    state, found once per block, has its step replayed by ``explicit_euler_step`` for the
-    error, so a model may see up to a block of non-finite states before the error.
+    ``signal`` maps ``t``, a Python float, to the input (``None``: zero input), each sample's shape
+    checked and held over the step from there.  The returned matrix holds ``K + 1`` columns from
+    ``x0``; ``dt`` and ``x0`` are checked first.  Steps run in blocks of ``PRODUCT_BLOCK_ENTRIES // N``,
+    explicit ones by ``explicit_euler_step``'s arithmetic with finiteness checked once per block:
+    a model may see a block of non-finite states before the first one's step is replayed, checked.
     """
     if scheme not in ("explicit_euler", "implicit_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -236,26 +232,30 @@ def simulate(
     states[:, 0] = x
     if fom.linearize is not None:  # a step's first iterate is the last step's accepted one
         fom = replace(fom, linearize=_reusing_last(fom.linearize))
-    step = implicit_euler_step if scheme == "implicit_euler" else lambda fom, x, u, dt: _euler(x, fom.rhs(x, u), dt)
+    quiet = "ignore" if scheme == "explicit_euler" else None  # explicit steps are checked once per block
     width = max(1, PRODUCT_BLOCK_ENTRIES // fom.dimension)
-    rows, row_inputs = np.zeros((width + 1, fom.dimension)), np.empty((width, fom.n_u))
+    rows, row_inputs = np.empty((width + 1, fom.dimension)), np.empty((width, fom.n_u))
+
+    def check(a, n):  # replay, checked, the step to the block's first non-finite state: its error
+        for j in np.flatnonzero(~np.isfinite(rows[1 : n + 1]).all(axis=1))[:1]:
+            try:
+                explicit_euler_step(fom, rows[j], row_inputs[j], dt)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(f"step {a + j} failed: {exc}") from exc
     for a in range(0, K, width):
         rows[0] = x  # row i + 1 gets step a + i's state; x is its own contiguous array
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over=quiet, invalid=quiet):
                 for i, t in enumerate(times[a : min(a + width, K)].tolist()):
                     row_inputs[i] = u = _shaped("input", signal(t), (fom.n_u,))
-                    x = rows[i + 1] = step(fom, x, u, dt)
-        except (NonFiniteStateError, NewtonError) as exc:
-            raise type(exc)(f"step {a + i} failed: {exc}") from exc
-        finally:  # replay the first non-finite state's step, checked; a step that raised left its row finite
-            for j in np.flatnonzero(~np.isfinite(rows[1 : i + 2]).all(axis=1))[:1]:
-                try:
-                    explicit_euler_step(fom, rows[j], row_inputs[j], dt)
-                except NonFiniteStateError as exc:
-                    raise NonFiniteStateError(f"step {a + j} failed: {exc}") from exc
-        states[:, a + 1 : a + i + 2] = rows[1 : i + 2].T
-        inputs[:, a : a + i + 1] = row_inputs[: i + 1].T
+                    x = rows[i + 1] = _euler(x, fom.rhs(x, u), dt) if quiet else implicit_euler_step(fom, x, u, dt)
+        except Exception as exc:  # a non-finite state before the step that raised is its cause
+            check(a, i)
+            if isinstance(exc, (NonFiniteStateError, NewtonError)):
+                raise type(exc)(f"step {a + i} failed: {exc}") from exc
+            raise
+        check(a, i + 1)
+        states[:, a + 1 : a + i + 2], inputs[:, a : a + i + 1] = rows[1 : i + 2].T, row_inputs[: i + 1].T
     inputs[:, K] = _shaped("input", signal(float(times[K])), (fom.n_u,))
     return SnapshotMatrix(states=states, times=times, inputs=inputs)
 

@@ -473,6 +473,23 @@ class TestSimulate:
                 assert snaps.states[:, k + 1].tobytes() == x.tobytes()
             for k in range(K + 1):
                 assert snaps.inputs[:, k].tobytes() == signal(snaps.times[k]).tobytes()
+        # an rhs value is taken as a float array first, as explicit_euler_step takes it:
+        # a float32 one is not stepped in float32
+        f32 = dataclasses.replace(fom, rhs=lambda x, u: fom.rhs(x, u).astype(np.float32))
+        x = x0
+        for k, column in enumerate(simulate(f32, x0, signal, spec.dt_pod, 70).states.T[1:]):
+            x = explicit_euler_step(f32, x, signal(k * spec.dt_pod), spec.dt_pod)
+            assert column.tobytes() == x.tobytes()
+
+    def test_rhs_returning_a_list_or_scalar(self):
+        # taken as a float array, as explicit_euler_step takes it: a list of the
+        # state's length steps, a scalar or a wrong length is a shape error
+        fom = PolynomialFOM(dimension=1, degree_set=(0,), n_u=0, rhs=lambda x, u: [1.0])
+        np.testing.assert_array_equal(simulate(fom, np.zeros(1), None, 0.5, 3).states, [[0.0, 0.5, 1.0, 1.5]])
+        for rhs, shape in ((lambda x, u: 1.0, r"\(\)"), (lambda x, u: [1.0, 2.0], r"\(2,\)")):
+            fom = PolynomialFOM(dimension=1, degree_set=(0,), n_u=0, rhs=rhs)
+            with pytest.raises(ValueError, match=rf"^right-hand side has shape {shape} at states of shape \(1,\)$"):
+                simulate(fom, np.zeros(1), None, 0.5, 3)
 
     def test_successful_explicit_run_calls_rhs_once_per_step(self):
         spec = SPECS["chafee_infante"]
@@ -524,6 +541,46 @@ class TestSimulate:
         fom = PolynomialFOM(dimension=N, degree_set=(1,), n_u=0, rhs=rhs)
         with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
             simulate(fom, np.ones(N), None, 1e10, 100)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_model_error_after_a_non_finite_state_gives_way(self):
+        # x[0] overflows at step 70, mid-block; the model refuses the non-finite
+        # state at step 71, and the replayed step 70's error takes its place
+        def rhs(x, u):
+            if not np.isfinite(x).all():
+                raise ValueError("model refuses a non-finite state")
+            return np.full_like(x, 1e300 if x[0] > 7e11 else 1.0)
+
+        fom = PolynomialFOM(dimension=128, degree_set=(1,), n_u=0, rhs=rhs)
+        with pytest.raises(NonFiniteStateError, match="^step 70 failed: step of size 1e\\+10 left the finite range$"):
+            simulate(fom, np.ones(128), None, 1e10, 100)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_interrupt_is_not_replaced(self):
+        # a BaseException such as KeyboardInterrupt passes through unchanged,
+        # even from a block that already holds a non-finite state
+        def rhs(x, u):
+            if not np.isfinite(x).all():
+                raise KeyboardInterrupt
+            return np.full_like(x, 1e300 if x[0] > 7e11 else 1.0)
+
+        fom = PolynomialFOM(dimension=128, degree_set=(1,), n_u=0, rhs=rhs)
+        with pytest.raises(KeyboardInterrupt):
+            simulate(fom, np.ones(128), None, 1e10, 100)
+
+    def test_implicit_steps_keep_numpy_error_settings(self):
+        # only the explicit steps, checked once per block, run with overflow and
+        # invalid values ignored; implicit_euler_step runs under the caller's settings
+        seen, band = [], ((0, 0), np.zeros((1, 1)))
+
+        def linearize(x, u):
+            seen.append(np.geterr())
+            return np.zeros(1), band
+
+        fom = PolynomialFOM(dimension=1, degree_set=(1,), n_u=0, rhs=lambda x, u: np.zeros(1), linearize=linearize)
+        with np.errstate(over="raise", invalid="raise"):
+            simulate(fom, np.ones(1), None, 0.1, 3, "implicit_euler")
+        assert seen and all(e["over"] == e["invalid"] == "raise" for e in seen)
 
     def test_dt_and_initial_state_checked_before_any_step(self):
         calls = []
