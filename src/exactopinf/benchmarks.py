@@ -229,19 +229,16 @@ def build_shallow_ice(spec: BenchmarkSpec = SHALLOW_ICE):
     c1 = spec.c1
     c2 = spec.c2
 
-    def dx(v):
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dxi)
-        out[0] = (v[1] - v[0]) / (2.0 * dxi)
-        out[-1] = (v[-1] - v[-2]) / (2.0 * dxi)
-        return out
+    def dx(v):  # v padded with its Neumann ghosts, as the other two systems pad
+        w = np.concatenate((v[:1], v, v[-1:]))
+        return (w[2:] - w[:-2]) / (2.0 * dxi)
 
     # dx as a matrix has off-diagonals -off (below) and +off (above); its
-    # diagonal is zero except at the two Neumann ghost rows
+    # diagonal is zero except at the two Neumann ghost rows, which cancel at N = 1
     off = 1.0 / (2.0 * dxi)
     dx_diag = np.zeros(N)
-    dx_diag[0] = -off
-    dx_diag[-1] = off
+    dx_diag[0] -= off
+    dx_diag[-1] += off
 
     def rhs(x, u):
         g = dx(x)

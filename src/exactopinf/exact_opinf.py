@@ -106,11 +106,11 @@ def estimate_dt(pod_snapshots: SnapshotMatrix, basis: PodBasis, degree_set, n_u:
     """
     if pod_snapshots.states.shape[1] < 2:
         raise ValueError("need at least two snapshot columns")
-    s = basis.matrix(1)[:, 0] @ pod_snapshots.states  # projected scalar states
+    s = ordered_product(basis.matrix(1), pod_snapshots.states)[0]  # projected scalar states
     num = np.abs(np.diff(s) / np.diff(pod_snapshots.times))
     layout = MonomialBasis(n=1, degree_set=tuple(degree_set), n_u=n_u)
     features = feature_matrix(layout, s[None, :-1], pod_snapshots.inputs[:, :-1])
-    den = np.linalg.norm(features, axis=0)
+    den = np.sqrt(np.add.reduce(features * features, axis=0))
     valid = den > 1e-300
     if not np.any(valid):
         raise ValueError("all feature norms vanish; cannot estimate a time step")

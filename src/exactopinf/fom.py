@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_poly import PRODUCT_BLOCK_ENTRIES, MonomialBasis, feature_matrix, monomial_index_array, ordered_product
+from .tensor_poly import PRODUCT_BLOCK_ENTRIES, MonomialBasis, feature_matrix, monomial_index_array, norm, ordered_product
 
 NEWTON_TOL = 1e-10  # implicit Euler's Newton residual tolerance, times 1 + ||x||
 NEWTON_MAX_ITER = 50
@@ -176,12 +176,12 @@ def implicit_euler_step(fom: PolynomialFOM, x, u, dt: float) -> np.ndarray:
     if fom.linearize is None:
         raise ValueError("implicit Euler needs the model's linearize: its rhs and jacobian band")
     x, u = _state_and_input(fom, x, u)
-    tol = NEWTON_TOL * (1.0 + np.linalg.norm(x))
+    tol = NEWTON_TOL * (1.0 + norm(x))
     y = x.copy()
     for _ in range(NEWTON_MAX_ITER + 1):
         f, band = fom.linearize(y, u)
         residual = y - x - dt * _finite(f)
-        res_norm = np.linalg.norm(residual)
+        res_norm = norm(residual)
         if res_norm < tol:
             return y
         y = y - _solve_shifted(band, dt, residual)
@@ -269,9 +269,9 @@ def from_dense_operators(
     ``matrices[i]`` has shape (N, C(N+i-1, i)) and acts on the compressed
     degree-``i`` power of the state; the right-hand side is one
     :func:`ordered_product` of ``[A_i ... | B]`` with the feature vectors of a
-    state or a block, so it acts column-wise.  Multilinear access is
-    derived by symmetrizing over argument permutations, so keep the degrees
-    small.
+    state or a block, and the maps are ordered products too, all column-wise.
+    Multilinear access is derived by symmetrizing over argument permutations,
+    so keep the degrees small.
     """
     if not matrices:
         raise ValueError("need at least one degree matrix")
@@ -289,10 +289,12 @@ def from_dense_operators(
     layout = MonomialBasis(n=N, degree_set=degrees, n_u=n_u)
     O = np.hstack([mats[i] for i in degrees] + ([] if B is None else [B]))
 
+    def apply(M, v):  # M @ v for a vector or the columns of a block v
+        return ordered_product(M.T, v.reshape(len(v), -1)).reshape(M.shape[:1] + v.shape[1:])
+
     def rhs(x, u):
         m = x.size // N
-        F = feature_matrix(layout, x.reshape(N, m), u.reshape(n_u, m))
-        return ordered_product(O.T, F).reshape(x.shape)
+        return apply(O, feature_matrix(layout, x.reshape(N, m), u.reshape(n_u, m))).reshape(x.shape)
 
     def make_h(i, A):
         if i == 0:
@@ -310,12 +312,12 @@ def from_dense_operators(
                 for k, slot in enumerate(perm):
                     term = term * vs[k][idx[:, slot]]
                 acc += term
-            return A @ (acc / len(perms))
+            return apply(A, acc / len(perms))
 
         return h
 
     multilinear = {i: make_h(i, A) for i, A in mats.items()}
-    input_map = None if B is None else (lambda u: B @ np.asarray(u, dtype=float))
+    input_map = None if B is None else (lambda u: apply(B, np.asarray(u, dtype=float)))
     return PolynomialFOM(
         dimension=N,
         degree_set=degrees,

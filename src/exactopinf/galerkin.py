@@ -64,8 +64,10 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     the compressed monomial carries only once.  Each map is called once per
     ``PRODUCT_BLOCK_ENTRIES // N`` columns, on ``(N, m)`` stacks of their basis columns, and
     projected by :func:`ordered_product`, so ``V[:, :n]`` gives bitwise a cut of ``V``'s result.
+    A ``V`` other than 2-D with ``fom.dimension`` rows raises ``ValueError``.
     """
-    n = V.shape[1]
+    if V.ndim != 2 or V.shape[0] != fom.dimension:
+        raise ValueError(f"basis has shape {V.shape}, model dimension is {fom.dimension}")
     if fom.multilinear is None:
         raise MissingMultilinearAccess(
             "model provides no multilinear access; use the single-step "
@@ -77,12 +79,12 @@ def intrusive_reduce(fom: PolynomialFOM, V: np.ndarray) -> AggregatedOperator:
     if fom.n_u > 0 and fom.input_map is None:
         raise MissingMultilinearAccess("model has inputs but no input map")
 
-    basis = MonomialBasis(n=n, degree_set=fom.degree_set, n_u=fom.n_u)
-    matrix, width = np.empty((n, basis.n_f)), max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
+    basis = MonomialBasis(n=V.shape[1], degree_set=fom.degree_set, n_u=fom.n_u)
+    matrix, width = np.empty((basis.n, basis.n_f)), max(1, PRODUCT_BLOCK_ENTRIES // V.shape[0])
     for i in basis.degree_set:
         block = matrix[:, basis.degree_slice(i)]
-        idx = monomial_index_array(n, i)
-        counts = np.array([multiplicity(tup) for tup in enumerate_monomials(n, i)], dtype=float)
+        idx = monomial_index_array(basis.n, i)
+        counts = np.array([multiplicity(tup) for tup in enumerate_monomials(basis.n, i)], dtype=float)
         for start in range(0, len(idx), width):
             cols = slice(start, start + width)
             H = fom.multilinear[i](*(V[:, idx[cols, k]] for k in range(i)))  # (N,) at degree 0

@@ -91,12 +91,14 @@ def ordered_product(A, B) -> np.ndarray:
 
 
 def norm(x) -> float:
-    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum
-    of squares that neither overflows nor underflows."""
-    scale = np.max(np.abs(x), initial=0.0)
+    """The 2-norm of ``x``: ``max|x|`` times that of ``x / max|x|``, a fixed-order sum of squares
+    that neither overflows nor underflows, in one temporary (Newton takes it every iteration)."""
+    a = np.abs(x, dtype=float)
+    scale = np.maximum.reduce(a, axis=None, initial=0.0)
     if not 0 < scale < np.inf:
         return float(scale)
-    return float(scale * np.sqrt(np.sum(np.square(x / scale))))
+    np.divide(a, scale, out=a)
+    return float(scale * math.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=None)))
 
 
 def compress_states(X, i: int, out=None) -> np.ndarray:

@@ -1,10 +1,17 @@
 """Shared fixtures: the three benchmark pipelines, computed once per session,
-and a generator seeded afresh for each test."""
+and a generator seeded afresh for each test; and the Tier-1 ``hypothesis``
+profile, under which every property draws the same examples on every run,
+writes no example database and has no deadline (a timing health check, not a
+correctness one, which a loaded machine could fail)."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from exactopinf import benchmarks, fom as fom_mod, pod as pod_mod
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def _pipeline(spec):

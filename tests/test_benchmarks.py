@@ -169,6 +169,27 @@ class TestShallowIce:
         r = eval_rhs(fom, np.full(fom.dimension, 2.0), None)
         np.testing.assert_allclose(r, 0.0, atol=1e-20)
 
+    def test_stencil_is_bitwise_the_in_place_differences(self, rng):
+        # reference: the central differences with the two Neumann ghost rows
+        # written in place
+        fom, _, _ = build_shallow_ice()
+        dxi, c1, c2 = 1000.0 / SHALLOW_ICE.N, SHALLOW_ICE.c1, SHALLOW_ICE.c2
+
+        def dx(v):
+            out = np.empty_like(v)
+            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dxi)
+            out[0] = (v[1] - v[0]) / (2.0 * dxi)
+            out[-1] = (v[-1] - v[-2]) / (2.0 * dxi)
+            return out
+
+        for _ in range(5):
+            x = 1.0 + rng.random(fom.dimension)
+            g, x2 = dx(x), x * x
+            np.testing.assert_array_equal(fom.rhs(x, np.zeros(0)), c1 * x2 * g + c2 * (x2 * x2 * x) * (g * g * g))
+            a, b, c = rng.standard_normal((3, fom.dimension, 2))
+            h3 = (c1 / 3.0) * (a * b * dx(c) + a * dx(b) * c + dx(a) * b * c)
+            np.testing.assert_array_equal(fom.multilinear[3](a, b, c), h3)
+
     def test_initial_profile_formula(self):
         spec = SHALLOW_ICE
         fom, _, x0 = build_shallow_ice()

@@ -8,6 +8,7 @@ import pytest
 from exactopinf.benchmarks import (
     BURGERS,
     CHAFEE_INFANTE,
+    SPECS,
     apply_overrides,
     build,
     build_burgers,
@@ -32,7 +33,7 @@ from exactopinf.serialize import (
     write_operator,
     write_snapshots,
 )
-from exactopinf.tensor_poly import MonomialBasis, monomial_count
+from exactopinf.tensor_poly import MonomialBasis, monomial_count, ordered_product
 
 
 def _identity_snapshots(tmp_path, N=4):
@@ -709,6 +710,16 @@ class TestExperimentCommand:
         assert sorted(tmp_path.iterdir()) == [cfg, out]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_tiny_grid_runs_or_exits_2(self, name, N, tmp_path):
+        # one or two cells either run or stop at the step-size estimate with
+        # exit 2, never with a traceback
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"N = {N}\n")
+        argv = ["experiment", name, "--n-max", "1", "--out", str(tmp_path / "r"), "--config", str(cfg)]
+        assert main(argv) in (0, 2)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_step_beyond_finite_range_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -756,14 +767,14 @@ class TestExperimentCommand:
         lines = (out / "baseline_errors.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
         assert lines[1] == "n,relative_error,rank,cond_P"
-        # the rank and cond_P of standard_opinf on the same basis
+        # the rank and cond_P of standard_opinf on the same basis, projected in fixed order
         spec = apply_overrides(BURGERS, parse_config(cfg))
         fom, signal, x0 = build(spec)
         snaps = simulate(fom, x0, signal, spec.dt_pod, spec.K_pod, scheme=spec.scheme)
         pod = pod_basis(snaps, 2)
         for n, line in enumerate(lines[2:], start=1):
             V = pod.matrix(n)
-            reduced = SnapshotMatrix(states=V.T @ snaps.states, times=snaps.times, inputs=snaps.inputs)
+            reduced = SnapshotMatrix(states=ordered_product(V, snaps.states), times=snaps.times, inputs=snaps.inputs)
             ls = standard_opinf(reduced, MonomialBasis(n=n, degree_set=spec.degree_set))
             row = line.split(",")
             assert (int(row[0]), int(row[2]), float(row[3])) == (n, ls.rank, ls.cond_P)

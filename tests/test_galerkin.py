@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exactopinf.benchmarks import BURGERS, build
 from exactopinf.exact_opinf import rank_ensuring_pairs
 from exactopinf.fom import PolynomialFOM, eval_rhs, from_dense_operators
 from exactopinf.galerkin import AggregatedOperator, MissingMultilinearAccess, intrusive_reduce
@@ -98,6 +99,13 @@ class TestIntrusiveReduce:
         fom = PolynomialFOM(dimension=2, degree_set=(1,), n_u=0, rhs=lambda x, u: x)
         with pytest.raises(MissingMultilinearAccess):
             intrusive_reduce(fom, np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(64, 3), (128,)], ids=["short", "one-d"])
+    def test_basis_of_another_height_rejected(self, shape):
+        # generate_ensemble's check and message, before any map is called
+        fom, _, _ = build(BURGERS)
+        with pytest.raises(ValueError, match=r"basis has shape .*, model dimension is 128"):
+            intrusive_reduce(fom, np.ones(shape))
 
     @pytest.mark.parametrize("full", [False, True], ids=["orthonormal", "identity"])
     def test_matches_projected_rhs(self, rng, full):

@@ -2,14 +2,12 @@
 every name they import, every public name is reached, the CLI names no
 benchmark, maps exceptions to exit codes in ``main`` alone and chooses no
 structure check, one function holds the dense square factorization, one
-module takes an SVD, no bundled model and not the POD takes a matrix
-product, the intrusive reference and the diagnostics take no BLAS product or
-norm, ``tensor_poly`` alone defines ``norm`` and ``ordered_product``, the
-shallow-ice model takes no power, one constant sizes every
-block, no package
-attribute shadows the submodule of its name, neither importing the
-package, building the benchmarks nor an implicit step loads
-``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
+module takes an SVD, no bundled model takes a matrix product, no module takes
+a BLAS product or norm, ``tensor_poly`` alone defines ``norm`` and
+``ordered_product``, the POD's einsum is not optimized, the shallow-ice model
+takes no power, one constant sizes every block, no package attribute shadows
+the submodule of its name, neither importing the package, building the
+benchmarks nor an implicit step loads ``scipy.sparse``, and ``scipy.linalg`` is loaded by the implicit step's
 band solve alone: not by the import, the builders, ``diagnose``, ``pod``,
 an explicit ``experiment`` or ``infer``."""
 
@@ -270,9 +268,9 @@ def _products(tree, names):
 
 
 def test_bundled_models_take_no_matrix_product():
-    # every bundled model is a stencil on its state: no N x N operator, and
-    # no BLAS product to decide the bits of a step
-    assert _products(_tree("benchmarks.py"), {"dot", "matmul", "einsum"}) == []
+    # every bundled model is a stencil on its state: no N x N operator, not
+    # even by a fixed-order einsum (the BLAS products are the guard's below)
+    assert _named(_tree("benchmarks.py"), {"einsum"}) == []
 
 
 def test_shallow_ice_takes_no_power():
@@ -295,28 +293,28 @@ def test_shallow_ice_takes_no_power():
 def test_pod_takes_no_blas_product():
     # the POD's sums are np.einsum without optimize, fixed-order and
     # BLAS-free, so its bits depend on neither the BLAS nor its threads
-    tree = _tree("pod.py")
     optimized = [
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(_tree("pod.py"))
         if isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords)
     ]
-    assert _products(tree, {"dot", "matmul"}) + optimized == []
+    assert optimized == []
 
 
-def test_reference_and_diagnostics_take_no_blas_product_or_norm():
-    # the intrusive reference projects by tensor_poly.ordered_product and the
-    # diagnostics take tensor_poly.norm, fixed-order sums, so no experiment CSV
-    # depends on the BLAS or its threads
-    for name in ("galerkin.py", "diagnostics.py"):
-        tree = _tree(name)
-        norms = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "norm"
-        ]
-        linalg = [module for module in _imported_modules(tree) if module.startswith("numpy.linalg")]
-        assert _products(tree, {"dot", "matmul"}) + norms + linalg == [], name
+def test_package_takes_no_blas_product_or_norm():
+    # every product and norm in the package is one of tensor_poly's fixed-order
+    # sums, ordered_product and norm, so no output depends on the BLAS or its
+    # threads: no module multiplies by @, dot or matmul, takes a .norm or imports
+    # from numpy.linalg.  Left alone: np.einsum without optimize (pod, the level
+    # solver), LAPACK on k x k matrices (eigh, svd, eigvalsh), standard_opinf's
+    # lstsq and fom's band solves
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path.name)
+        norms = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "norm"]
+        found += [f"{path.name}:{line}" for line in sorted(_products(tree, {"dot", "vdot", "inner", "matmul", "tensordot", "multi_dot"}) + norms)]
+        found += [f"{path.name}: {module}" for module in _imported_modules(tree) if module.startswith("numpy.linalg")]
+    assert found == [], found
 
 
 def test_one_norm_and_one_ordered_product():

@@ -19,6 +19,7 @@ from exactopinf.tensor_poly import (
     monomial_count,
     monomial_index_array,
     multiplicity,
+    norm,
     ordered_product,
 )
 
@@ -301,3 +302,28 @@ class TestOrderedProduct:
         # summed from +0.0: negative zero products add up to +0.0, as the row sum does
         D = ordered_product(-np.ones((3, 2)), np.zeros((3, 1)))
         assert not np.signbit(D).any()
+
+
+class TestNorm:
+    @staticmethod
+    def scaled(x):
+        """The reference: ``max|x|`` times numpy's sum of the squares of ``x / max|x|``."""
+        scale = np.max(np.abs(x), initial=0.0)
+        if not 0 < scale < np.inf:
+            return float(scale)
+        return float(scale * np.sqrt(np.sum(np.square(x / scale))))
+
+    @pytest.mark.parametrize("shape", [(512,), (0,), (1,), (7, 9), (3, 4, 5)])
+    @pytest.mark.parametrize("exponent", [-300, 0, 300])
+    def test_bitwise_the_scaled_sum(self, rng, shape, exponent):
+        x = rng.standard_normal(shape) * 10.0**exponent
+        for y in (x, np.asfortranarray(x), x.T):
+            assert norm(y) == self.scaled(y)
+        # where the unscaled sum of squares would overflow or underflow
+        unit = 10.0**exponent
+        np.testing.assert_allclose(norm(x) / unit, np.linalg.norm((x / unit).ravel()), rtol=1e-14)
+
+    def test_non_finite_and_integer_entries(self):
+        assert norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(norm(np.array([np.nan, 1.0])))
+        assert norm(np.arange(5)) == self.scaled(np.arange(5.0))
