@@ -164,10 +164,9 @@ def narrow(ensemble: SnapshotEnsemble, n: int) -> SnapshotEnsemble:
 def _factor_square(P, groups):
     """LU factors ``(lu, piv)``, ``P.T[piv] = L U``, of a square ``P`` in numpy steps (no BLAS),
     pivoting column ``k`` among the rows of its label in the contiguous ``groups``, group by
-    group.  A pivot tripping :func:`solve_square`'s guard raises ``SingularDataMatrixError``."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {P.shape}")
+    group.  A pivot at or below ``1e-14`` times the largest entry of its own row of ``P``
+    raises ``SingularDataMatrixError``; rescaling a row rescales its pivot alike, so ``P``
+    and the ``diag(c^i) P`` of states scaled by ``c`` get the same verdict."""
     lu, piv = P.T.copy(), np.arange(len(P))
     row_max = np.maximum(P.max(axis=1), -P.min(axis=1))
     for k in range(len(P)):
@@ -294,15 +293,6 @@ def pair_solver(basis: MonomialBasis, scale: float = 1.0) -> _LevelSolver:
     return _LevelSolver(levels)
 
 
-def solve_square(P, B) -> np.ndarray:
-    """The ``X`` with ``X @ P = B`` for a square, invertible ``P`` and rows (or a vector)
-    ``B``, by one LU with partial pivoting.  A pivot at or below ``1e-14`` times the
-    largest entry of its own row of ``P`` trips the singularity guard; rescaling a row
-    rescales its pivot alike, so ``P`` and the ``diag(c^i) P`` of states scaled by ``c``
-    get the same verdict."""
-    return _square_solver(P).right_solve(np.asarray(B, dtype=float))
-
-
 def _largest_singular_value(apply, apply_transpose, size: int, limit: float = np.inf) -> float:
     """``sigma_max`` of the ``size x size`` operator ``x -> apply(x)``.
 
@@ -363,7 +353,7 @@ def infer(ensemble: SnapshotEnsemble) -> InferenceResult:
     """Solve the square linear system ``O P = derivatives`` of the ensemble.
 
     ``P`` is :func:`pair_solver`'s, of the ensemble's layout and amplitude, its
-    level blocks factored once with the pivot guard of :func:`solve_square`.
+    level blocks factored once with the pivot guard of :func:`_factor_square`.
     Substitution over the levels gives the operator, and the solver's products and
     solves give ``cond_P = sigma_max(P) sigma_max(P^-1)`` (:func:`_condition_number`)
     and the residual ``||O P - derivatives||_F``.  No SVD and no dense ``P`` is made.

@@ -4,15 +4,16 @@ The generated inference states double as interpolation nodes: for every
 state dimension and degree set, the square matrix pairing nodes with the
 monomials of those degrees is invertible, which is exactly why the
 single-step data matrix has full rank.  This module exposes that matrix,
-the interpolation solve, and the univariate "hit one degree, miss the rest"
-polynomials used to stitch degree blocks together.
+the interpolation solve by :func:`pair_solver`, and, as the 1-D case of
+that solve, the univariate "hit one degree, miss the rest" polynomials used
+to stitch degree blocks together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exact_opinf import SingularDataMatrixError, pair_solver, rank_ensuring_pairs, solve_square
+from .exact_opinf import SingularDataMatrixError, pair_solver, rank_ensuring_pairs
 from .tensor_poly import MonomialBasis, feature_matrix
 
 
@@ -52,20 +53,16 @@ def gappy_interpolate(n: int, degree_set, values) -> np.ndarray:
 def univariate_specific(degree_set, i_star: int) -> np.ndarray:
     """Univariate polynomial that is 1 at ``i_star`` and 0 at the other degrees.
 
-    The degree set doubles as the node set.  The polynomial's support is the
-    degree set shifted down by ``i_star``, which requires ``i_star`` to be
-    its smallest element.  Coefficients are returned in ascending order of
-    the shifted degrees.
+    The degree set doubles as the node set: the 1-D rank-ensuring pair of
+    degree ``i`` is ``x = i``.  The polynomial's support is the degree set
+    shifted down by ``i_star``, which requires ``i_star`` to be its smallest
+    element.  Coefficients are returned in ascending order of the shifted
+    degrees; they are those of ``x**i_star`` times the polynomial, which
+    :func:`gappy_interpolate` gives from ``i_star**i_star`` at ``i_star``.
     """
     degrees = tuple(sorted(set(int(i) for i in degree_set)))
     if i_star not in degrees:
         raise ValueError(f"{i_star} is not in the degree set {degrees}")
-    others = [i for i in degrees if i != i_star]
-    if others and i_star >= min(others):
-        raise ValueError(f"{i_star} must be below the remaining degrees {others}")
-    support = [i - i_star for i in degrees]
-    nodes = np.array(degrees, dtype=float)
-    # column j holds the support monomials at node j, as in the data matrix
-    M = np.array([[x**d for x in nodes] for d in support])
-    target = np.array([1.0 if i == i_star else 0.0 for i in degrees])
-    return solve_square(M, target)
+    if i_star != degrees[0]:
+        raise ValueError(f"{i_star} must be below the remaining degrees {list(degrees[1:])}")
+    return gappy_interpolate(1, degrees, [float(i_star) ** i_star if i == i_star else 0.0 for i in degrees])

@@ -208,10 +208,7 @@ def read_operator(path) -> AggregatedOperator:
             f"{path}: matrix shape {matrix.shape} does not match sidecar layout "
             f"({basis.n}, {basis.n_f})"
         )
-    try:
-        return AggregatedOperator(basis=basis, matrix=matrix)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return AggregatedOperator(basis=basis, matrix=matrix)
 
 
 def _tag_fields(basis: MonomialBasis) -> list[list[str]]:

@@ -280,6 +280,24 @@ class TestInferCommand:
         document = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert document["cond_P"] == "inf" and float(document["cond_P"]) == np.inf
 
+    def test_singular_data_matrix_exit_code(self, rng, tmp_path, capsys):
+        # at amplitude 2**-600 the degree-2 features (2**-1200) underflow to
+        # zero, so pair_solver's pivot guard finds P singular
+        N, n = 6, 2
+        fom = from_dense_operators(
+            {i: rng.standard_normal((N, monomial_count(N, i))) for i in (1, 2)}
+        )
+        V = np.linalg.qr(rng.standard_normal((N, n)))[0]
+        epath, opath = tmp_path / "ens.csv", tmp_path / "op.csv"
+        write_ensemble(generate_ensemble(fom, V, 0.01, 2.0**-600), epath)
+        assert main(["infer", "--ensemble", str(epath), "--out", str(opath)]) == 3
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        assert document["error"] == "singular-data-matrix"
+        assert document["detail"].startswith("numerically singular data matrix")
+        assert captured.err == ""
+        assert not opath.exists()
+
     def test_huge_sidecar_layout_exit_code(self, tmp_path, capsys):
         # one row against the 7.9e9 pairs of n = 30, degree 12: rejected as a
         # row count, not by building 1.72 TiB of pairs
@@ -604,6 +622,22 @@ class TestExperimentCommand:
         for fname in ("operator_errors.csv", "cond_P.csv", "spectra.csv"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
 
+    def test_threshold_failure_exit_code(self, tmp_path, capsys):
+        # at dt = 1e-12 the quotients' rounding, about eps |x| / dt, leaves the
+        # operator error far above its 1e-9 bound; the tables are still written
+        out = tmp_path / "r"
+        code = main(["experiment", "burgers", "--n-max", "2", "--dt", "1e-12", "--out", str(out)])
+        assert code == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["benchmark"] == "burgers"
+        first = document["failures"][0]
+        assert (first["metric"], first["n"], first["threshold"]) == ("relative_operator_error", 1, 1e-9)
+        assert first["value"] > 1e-9
+        errors = (out / "operator_errors.csv").read_text().splitlines()
+        assert len(errors) == 2 + 2
+        assert float(errors[2].split(",")[1]) == first["value"]
+        assert len((out / "cond_P.csv").read_text().splitlines()) == 2 + 2
+
     def test_out_is_a_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "r"
         out.write_text("")
@@ -740,6 +774,21 @@ class TestExperimentCommand:
         code = main(["experiment", "burgers", "--out", str(out), "--config", str(cfg)])
         assert code == 2
         assert "failed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_newton_failure_exit_code(self, tmp_path, capsys):
+        # implicit Euler at 5000 times the bundled step: the first Newton
+        # iteration does not converge, and simulate names the step
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dt = 5\nT = 50\n")
+        out = tmp_path / "r"
+        code = main(
+            ["experiment", "shallow-ice", "--n-max", "1", "--out", str(out), "--config", str(cfg)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("step 0 failed: Newton did not converge in 50 iterations")
         assert list(out.iterdir()) == []
 
     def test_n_max_beyond_snapshots_exit_code(self, tmp_path, capsys):

@@ -25,7 +25,6 @@ from exactopinf.exact_opinf import (
     pair_solver,
     pair_tags,
     rank_ensuring_pairs,
-    solve_square,
     standard_opinf,
     sweep,
 )
@@ -351,18 +350,6 @@ class TestGenerateEnsemble:
             build(fom, np.ones(shape), 0.1)
 
 
-class TestSolveSquare:
-    def test_solves_from_the_right(self, rng):
-        P = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        X = rng.standard_normal((3, 5))
-        np.testing.assert_allclose(solve_square(P, X @ P), X, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(solve_square(P, X[0] @ P), X[0], rtol=1e-12, atol=1e-12)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            solve_square(np.ones((2, 3)), np.ones(3))
-
-
 class TestInfer:
     def test_identity_data_matrix(self):
         basis = MonomialBasis(n=2, degree_set=(1,))
@@ -379,10 +366,6 @@ class TestInfer:
         res = infer(ens)
         np.testing.assert_allclose(res.operator.matrix, O, rtol=1e-13)
         assert res.residual < 1e-12
-
-    def test_singular_guard(self):
-        with pytest.raises(SingularDataMatrixError):
-            solve_square(np.ones((2, 2)), np.zeros(2))
 
     def test_guard_is_invariant_to_state_scale(self):
         # a cubic term weakened by 2^-48 matches the linear term in data

@@ -542,6 +542,18 @@ class TestSimulate:
         with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
             simulate(fom, np.ones(N), None, 1e10, 100)
 
+    def test_newton_failure_names_its_step(self):
+        # y = x + dt (y^2 + 1) has no real root for dt > 1/2
+        fom = PolynomialFOM(
+            dimension=1,
+            degree_set=(0, 2),
+            n_u=0,
+            rhs=lambda x, u: x**2 + 1.0,
+            linearize=lambda x, u: (x**2 + 1.0, band(np.diag(2.0 * x), 0, 0)),
+        )
+        with pytest.raises(NewtonError, match=r"^step 0 failed: Newton did not converge in 50 iterations"):
+            simulate(fom, np.array([0.0]), None, 10.0, 3, scheme="implicit_euler")
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_model_error_after_a_non_finite_state_gives_way(self):
         # x[0] overflows at step 70, mid-block; the model refuses the non-finite

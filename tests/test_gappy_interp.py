@@ -1,11 +1,12 @@
 """Interpolation with gapped degree sets and its link to the data matrix."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exactopinf.exact_opinf import rank_ensuring_pairs
+from exactopinf.exact_opinf import SingularDataMatrixError, rank_ensuring_pairs
 from exactopinf.gappy_interp import (
     gappy_interpolate,
     interpolation_matrix,
@@ -18,6 +19,19 @@ def _evaluate(n, degree_set, coeffs, x):
     """Evaluate the interpolant with canonical monomial ordering at x."""
     feats = feature_matrix(MonomialBasis(n=n, degree_set=degree_set), x[:, None])[:, 0]
     return feats @ coeffs
+
+
+def _exact_solve(rows, rhs):
+    """The solution of the square rational system ``rows @ c = rhs``, by Gauss–Jordan."""
+    A = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for k in range(len(A)):
+        p = next(r for r in range(k, len(A)) if A[r][k] != 0)
+        A[k], A[p] = A[p], A[k]
+        for r in range(len(A)):
+            if r != k and A[r][k] != 0:
+                f = A[r][k] / A[k][k]
+                A[r] = [a - f * b for a, b in zip(A[r], A[k])]
+    return [A[k][-1] / A[k][k] for k in range(len(A))]
 
 
 class TestInterpolationMatrix:
@@ -129,6 +143,27 @@ class TestUnivariateSpecific:
     def test_requires_smallest(self):
         with pytest.raises(ValueError):
             univariate_specific((1, 3), 3)
+
+
+    def test_matches_the_exact_shifted_vandermonde_solve(self):
+        # every degree set of at most 7 degrees in 0..8, against the exact
+        # rational solve of sum_d c_d x^(d - i*) = [x == i*] at the nodes
+        # x in the set: the parent solved that system in floating point
+        for k in range(1, 8):
+            for degrees in itertools.combinations(range(9), k):
+                i_star = degrees[0]
+                rows = [[Fraction(x) ** (d - i_star) for d in degrees] for x in degrees]
+                exact = _exact_solve(rows, [Fraction(int(x == i_star)) for x in degrees])
+                want = np.array([float(c) for c in exact])
+                got = univariate_specific(degrees, i_star)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), degrees
+
+    @pytest.mark.parametrize("degrees", [range(1, 13), range(0, 15)], ids=["1..12", "0..14"])
+    def test_long_runs_fail_the_residual_check(self, degrees):
+        # coefficients this wide miss their nodes by more than the
+        # interpolation's residual bound, so they are refused, not returned
+        with pytest.raises(SingularDataMatrixError, match="interpolation residual"):
+            univariate_specific(degrees, degrees[0])
 
 
 class TestBlockTriangularStructure:
